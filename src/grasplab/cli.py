@@ -8,8 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 failed check.
 
 Tunable constants live in a flat settings map (see DEFAULTS), overridable
 by a --config file and repeatable --set key=value flags; explicit
-subcommand flags win over both. GRASPLAB_THREADS caps the collision
-worker count.
+subcommand flags win over both.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ DEFAULTS = {
     "refine.beta2": math.pi / 3,
     "refine.gamma1": math.pi / 4,
     "refine.gamma2": math.pi / 3,
-    "closing.keep": 64,
     "eval.pool": 1000,
     "eval.top": 100,
     "losscheck.trials": 25,

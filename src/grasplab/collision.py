@@ -6,21 +6,26 @@ fingers flanking it along +-Y, and the back plate behind -X. The approach
 direction is +X. A grasp collides when any scene point lies strictly
 inside a finger or the back plate; points in the closing region are the
 ones being grasped, not collisions.
+
+Every box query runs through one kernel: the cloud's KD-tree keeps only
+the points inside a few spheres covering the box, then the exact box test
+decides, so culling never changes a result.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core import Grasp, GripperParams, PointCloud, grasp_frame, world_to_grasp
+from .core import Grasp, GraspFrame, GripperParams, PointCloud, grasp_frame, grasp_to_world, world_to_grasp
 from .sampling import EmptyRegionError
 
 BOUNDARY_TOL = 1e-12  # points this close to a box face count as outside
+_CULL_SLACK = 1e-9    # culling-sphere margin; must exceed BOUNDARY_TOL
+_QUERY_BATCH = 16     # grasps per KD-tree query; bounds the index lists held at once
 
 __all__ = [
     "Box3",
@@ -75,14 +80,6 @@ class GripperVolume:
     def obstacles(self) -> tuple[Box3, Box3, Box3]:
         return (self.finger_pos, self.finger_neg, self.back)
 
-    @property
-    def bounding_radius(self) -> float:
-        """Radius of the origin-centered sphere enclosing every box."""
-        return max(
-            float(np.linalg.norm(np.maximum(np.abs(b.lo), np.abs(b.hi))))
-            for b in (self.closing, self.finger_pos, self.finger_neg, self.back)
-        )
-
 
 def gripper_volume(s: GripperParams) -> GripperVolume:
     """Box decomposition of a gripper; every extent traces back to (D, W, H, T)."""
@@ -95,24 +92,54 @@ def gripper_volume(s: GripperParams) -> GripperVolume:
     )
 
 
-def _collides(points_grasp: np.ndarray, volume: GripperVolume) -> bool:
-    return any(bool(np.any(box.contains_strict(points_grasp))) for box in volume.obstacles)
+def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
+    """Centers (grasp frame) and common radius of spheres covering `box`.
+
+    The box is cut along its longest axis into cells no longer than its
+    middle extent, and each cell gets the sphere through its corners. The
+    slack keeps every point within BOUNDARY_TOL of the box, plus rounding in
+    the frame transform, inside some sphere.
+    """
+    ext = box.hi - box.lo
+    axis = int(np.argmax(ext))
+    n = math.ceil(float(ext[axis] / np.sort(ext)[1]))
+    cell = ext.copy()
+    cell[axis] /= n
+    centers = np.tile(box.lo + cell / 2.0, (n, 1))
+    centers[:, axis] += np.arange(n) * cell[axis]
+    return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
+
+
+def _members(cloud: PointCloud, frame: GraspFrame, box: Box3, hits, strict: bool):
+    """Exact box test on the culled candidates `hits` (index lists, one per sphere).
+
+    Returns (ascending cloud indices inside the box, their grasp-frame coordinates).
+    """
+    idx = np.sort(np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp))
+    # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
+    q = world_to_grasp(frame, cloud.points[idx])
+    inside = box.contains_strict(q) if strict else box.contains(q)
+    return idx[inside], q[inside]
+
+
+def _box_points(cloud: PointCloud, frame: GraspFrame, box: Box3, strict: bool):
+    """Cloud points inside one gripper box of one grasp.
+
+    Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
+    them. Returns (ascending cloud indices, their grasp-frame coordinates).
+    """
+    centers, radius = _cull_spheres(box)
+    hits = cloud.tree.query_ball_point(grasp_to_world(frame, centers), radius, return_sorted=False)
+    return _members(cloud, frame, box, hits, strict)
 
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
     """True iff any cloud point lies strictly inside a finger or the back plate."""
     if len(cloud) == 0:
         return False
-    q = world_to_grasp(grasp_frame(g), cloud.points)
-    return _collides(q, gripper_volume(s))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GRASPLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    frame = grasp_frame(g)
+    return any(_box_points(cloud, frame, box, strict=True)[0].size for box in gripper_volume(s).obstacles)
 
 
 def filter_collision_free(
@@ -122,31 +149,26 @@ def filter_collision_free(
 ) -> list[Grasp]:
     """Order-preserving subsequence of candidates that pass check_collision.
 
-    The scene is indexed once; each grasp only tests points within the
-    gripper's bounding sphere. Candidates may be checked on up to
-    GRASPLAB_THREADS workers; results merge in input order.
+    Grasps are tested one obstacle box at a time, fingers first and the back
+    plate last; a pass covers only the grasps no earlier box hit. The scene's
+    KD-tree culls each box to the points near the spheres covering it, and
+    the exact box test decides.
     """
     if not candidates or len(scene_cloud) == 0:
         return list(candidates)
-    volume = gripper_volume(s)
-    radius = volume.bounding_radius + 1e-9
-    tree = cKDTree(scene_cloud.points)
-    pts = scene_cloud.points
-
-    def collides(g: Grasp) -> bool:
-        idx = tree.query_ball_point(g.center, radius)
-        if not idx:
-            return False
-        q = world_to_grasp(grasp_frame(g), pts[idx])
-        return _collides(q, volume)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(collides, candidates))
-    else:
-        flags = [collides(g) for g in candidates]
-    return [g for g, hit in zip(candidates, flags) if not hit]
+    frames = [grasp_frame(g) for g in candidates]
+    free = np.ones(len(candidates), dtype=bool)
+    for box in gripper_volume(s).obstacles:
+        centers, radius = _cull_spheres(box)
+        todo = np.flatnonzero(free)
+        for start in range(0, todo.size, _QUERY_BATCH):
+            batch = todo[start:start + _QUERY_BATCH]
+            world = np.concatenate([grasp_to_world(frames[i], centers) for i in batch])
+            hits = scene_cloud.tree.query_ball_point(world, radius, return_sorted=False)
+            hits = hits.reshape(batch.size, len(centers))
+            for i, grasp_hits in zip(batch, hits):
+                free[i] = _members(scene_cloud, frames[i], box, grasp_hits, strict=True)[0].size == 0
+    return [g for g, ok in zip(candidates, free) if ok]
 
 
 def closing_region_points(
@@ -166,14 +188,13 @@ def closing_region_points(
         raise ValueError("keep must be >= 1")
     if len(cloud) == 0:
         raise EmptyRegionError("empty cloud has no closing-region points")
-    q = world_to_grasp(grasp_frame(g), cloud.points)
-    inside = np.flatnonzero(gripper_volume(s).closing.contains(q))
+    inside, q = _box_points(cloud, grasp_frame(g), gripper_volume(s).closing, strict=False)
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
     rng = np.random.default_rng(seed)
     if inside.size > keep:
-        return q[rng.choice(inside, size=keep, replace=False)], False
+        return q[rng.choice(inside.size, size=keep, replace=False)], False
     if inside.size < keep:
-        pad = rng.choice(inside, size=keep - inside.size, replace=True)
-        return q[np.concatenate([inside, pad])], True
-    return q[inside], False
+        pad = rng.choice(inside.size, size=keep - inside.size, replace=True)
+        return q[np.concatenate([np.arange(inside.size), pad])], True
+    return q, False

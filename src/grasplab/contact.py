@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, grasp_frame, world_to_grasp
-from .collision import gripper_volume
+from .core import Grasp, GripperParams, PointCloud, grasp_frame
+from .collision import _box_points, gripper_volume
 
 __all__ = ["ContactPair", "find_contacts", "antipodal_score", "width_fit"]
 
@@ -43,24 +43,22 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
         raise ValueError("find_contacts requires a cloud with normals")
     if len(cloud) == 0:
         return None
-    q = world_to_grasp(grasp_frame(g), cloud.points)
-    inside = np.flatnonzero(gripper_volume(s).closing.contains(q))
-    if inside.size == 0:
-        return None
-    y = q[inside, 1]
-    pos = inside[y >= 0.0]
-    neg = inside[y < 0.0]
+    inside, q = _box_points(cloud, grasp_frame(g), gripper_volume(s).closing, strict=False)
+    y = q[:, 1]
+    pos = np.flatnonzero(y >= 0.0)
+    neg = np.flatnonzero(y < 0.0)
     if pos.size == 0 or neg.size == 0:
         return None
-    i = pos[np.argmax(q[pos, 1])]
-    j = neg[np.argmin(q[neg, 1])]
+    a = pos[np.argmax(y[pos])]
+    b = neg[np.argmin(y[neg])]
+    i, j = inside[a], inside[b]
     return ContactPair(
         ci=cloud.points[i].copy(),
         cj=cloud.points[j].copy(),
         ni=cloud.normals[i].copy(),
         nj=cloud.normals[j].copy(),
-        y_i=float(q[i, 1]),
-        y_j=float(q[j, 1]),
+        y_i=float(y[a]),
+        y_j=float(y[b]),
     )
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 UNIT_TOL = 1e-6          # how far off unit length an input vector may be
 THETA_MAX = math.pi / 2
@@ -45,6 +46,12 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite components: {a}")
     return a
+
+
+def _frozen_copy(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
@@ -104,14 +111,20 @@ class GripperParams:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """N points (m) with optional unit normals and optional RGB colors in [0,1]."""
+    """N points (m) with optional unit normals and optional RGB colors in [0,1].
+
+    A cloud is immutable: it keeps read-only copies of its arrays, so the
+    KD-tree over its points (`tree`, built on first use and cached) can be
+    shared by every spatial query on the cloud and never goes stale.
+    """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     colors: np.ndarray | None = None
+    _tree: cKDTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _frozen_copy(self.points)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (N, 3), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -121,7 +134,7 @@ class PointCloud:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            arr = np.asarray(arr, dtype=float)
+            arr = _frozen_copy(arr)
             if arr.shape != pts.shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match points {pts.shape}")
             object.__setattr__(self, name, arr)
@@ -135,8 +148,18 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def tree(self) -> cKDTree:
+        """KD-tree over `points`, built on first use and kept for the cloud's lifetime."""
+        if self._tree is None:
+            object.__setattr__(self, "_tree", cKDTree(self.points))
+        return self._tree
+
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        return PointCloud(self.points, normals, self.colors)
+        """Same points and colors with new normals; shares this cloud's tree."""
+        out = PointCloud(self.points, normals, self.colors)
+        object.__setattr__(out, "_tree", self._tree)
+        return out
 
 
 @dataclass(frozen=True, eq=False)

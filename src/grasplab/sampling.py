@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Grasp, GripperParams, PointCloud, rotate_about_axis
 
@@ -109,8 +108,7 @@ def estimate_normals(
     n = len(cloud)
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    tree = cKDTree(cloud.points)
-    _, idx = tree.query(cloud.points, k=k)
+    _, idx = cloud.tree.query(cloud.points, k=k)
     eigvals, eigvecs = _neighborhood_eig(cloud.points, idx)
     normals = eigvecs[:, :, 0]
     # rank < 2 <=> middle eigenvalue vanishes relative to the spread
@@ -122,15 +120,9 @@ def estimate_normals(
     return normals, valid
 
 
-def _darboux_from_tree(
-    cloud: PointCloud,
-    tree: cKDTree,
-    index: int,
-    k: int,
-    viewpoint: np.ndarray,
-) -> DarbouxFrame:
+def _darboux(cloud: PointCloud, index: int, k: int, viewpoint: np.ndarray) -> DarbouxFrame:
     p = cloud.points[index]
-    _, idx = tree.query(p, k=k)
+    _, idx = cloud.tree.query(p, k=k)
     eigvals, eigvecs = _neighborhood_eig(cloud.points, np.asarray(idx)[None, :])
     eigvals, eigvecs = eigvals[0], eigvecs[0]
     if eigvals[1] <= 1e-10 * max(eigvals[2], 1e-300):
@@ -167,7 +159,7 @@ def darboux_frame(
         raise IndexError(f"index {index} out of range for {n} points")
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    return _darboux_from_tree(cloud, cKDTree(cloud.points), index, k, viewpoint)
+    return _darboux(cloud, index, k, viewpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +221,9 @@ def sample_candidates(
     else:
         offsets = np.linspace(-cfg.angle_range, cfg.angle_range, cfg.n_angle_perturbations)
 
-    tree = cKDTree(object_cloud.points)  # shared across all seed points
     out: list[Grasp] = []
     for ci in centers:
-        frame = _darboux_from_tree(object_cloud, tree, int(ci), k, viewpoint)
+        frame = _darboux(object_cloud, int(ci), k, viewpoint)
         approach = -frame.normal
         center = frame.point + (gripper.depth / 2.0) * approach
         for spin in spins:
@@ -260,15 +251,15 @@ def ball_query(
 
     More than `keep` hits are subsampled without replacement; fewer are
     padded by sampling the hits with replacement (padded flag returned).
-    Raises EmptyRegionError when the ball is empty.
+    Raises EmptyRegionError when the ball is empty. Queries go through the
+    cloud's cached KD-tree, so repeated calls on one cloud build it once.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if keep < 1:
         raise ValueError("keep must be >= 1")
     center = np.asarray(center, dtype=float).reshape(3)
-    tree = cKDTree(cloud.points)
-    hits = np.asarray(sorted(tree.query_ball_point(center, radius)), dtype=int)
+    hits = np.asarray(sorted(cloud.tree.query_ball_point(center, radius)), dtype=int)
     if hits.size == 0:
         raise EmptyRegionError(f"no points within {radius} m of {center}")
     rng = np.random.default_rng(seed)

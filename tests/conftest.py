@@ -40,6 +40,17 @@ def grid_sphere_cloud(radius: float, n_lat: int = 60, n_lon: int = 60, pole_axis
     return PointCloud(np.asarray(pts))
 
 
+def tabletop_cloud(seed: int, n_table: int = 400, n_object: int = 300) -> PointCloud:
+    """Seeded table top: a jittered 30 cm square at z = 0 plus a 3 cm sphere resting on it."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-0.15, 0.15, size=(n_table, 2))
+    table = np.column_stack([xy, rng.normal(scale=1e-4, size=n_table)])
+    v = rng.normal(size=(n_object, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    normals = np.vstack([np.tile([0.0, 0.0, 1.0], (n_table, 1)), v])
+    return PointCloud(np.vstack([table, v * 0.03 + (0.0, 0.0, 0.03)]), normals)
+
+
 def with_radial_normals(cloud: PointCloud, center=(0.0, 0.0, 0.0)) -> PointCloud:
     d = cloud.points - np.asarray(center, dtype=float)
     return cloud.with_normals(d / np.linalg.norm(d, axis=1, keepdims=True))

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from grasplab import (
+    ContactPair,
     EmptyRegionError,
     Grasp,
     GripperParams,
     PointCloud,
+    SamplerConfig,
     check_collision,
     closing_region_points,
     filter_collision_free,
+    find_contacts,
+    grasp_frame,
+    grasp_to_world,
     gripper_volume,
+    sample_candidates,
+    world_to_grasp,
 )
-from conftest import oracle_collision
+from grasplab.collision import BOUNDARY_TOL, _cull_spheres
+from conftest import oracle_collision, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 AXIS_Y = Grasp((0, 0, 0), (0, 1, 0), 0.0)
@@ -140,14 +148,6 @@ class TestFilterCollisionFree:
         twice = filter_collision_free(once, cloud, GRIPPER)
         assert [id(g) for g in once] == [id(g) for g in twice]
 
-    def test_thread_env_does_not_change_result(self, rng, monkeypatch):
-        cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(100, 3)))
-        grasps = [_random_grasp(rng, span=0.08) for _ in range(30)]
-        serial = filter_collision_free(grasps, cloud, GRIPPER)
-        monkeypatch.setenv("GRASPLAB_THREADS", "4")
-        threaded = filter_collision_free(grasps, cloud, GRIPPER)
-        assert [id(g) for g in serial] == [id(g) for g in threaded]
-
 
 class TestClosingRegionPoints:
     def test_single_point_padded_to_keep(self):
@@ -190,3 +190,175 @@ class TestClosingRegionPoints:
             returned = {tuple(np.round(row, 12)) for row in pts}
             allowed = {tuple(np.round(all_q[i], 12)) for i in expected}
             assert returned <= allowed
+
+
+# distances from a box face: on both sides of BOUNDARY_TOL, never at it
+FACE_OFFSETS = np.array([1e-13, 5e-13, 3e-12, 1e-11, 1e-10, 1e-9])
+DIMS = (GRIPPER.depth, GRIPPER.width, GRIPPER.height, GRIPPER.thickness)
+
+
+def _planted(rng, g, boxes, strictly_inside):
+    """World points near the faces and corners of a grasp's boxes.
+
+    With `strictly_inside`, some points lie strictly inside a box and some
+    exactly on the radii of the spheres that cull it; without, every point
+    lies outside the boxes or within BOUNDARY_TOL of them, and points that
+    land strictly inside a neighbouring obstacle box are dropped.
+    """
+    frame = grasp_frame(g)
+    near = []
+    for box in boxes:
+        for axis in range(3):
+            for outward, side in ((-1.0, box.lo), (1.0, box.hi)):
+                q = rng.uniform(box.lo, box.hi)
+                d = rng.choice(FACE_OFFSETS)
+                inward = rng.integers(2) == 1 and (strictly_inside or d < BOUNDARY_TOL)
+                q[axis] = side[axis] + (-d if inward else d) * outward
+                near.append(q)
+        outward = np.where(rng.integers(0, 2, size=3) == 1, 1.0, -1.0)
+        corner = np.where(outward > 0, box.hi, box.lo)
+        near.append(corner + outward * rng.choice(FACE_OFFSETS[:2], size=3))
+        if strictly_inside:
+            near.append(corner - outward * rng.choice(FACE_OFFSETS[2:], size=3))
+    world = [grasp_to_world(frame, np.array(near))]
+    for box in boxes if strictly_inside else ():
+        centers, radius = _cull_spheres(box)
+        u = rng.normal(size=(len(centers), 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        world.append(grasp_to_world(frame, centers) + radius * u)
+    pts = np.vstack(world)
+    if not strictly_inside:
+        pts = pts[[not oracle_collision([p], g.center, g.orientation, g.theta, *DIMS) for p in pts.tolist()]]
+    return pts
+
+
+def _tiled_scene(rng, boxes_of, seeds):
+    """Candidates sampled on the sphere of tabletop clouds: those clear of the
+    table and a few that are not. Each grasp gets its own copy of the table,
+    0.5 m from the next, plus points planted around it.
+
+    Returns (grasps, each grasp's tile points, the union cloud with normals).
+    """
+    boxes = boxes_of(gripper_volume(GRIPPER))
+    grasps, tiles, normals = [], [], []
+    for seed in seeds:
+        base = tabletop_cloud(seed, n_table=300, n_object=200)
+        cfg = SamplerConfig(n_centers=25, n_orientation_perturbations=2, n_angle_perturbations=2, rng_seed=seed)
+        cands = sample_candidates(PointCloud(base.points[300:]), GRIPPER, cfg)
+        table_pts = base.points.tolist()
+        clear = [g for g in cands if not oracle_collision(table_pts, g.center, g.orientation, g.theta, *DIMS)]
+        for i, g in enumerate(clear + cands[:4]):
+            shift = np.array([0.5 * len(grasps), 0.0, 0.0])
+            g = Grasp(g.center + shift, g.orientation, g.theta)
+            plants = _planted(rng, g, boxes, strictly_inside=i % 2 == 0)
+            grasps.append(g)
+            tiles.append(np.vstack([base.points + shift, plants]))
+            normals.append(np.vstack([base.normals, np.tile([0.0, 0.0, 1.0], (len(plants), 1))]))
+    return grasps, tiles, PointCloud(np.vstack(tiles), np.vstack(normals))
+
+
+def _full_scan_closing(cloud, g):
+    q = world_to_grasp(grasp_frame(g), cloud.points)
+    return np.flatnonzero(gripper_volume(GRIPPER).closing.contains(q)), q
+
+
+def _full_scan_contacts(cloud, g):
+    inside, q = _full_scan_closing(cloud, g)
+    pos = inside[q[inside, 1] >= 0.0]
+    neg = inside[q[inside, 1] < 0.0]
+    if pos.size == 0 or neg.size == 0:
+        return None
+    i = pos[np.argmax(q[pos, 1])]
+    j = neg[np.argmin(q[neg, 1])]
+    return ContactPair(cloud.points[i], cloud.points[j], cloud.normals[i], cloud.normals[j],
+                       float(q[i, 1]), float(q[j, 1]))
+
+
+def _full_scan_region(cloud, g, keep, seed):
+    inside, q = _full_scan_closing(cloud, g)
+    if inside.size == 0:
+        return None
+    rng = np.random.default_rng(seed)
+    if inside.size > keep:
+        return q[rng.choice(inside, size=keep, replace=False)], False
+    if inside.size < keep:
+        pad = rng.choice(inside, size=keep - inside.size, replace=True)
+        return q[np.concatenate([inside, pad])], True
+    return q[inside], False
+
+
+def _assert_same_contacts(cloud, g):
+    got, ref = find_contacts(cloud, g, GRIPPER), _full_scan_contacts(cloud, g)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        for name in ("ci", "cj", "ni", "nj"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert (got.y_i, got.y_j) == (ref.y_i, ref.y_j)
+    return ref is not None
+
+
+def _assert_same_region(cloud, g, keep):
+    ref = _full_scan_region(cloud, g, keep, seed=5)
+    if ref is None:
+        with pytest.raises(EmptyRegionError):
+            closing_region_points(cloud, g, GRIPPER, keep=keep, seed=5)
+        return
+    pts, padded = closing_region_points(cloud, g, GRIPPER, keep=keep, seed=5)
+    assert padded == ref[1]
+    np.testing.assert_array_equal(pts, ref[0])
+
+
+class TestCulledKernel:
+    def test_spheres_cover_every_box_with_tolerance(self, rng):
+        for _ in range(20):
+            s = GripperParams(*rng.uniform([0.02, 0.02, 0.01, 0.002], [0.1, 0.15, 0.08, 0.03]))
+            v = gripper_volume(s)
+            for box in (v.closing, *v.obstacles):
+                centers, radius = _cull_spheres(box)
+                corners = np.array([[(box.lo, box.hi)[(k >> a) & 1][a] for a in range(3)] for k in range(8)])
+                outward = np.sign(corners - (box.lo + box.hi) / 2.0)
+                pts = np.vstack([rng.uniform(box.lo, box.hi, size=(200, 3)),
+                                 corners + 2.0 * BOUNDARY_TOL * outward])
+                d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
+                assert np.all(d < radius)
+
+    def test_filter_matches_oracle_on_tabletop_clouds(self, rng):
+        grasps, tiles, cloud = _tiled_scene(rng, lambda v: v.obstacles, seeds=(0, 1, 2))
+        kept = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
+        hits = 0
+        for g, tile in zip(grasps, tiles):
+            # the other tiles lie beyond the gripper's reach from this grasp
+            expected = oracle_collision(tile.tolist(), g.center, g.orientation, g.theta, *DIMS)
+            assert (id(g) not in kept) == expected
+            assert check_collision(cloud, g, GRIPPER) == expected
+            hits += expected
+        assert 0 < hits < len(grasps)
+
+    def test_contacts_and_closing_region_match_full_scan(self, rng):
+        grasps, _, cloud = _tiled_scene(rng, lambda v: (v.closing,), seeds=(3,))
+        pairs = 0
+        for g in grasps:
+            pairs += _assert_same_contacts(cloud, g)
+            for keep in (8, 4096):
+                _assert_same_region(cloud, g, keep)
+        assert pairs > 0
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((0, 3)),
+        np.array([[0.0, 0.045, 0.0]]),         # inside the +Y finger
+        np.array([[0.0, 0.01, 0.0]]),          # inside the closing region
+        np.array([[0.0, 0.04 + 5e-13, 0.0]]),  # on the closing/finger face, within tol
+        np.array([[0.5, 0.5, 0.5]]),           # far away
+    ], ids=["empty", "finger", "closing", "face", "far"])
+    def test_empty_and_one_point_clouds(self, points):
+        cloud = PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
+        expected = oracle_collision(points.tolist(), AXIS_Y.center, AXIS_Y.orientation, AXIS_Y.theta, *DIMS)
+        assert check_collision(cloud, AXIS_Y, GRIPPER) == expected
+        assert filter_collision_free([AXIS_Y], cloud, GRIPPER) == ([] if expected else [AXIS_Y])
+        if len(points):
+            _assert_same_contacts(cloud, AXIS_Y)
+            _assert_same_region(cloud, AXIS_Y, 4)
+        else:
+            assert find_contacts(cloud, AXIS_Y, GRIPPER) is None
+            with pytest.raises(EmptyRegionError):
+                closing_region_points(cloud, AXIS_Y, GRIPPER)

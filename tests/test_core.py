@@ -45,6 +45,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 0.5]]))
 
+    def test_cloud_arrays_are_read_only_copies(self):
+        pts = np.zeros((2, 3))
+        normals = np.tile([0.0, 0.0, 1.0], (2, 1))
+        cloud = PointCloud(pts, normals)
+        for arr in (cloud.points, cloud.normals):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        pts[0, 0] = 1.0  # the caller's array stays writable and detached
+        assert cloud.points[0, 0] == 0.0
+
+    def test_cloud_tree_is_built_once_and_shared_by_with_normals(self):
+        cloud = PointCloud(np.eye(3))
+        tree = cloud.tree
+        assert cloud.tree is tree
+        assert cloud.with_normals(np.eye(3)).tree is tree
+
 
 class TestGraspFrame:
     def test_axis_example_theta_zero(self):

@@ -15,7 +15,7 @@ from grasplab import (
     grasp_frame,
     sample_candidates,
 )
-from conftest import random_sphere_cloud
+from conftest import random_sphere_cloud, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 
@@ -180,6 +180,15 @@ class TestBallQuery:
                 assert len(set(idx.tolist())) == 64
             else:
                 assert set(idx.tolist()) == expected
+
+    def test_shared_tree_rows_equal_fresh_tree_rows(self):
+        cloud = tabletop_cloud(0)
+        for i, pi in enumerate(range(0, len(cloud), 37)):
+            center = cloud.points[pi]
+            shared = ball_query(cloud, center, radius=0.02, keep=32, seed=i)
+            fresh = ball_query(PointCloud(cloud.points), center, radius=0.02, keep=32, seed=i)
+            np.testing.assert_array_equal(shared[0], fresh[0])
+            assert shared[1] == fresh[1]
 
     def test_results_within_radius(self, rng):
         cloud = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
