@@ -27,15 +27,7 @@ from .collision import filter_collision_free
 from .confidence import point_confidence, select_positive_points
 from .contact import antipodal_score, find_contacts
 from .core import Grasp, GripperParams, PointCloud
-from .losses import (
-    binary_cross_entropy,
-    focal_loss,
-    gradient_check,
-    grn_loss,
-    mse_loss,
-    rn_loss,
-    smooth_l1,
-)
+from .losses import _losscheck_cases, _random_grn_case, _random_rn_case, gradient_check
 from .metrics import evaluate
 from .policy import (
     DEFAULT_POLICY,
@@ -88,6 +80,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_gripper(text: str) -> GripperParams:
     parts = text.split(",")
     if len(parts) != 4:
@@ -132,12 +135,6 @@ def _load_cloud(args) -> PointCloud:
     return cloud
 
 
-def _grasp_row(sg: ScoredGrasp) -> str:
-    g = sg.grasp
-    vals = [*g.center, *g.orientation, g.theta, sg.s_q]
-    return ",".join(f"{float(v):.9g}" for v in vals)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -175,15 +172,8 @@ def _cmd_collide(args) -> int:
     cloud = _load_cloud(args)
     scored = dataio.read_grasps(args.grasps)
     gripper = _parse_gripper(args.gripper)
-    free = filter_collision_free([sg.grasp for sg in scored], cloud, gripper)
-    free_iter = iter(free)
-    nxt = next(free_iter, None)
-    kept = []
-    for sg in scored:
-        if nxt is not None and sg.grasp is nxt:
-            kept.append(sg)
-            nxt = next(free_iter, None)
-    dataio.write_grasps(args.output, kept)
+    free = {id(g) for g in filter_collision_free([sg.grasp for sg in scored], cloud, gripper)}
+    dataio.write_grasps(args.output, [sg for sg in scored if id(sg.grasp) in free])
     return 0
 
 
@@ -218,9 +208,7 @@ def _cmd_labels(args) -> int:
     cloud = dataio.read_point_cloud(args.cloud)
     field = dataio.read_confidence(args.confidence)
     if len(field) != len(cloud):
-        raise ValueError(
-            f"confidence length {len(field)} does not match cloud size {len(cloud)}"
-        )
+        raise ValueError(f"confidence length {len(field)} does not match cloud size {len(cloud)}")
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -248,14 +236,12 @@ def _cmd_labels(args) -> int:
     refine_lines = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq"]
     region_lines = ["point_index,padded," + ",".join(f"i{j}" for j in range(int(settings["region.keep"])))]
 
-    fmt = lambda v: f"{float(v):.9g}"
+    fmt = dataio._fmt
     for pi in positives:
         p = cloud.points[pi]
         gi = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
         gt = scored[gi]
-        label = anchors_mod.assign_anchor_labels(
-            gt.grasp, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q
-        )
+        label = anchors_mod.assign_anchor_labels(gt.grasp, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q)
         label = anchors_mod.complete_label(label, gt.grasp, anchor_dirs, p, c_b, gt.s_q)
         block = label.residuals.as_array() if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
@@ -275,12 +261,7 @@ def _cmd_labels(args) -> int:
         refine = anchors_mod.assign_refine_labels(
             gt.grasp,
             proposal,
-            d1=float(settings["refine.d1"]),
-            d2=float(settings["refine.d2"]),
-            beta1=float(settings["refine.beta1"]),
-            beta2=float(settings["refine.beta2"]),
-            gamma1=float(settings["refine.gamma1"]),
-            gamma2=float(settings["refine.gamma2"]),
+            **{k: float(settings[f"refine.{k}"]) for k in ("d1", "d2", "beta1", "beta2", "gamma1", "gamma2")},
             c_b=c_b,
             gt_quality=gt.s_q,
         )
@@ -289,13 +270,8 @@ def _cmd_labels(args) -> int:
             ",".join([str(int(pi)), str(int(refine.y))] + [fmt(v) for v in rblock])
         )
         if args.regions:
-            idx, padded = ball_query(
-                cloud,
-                p,
-                radius=float(settings["region.radius"]),
-                keep=int(settings["region.keep"]),
-                seed=args.seed,
-            )
+            idx, padded = ball_query(cloud, p, radius=float(settings["region.radius"]),
+                                     keep=int(settings["region.keep"]), seed=args.seed)
             region_lines.append(",".join([str(int(pi)), str(int(padded))] + [str(int(i)) for i in idx]))
 
     (out_dir / "anchor_labels.csv").write_text("\n".join(anchor_lines) + "\n")
@@ -305,98 +281,10 @@ def _cmd_labels(args) -> int:
     return 0
 
 
-def _losscheck_cases(rng: np.random.Generator, trials: int):
-    """Yield (name, flat-loss closure, input vector) finite-difference cases."""
-    for t in range(trials):
-        n = int(rng.integers(2, 6))
-        gt = rng.uniform(-1.0, 1.0, size=n)
-        yield f"mse[{t}]", (lambda x, gt=gt: mse_loss(x, gt)), rng.uniform(-1.0, 1.0, size=n)
-
-        x = float(rng.uniform(-2.0, 2.0))
-        if abs(abs(x) - 1.0) < 1e-4:  # stay clear of the smooth-L1 knee
-            x += 0.01
-        yield f"smooth_l1[{t}]", (lambda v: smooth_l1(float(v[0]), 0.0)), np.array([x])
-
-        p = float(rng.uniform(0.05, 0.95))
-        y = int(rng.integers(0, 2))
-        yield f"focal[{t}]", (lambda v, y=y: focal_loss(float(v[0]), y)), np.array([p])
-        yield f"bce[{t}]", (lambda v, y=y: binary_cross_entropy(float(v[0]), y)), np.array([p])
-
-
-def _random_grn_case(rng: np.random.Generator):
-    from .losses import LossResult  # local alias for the closure below
-
-    m = 4
-    n = int(rng.integers(1, 4))
-    anchor_dirs = anchors_mod.anchor_set(m)
-    labels = []
-    for _ in range(n):
-        r = rng.normal(size=3)
-        r /= np.linalg.norm(r)
-        gt = Grasp(rng.uniform(-0.1, 0.1, size=3), r, float(rng.uniform(-1.5, 1.5)))
-        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, quality=float(rng.uniform(0, 1)))
-        label = anchors_mod.complete_label(label, gt, anchor_dirs, rng.uniform(-0.1, 0.1, size=3))
-        labels.append(label)
-    probs = rng.uniform(0.05, 0.95, size=(n, m))
-    res = rng.uniform(-0.8, 0.8, size=(n, 8))
-    # keep each residual error away from the smooth-L1 knee
-    for i, lb in enumerate(labels):
-        if lb.residuals is not None:
-            target = lb.residuals.as_array()
-            diff = res[i] - target
-            diff = np.where(np.abs(np.abs(diff) - 1.0) < 1e-3, diff + 0.01, diff)
-            res[i] = target + diff
-    x0 = np.concatenate([probs.ravel(), res.ravel()])
-
-    def fn(x: np.ndarray) -> LossResult:
-        p = x[: n * m].reshape(n, m)
-        r = x[n * m:].reshape(n, 8)
-        return grn_loss(p, r, labels)
-
-    return fn, x0
-
-
-def _random_rn_case(rng: np.random.Generator):
-    from .losses import LossResult
-
-    n = int(rng.integers(1, 5))
-    labels = []
-    for _ in range(n):
-        r = rng.normal(size=3)
-        r /= np.linalg.norm(r)
-        gt = Grasp(rng.uniform(-0.1, 0.1, size=3), r, float(rng.uniform(-1.5, 1.5)))
-        jitter = rng.normal(scale=0.02, size=3)
-        prop_r = gt.orientation + rng.normal(scale=0.05, size=3)
-        prop_r /= np.linalg.norm(prop_r)
-        theta = min(max(gt.theta + float(rng.normal(scale=0.1)), -math.pi / 2), math.pi / 2)
-        proposal = Grasp(gt.center + jitter, prop_r, theta)
-        labels.append(
-            anchors_mod.assign_refine_labels(
-                gt, proposal, gt_quality=float(rng.uniform(0, 1)), proposal_quality=float(rng.uniform(0, 1))
-            )
-        )
-    if all(lb.y == anchors_mod.IGNORE for lb in labels):
-        labels[0] = anchors_mod.RefineLabel(anchors_mod.NEGATIVE, None)
-    probs = rng.uniform(0.05, 0.95, size=n)
-    res = rng.uniform(-0.8, 0.8, size=(n, 8))
-    for i, lb in enumerate(labels):
-        if lb.residuals is not None:
-            target = lb.residuals.as_array()
-            diff = res[i] - target
-            diff = np.where(np.abs(np.abs(diff) - 1.0) < 1e-3, diff + 0.01, diff)
-            res[i] = target + diff
-    x0 = np.concatenate([probs, res.ravel()])
-
-    def fn(x: np.ndarray) -> LossResult:
-        return rn_loss(x[:n], x[n:].reshape(n, 8), labels)
-
-    return fn, x0
-
-
 def _cmd_losscheck(args) -> int:
     settings = _settings(args)
     trials = _pick(args.trials, settings, "losscheck.trials", int)
-    tol = _pick(None, settings, "losscheck.tol")
+    tol = float(settings["losscheck.tol"])
     h = args.h
     rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {}
@@ -427,29 +315,12 @@ def _cmd_select(args) -> int:
         if args.coeffs:
             policy = policy_from_mapping(dataio.read_config(args.coeffs))
         idx = analytic_select(scored, policy)
-    print(_grasp_row(scored[idx]))
+    print(dataio.grasp_row(scored[idx]))
     return 0
 
 
-def _read_xy(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "x,y":
-        raise dataio.ParseError(path, 1, "expected header 'x,y'")
-    xs, ys = [], []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 2:
-            raise dataio.ParseError(path, i, f"expected 2 columns, got {len(fields)}")
-        vals = dataio._parse_floats(path, i, fields)
-        xs.append(vals[0])
-        ys.append(vals[1])
-    return np.asarray(xs), np.asarray(ys)
-
-
 def _cmd_fit(args) -> int:
-    xs, ys = _read_xy(args.data)
+    xs, ys = dataio.read_xy(args.data)
     if args.mode == "linear":
         fit = fit_linear(xs, ys)
         text = f"slope = {fit.slope:.9g}\nintercept = {fit.intercept:.9g}\n"
@@ -499,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value settings file")
 
     cloud_opts = argparse.ArgumentParser(add_help=False)
-    cloud_opts.add_argument("--subsample", type=int, help="randomly keep this many input points (seeded)")
+    cloud_opts.add_argument("--subsample", type=_positive_int, help="randomly keep this many input points (seeded)")
 
     parser = _Parser(prog="grasplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -577,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud", help="scene cloud with normals")
     p.add_argument("gt", help="ground-truth grasp list")
     p.add_argument("--gripper", required=True, metavar="D,W,H,T")
-    p.add_argument("--pool", type=int, default=None)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--pool", type=_positive_int, default=None)
+    p.add_argument("--top", type=_positive_int, default=None)
     p.add_argument("-o", "--output", default=None, help="also write the report as a CSV row")
     p.set_defaults(func=_cmd_eval)
 

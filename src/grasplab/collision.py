@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grasp, GraspFrame, GripperParams, PointCloud, grasp_frame, grasp_to_world, world_to_grasp
-from .sampling import EmptyRegionError
+from .sampling import EmptyRegionError, resize_indices
 
 BOUNDARY_TOL = 1e-12  # points this close to a box face count as outside
 _CULL_SLACK = 1e-9    # culling-sphere margin; must exceed BOUNDARY_TOL
@@ -134,20 +134,13 @@ def _box_points(cloud: PointCloud, frame: GraspFrame, box: Box3, strict: bool):
     return _members(cloud, frame, box, hits, strict)
 
 
-def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
-    """True iff any cloud point lies strictly inside a finger or the back plate."""
-    if len(cloud) == 0:
-        return False
-    frame = grasp_frame(g)
-    return any(_box_points(cloud, frame, box, strict=True)[0].size for box in gripper_volume(s).obstacles)
-
-
 def filter_collision_free(
     candidates: list[Grasp],
     scene_cloud: PointCloud,
     s: GripperParams,
 ) -> list[Grasp]:
-    """Order-preserving subsequence of candidates that pass check_collision.
+    """Order-preserving subsequence of candidates with no cloud point strictly
+    inside a finger or the back plate.
 
     Grasps are tested one obstacle box at a time, fingers first and the back
     plate last; a pass covers only the grasps no earlier box hit. The scene's
@@ -159,8 +152,10 @@ def filter_collision_free(
     frames = [grasp_frame(g) for g in candidates]
     free = np.ones(len(candidates), dtype=bool)
     for box in gripper_volume(s).obstacles:
-        centers, radius = _cull_spheres(box)
         todo = np.flatnonzero(free)
+        if todo.size == 0:
+            break
+        centers, radius = _cull_spheres(box)
         for start in range(0, todo.size, _QUERY_BATCH):
             batch = todo[start:start + _QUERY_BATCH]
             world = np.concatenate([grasp_to_world(frames[i], centers) for i in batch])
@@ -169,6 +164,11 @@ def filter_collision_free(
             for i, grasp_hits in zip(batch, hits):
                 free[i] = _members(scene_cloud, frames[i], box, grasp_hits, strict=True)[0].size == 0
     return [g for g, ok in zip(candidates, free) if ok]
+
+
+def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
+    """True iff any cloud point lies strictly inside a finger or the back plate."""
+    return not filter_collision_free([g], cloud, s)
 
 
 def closing_region_points(
@@ -180,8 +180,8 @@ def closing_region_points(
 ) -> tuple[np.ndarray, bool]:
     """Grasp-frame coordinates of the points inside the closing region.
 
-    Resized to exactly `keep` rows with the same subsample/pad rule as
-    ball_query; returns (points (keep, 3), padded flag). Raises
+    Resized to exactly `keep` rows by resize_indices, the rule ball_query
+    uses; returns (points (keep, 3), padded flag). Raises
     EmptyRegionError when the closing region is empty.
     """
     if keep < 1:
@@ -191,10 +191,5 @@ def closing_region_points(
     inside, q = _box_points(cloud, grasp_frame(g), gripper_volume(s).closing, strict=False)
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
-    rng = np.random.default_rng(seed)
-    if inside.size > keep:
-        return q[rng.choice(inside.size, size=keep, replace=False)], False
-    if inside.size < keep:
-        pad = rng.choice(inside.size, size=keep - inside.size, replace=True)
-        return q[np.concatenate([np.arange(inside.size), pad])], True
-    return q, False
+    idx, padded = resize_indices(inside.size, keep, seed)
+    return q[idx], padded

@@ -31,6 +31,7 @@ __all__ = [
     "GripperParams",
     "PointCloud",
     "GraspFrame",
+    "ground_reference",
     "grasp_frame",
     "world_to_grasp",
     "grasp_to_world",
@@ -196,24 +197,28 @@ def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarr
     return v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
 
 
+def ground_reference(r: np.ndarray, warn: bool = False) -> np.ndarray:
+    """In-ground-plane reference X' = normalize((r_y, -r_x, 0)) of a closing axis r.
+
+    When r is (anti)parallel to world Z the reference is degenerate and X'
+    falls back to (1, 0, 0), with a RuntimeWarning if `warn` is set.
+    """
+    if abs(r[0]) >= 1e-9 or abs(r[1]) >= 1e-9:
+        return _unit(np.array([r[1], -r[0], 0.0]), "X'")
+    if warn:
+        warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning, stacklevel=3)
+    return np.array([1.0, 0.0, 0.0])
+
+
 def grasp_frame(g: Grasp) -> GraspFrame:
     """Build the canonical frame of a grasp.
 
-    The in-ground-plane reference X' = normalize((r_y, -r_x, 0)) is rotated
-    about Y_G = orientation by theta to produce the approach axis X_G.
-    When the orientation is (anti)parallel to world Z the reference is
-    degenerate; X' falls back to (1, 0, 0) with a warning.
+    The ground reference X' (see ground_reference) is rotated about
+    Y_G = orientation by theta to produce the approach axis X_G. A closing
+    axis (anti)parallel to world Z warns and uses X' = (1, 0, 0).
     """
     r = g.orientation
-    if abs(r[0]) < 1e-9 and abs(r[1]) < 1e-9:
-        warnings.warn(
-            "grasp orientation is parallel to world Z; using X' = (1, 0, 0)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        x_ref = np.array([1.0, 0.0, 0.0])
-    else:
-        x_ref = _unit(np.array([r[1], -r[0], 0.0]), "X'")
+    x_ref = ground_reference(r, warn=True)
     x_axis = rotate_about_axis(x_ref, r, g.theta)
     z_axis = np.cross(x_axis, r)
     return GraspFrame(np.column_stack([x_axis, r, z_axis]), g.center)

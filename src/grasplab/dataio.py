@@ -12,6 +12,7 @@ Formats:
   * grasp lists: CSV with the exact header cx,cy,cz,rx,ry,rz,theta,sq
   * confidence fields: '# d_th=<v> width=<v> n=<N>' then one value per line
   * config: 'key = value' lines with '#' comments and dotted key names
+  * fit samples: CSV with the exact header x,y
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ __all__ = [
     "write_point_cloud",
     "read_grasps",
     "write_grasps",
+    "grasp_row",
     "read_confidence",
     "write_confidence",
     "read_config",
+    "read_xy",
     "format_report",
     "report_csv",
 ]
@@ -71,6 +74,22 @@ def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
     return out
 
 
+def _parse_count(path, lineno: int, token: str) -> int:
+    """A non-negative decimal count from a header line."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(path, lineno, f"expected a non-negative integer count, got {token!r}")
+    return int(token)
+
+
+def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
+    """Normalize per-row normals; a zero-length one is an error at its own line."""
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    bad = np.flatnonzero(norms < 1e-12)
+    if bad.size:
+        raise ParseError(path, linenos[bad[0]], "zero-length normal")
+    return normals / norms
+
+
 # ---------------------------------------------------------------------------
 # Point clouds
 # ---------------------------------------------------------------------------
@@ -91,7 +110,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         if tokens[0] == "element":
             if len(tokens) != 3 or tokens[1] != "vertex":
                 raise ParseError(path, i, f"unsupported element: {raw.strip()!r}")
-            n_vertices = int(tokens[2])
+            n_vertices = _parse_count(path, i, tokens[2])
         elif tokens[0] == "property":
             if len(tokens) != 3 or tokens[1] not in ("float", "double", "uchar"):
                 raise ParseError(path, i, f"unsupported property: {raw.strip()!r}")
@@ -107,7 +126,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
     if props not in expected:
         raise ParseError(path, body_start, f"unsupported property layout: {props}")
 
-    rows = []
+    rows, linenos = [], []
     for i, raw in enumerate(lines[body_start:], start=body_start + 1):
         if not raw.strip():
             continue
@@ -117,6 +136,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         if len(fields) != len(props):
             raise ParseError(path, i, f"expected {len(props)} columns, got {len(fields)}")
         rows.append(_parse_floats(path, i, fields))
+        linenos.append(i)
     if len(rows) != n_vertices:
         raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(rows)}")
     data = np.asarray(rows, dtype=float).reshape(n_vertices, len(props))
@@ -132,16 +152,12 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         if np.any(colors < 0.0) or np.any(colors > 1.0):
             raise ParseError(path, body_start, "color components must be 0..255")
     if normals is not None:
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            bad = int(np.argmin(norms))
-            raise ParseError(path, body_start + 1 + bad, "zero-length normal")
-        normals = normals / norms
+        normals = _unit_normals(path, normals, linenos)
     return PointCloud(points, normals, colors)
 
 
 def _read_xyz(path, lines: list[str]) -> PointCloud:
-    rows = []
+    rows, linenos = [], []
     width = None
     for i, raw in enumerate(lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -155,16 +171,11 @@ def _read_xyz(path, lines: list[str]) -> PointCloud:
         elif len(fields) != width:
             raise ParseError(path, i, f"expected {width} columns, got {len(fields)}")
         rows.append(_parse_floats(path, i, fields))
+        linenos.append(i)
     if not rows:
         raise ParseError(path, len(lines) or 1, "no points found")
     data = np.asarray(rows, dtype=float)
-    normals = None
-    if width == 6:
-        normals = data[:, 3:6]
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise ParseError(path, 1, "zero-length normal")
-        normals = normals / norms
+    normals = _unit_normals(path, data[:, 3:6], linenos) if width == 6 else None
     return PointCloud(data[:, :3], normals)
 
 
@@ -206,14 +217,17 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 # Grasp lists
 # ---------------------------------------------------------------------------
 
+def grasp_row(sg: ScoredGrasp) -> str:
+    """One grasp-list CSV row: cx,cy,cz,rx,ry,rz,theta,sq."""
+    g = sg.grasp
+    vals = [*g.center, *g.orientation, g.theta, sg.s_q]
+    if not all(math.isfinite(float(v)) for v in vals):
+        raise ValueError("grasp contains non-finite fields")
+    return ",".join(_fmt(v) for v in vals)
+
+
 def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
-    lines = [GRASP_HEADER]
-    for sg in grasps:
-        g = sg.grasp
-        vals = [*g.center, *g.orientation, g.theta, sg.s_q]
-        if not all(math.isfinite(float(v)) for v in vals):
-            raise ValueError("grasp contains non-finite fields")
-        lines.append(",".join(_fmt(v) for v in vals))
+    lines = [GRASP_HEADER] + [grasp_row(sg) for sg in grasps]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -263,7 +277,7 @@ def read_confidence(path) -> ConfidenceField:
     if set(meta) != {"d_th", "width", "n"}:
         raise ParseError(path, 1, f"header must define d_th, width, n; got {sorted(meta)}")
     d_th, width = _parse_floats(path, 1, [meta["d_th"], meta["width"]])
-    n = int(meta["n"])
+    n = _parse_count(path, 1, meta["n"])
     values = []
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -315,6 +329,29 @@ def read_config(path) -> dict:
             raise ParseError(path, i, f"duplicate key {key!r}")
         out[key] = _coerce(value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fit samples
+# ---------------------------------------------------------------------------
+
+def read_xy(path) -> tuple[np.ndarray, np.ndarray]:
+    """Sample pairs from a CSV with the exact header x,y."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].strip() != "x,y":
+        raise ParseError(path, 1, "expected header 'x,y'")
+    xs, ys = [], []
+    for i, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        fields = raw.split(",")
+        if len(fields) != 2:
+            raise ParseError(path, i, f"expected 2 columns, got {len(fields)}")
+        x, y = _parse_floats(path, i, fields)
+        xs.append(x)
+        ys.append(y)
+    return np.asarray(xs), np.asarray(ys)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import anchors as anchors_mod
 from .anchors import IGNORE, POSITIVE, AnchorLabel, RefineLabel
+from .core import Grasp
 
 EPS = 1e-7  # probability clamp for log stability
 
@@ -236,3 +238,84 @@ def gradient_check(
         err = abs(analytic[k] - fd) / max(1.0, abs(analytic[k]), abs(fd))
         worst = max(worst, err)
     return worst
+
+
+def _losscheck_cases(rng: np.random.Generator, trials: int):
+    """Yield (name, flat-loss closure, input vector) finite-difference cases.
+
+    These, then _random_grn_case / _random_rn_case pairs, are the cases the
+    losscheck subcommand and acceptance criterion 3 check.
+    """
+    for t in range(trials):
+        n = int(rng.integers(2, 6))
+        gt = rng.uniform(-1.0, 1.0, size=n)
+        yield f"mse[{t}]", (lambda x, gt=gt: mse_loss(x, gt)), rng.uniform(-1.0, 1.0, size=n)
+
+        x = float(rng.uniform(-2.0, 2.0))
+        if abs(abs(x) - 1.0) < 1e-4:  # stay clear of the smooth-L1 knee
+            x += 0.01
+        yield f"smooth_l1[{t}]", (lambda v: smooth_l1(float(v[0]), 0.0)), np.array([x])
+
+        p = float(rng.uniform(0.05, 0.95))
+        y = int(rng.integers(0, 2))
+        yield f"focal[{t}]", (lambda v, y=y: focal_loss(float(v[0]), y)), np.array([p])
+        yield f"bce[{t}]", (lambda v, y=y: binary_cross_entropy(float(v[0]), y)), np.array([p])
+
+
+def _random_grasp(rng: np.random.Generator) -> Grasp:
+    r = rng.normal(size=3)
+    r /= np.linalg.norm(r)
+    return Grasp(rng.uniform(-0.1, 0.1, size=3), r, float(rng.uniform(-1.5, 1.5)))
+
+
+def _random_residuals(rng: np.random.Generator, labels) -> np.ndarray:
+    """(n, 8) residual predictions whose errors stay clear of the smooth-L1 knee."""
+    res = rng.uniform(-0.8, 0.8, size=(len(labels), 8))
+    for i, lb in enumerate(labels):
+        if lb.residuals is not None:
+            target = lb.residuals.as_array()
+            diff = res[i] - target
+            diff = np.where(np.abs(np.abs(diff) - 1.0) < 1e-3, diff + 0.01, diff)
+            res[i] = target + diff
+    return res
+
+
+def _random_grn_case(rng: np.random.Generator):
+    m = 4
+    n = int(rng.integers(1, 4))
+    anchor_dirs = anchors_mod.anchor_set(m)
+    labels = []
+    for _ in range(n):
+        gt = _random_grasp(rng)
+        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, quality=float(rng.uniform(0, 1)))
+        labels.append(anchors_mod.complete_label(label, gt, anchor_dirs, rng.uniform(-0.1, 0.1, size=3)))
+    probs = rng.uniform(0.05, 0.95, size=(n, m))
+    res = _random_residuals(rng, labels)
+
+    def fn(x: np.ndarray) -> LossResult:
+        return grn_loss(x[: n * m].reshape(n, m), x[n * m:].reshape(n, 8), labels)
+
+    return fn, np.concatenate([probs.ravel(), res.ravel()])
+
+
+def _random_rn_case(rng: np.random.Generator):
+    n = int(rng.integers(1, 5))
+    labels = []
+    for _ in range(n):
+        gt = _random_grasp(rng)
+        jitter = rng.normal(scale=0.02, size=3)
+        prop_r = gt.orientation + rng.normal(scale=0.05, size=3)
+        prop_r /= np.linalg.norm(prop_r)
+        theta = min(max(gt.theta + float(rng.normal(scale=0.1)), -math.pi / 2), math.pi / 2)
+        proposal = Grasp(gt.center + jitter, prop_r, theta)
+        gt_q, prop_q = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+        labels.append(anchors_mod.assign_refine_labels(gt, proposal, gt_quality=gt_q, proposal_quality=prop_q))
+    if all(lb.y == IGNORE for lb in labels):
+        labels[0] = RefineLabel(anchors_mod.NEGATIVE, None)
+    probs = rng.uniform(0.05, 0.95, size=n)
+    res = _random_residuals(rng, labels)
+
+    def fn(x: np.ndarray) -> LossResult:
+        return rn_loss(x[:n], x[n:].reshape(n, 8), labels)
+
+    return fn, np.concatenate([probs, res.ravel()])

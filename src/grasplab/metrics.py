@@ -58,18 +58,14 @@ def select_for_eval(
     """
     if not scored:
         raise ValueError("cannot evaluate an empty grasp list")
+    if pool < 1 or top < 1:
+        raise ValueError(f"pool and top must be >= 1, got pool={pool}, top={top}")
     if top > pool:
         raise ValueError("top must not exceed pool")
     order = np.argsort([-sg.s_q for sg in scored], kind="stable")
     pooled = [scored[i] for i in order[:pool]]
-    free = iter(filter_collision_free([sg.grasp for sg in pooled], scene, s))
-    nxt = next(free, None)
-    survivors = []
-    for sg in pooled:  # filter output is an order-preserving subsequence
-        if nxt is not None and sg.grasp is nxt:
-            survivors.append(sg)
-            nxt = next(free, None)
-    return survivors[:top]
+    free = {id(g) for g in filter_collision_free([sg.grasp for sg in pooled], scene, s)}
+    return [sg for sg in pooled if id(sg.grasp) in free][:top]
 
 
 def cfr(grasps: list[Grasp], scene: PointCloud, s: GripperParams) -> float:

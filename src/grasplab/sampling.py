@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, rotate_about_axis
+from .core import Grasp, GripperParams, PointCloud, ground_reference, rotate_about_axis
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 
@@ -30,6 +30,7 @@ __all__ = [
     "darboux_frame",
     "sample_candidates",
     "ball_query",
+    "resize_indices",
     "farthest_point_sampling",
 ]
 
@@ -175,11 +176,7 @@ def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[
     """
     r = orientation
     for _ in range(2):
-        if abs(r[0]) < 1e-9 and abs(r[1]) < 1e-9:
-            x_ref = np.array([1.0, 0.0, 0.0])
-        else:
-            x_ref = np.array([r[1], -r[0], 0.0])
-            x_ref /= np.linalg.norm(x_ref)
+        x_ref = ground_reference(r)
         theta = math.atan2(float(np.cross(x_ref, approach) @ r), float(x_ref @ approach))
         if abs(theta) <= math.pi / 2 + 1e-12:
             return r, min(max(theta, -math.pi / 2), math.pi / 2)
@@ -262,13 +259,22 @@ def ball_query(
     hits = np.asarray(sorted(cloud.tree.query_ball_point(center, radius)), dtype=int)
     if hits.size == 0:
         raise EmptyRegionError(f"no points within {radius} m of {center}")
+    idx, padded = resize_indices(hits.size, keep, seed)
+    return hits[idx], padded
+
+
+def resize_indices(n: int, keep: int, seed: int) -> tuple[np.ndarray, bool]:
+    """Exactly `keep` row indices into n >= 1 rows, and whether they were padded.
+
+    More than `keep` rows are subsampled without replacement; fewer are all
+    kept and padded by sampling them with replacement.
+    """
     rng = np.random.default_rng(seed)
-    if hits.size > keep:
-        return rng.choice(hits, size=keep, replace=False), False
-    if hits.size < keep:
-        pad = rng.choice(hits, size=keep - hits.size, replace=True)
-        return np.concatenate([hits, pad]), True
-    return hits, False
+    if n > keep:
+        return rng.choice(n, size=keep, replace=False), False
+    if n < keep:
+        return np.concatenate([np.arange(n), rng.choice(n, size=keep - n, replace=True)]), True
+    return np.arange(n), False
 
 
 def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> np.ndarray:

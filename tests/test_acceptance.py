@@ -36,7 +36,7 @@ from grasplab import (
     sample_candidates,
     width_fit,
 )
-from grasplab.cli import _losscheck_cases, _random_grn_case, _random_rn_case
+from grasplab.losses import _losscheck_cases, _random_grn_case, _random_rn_case
 from grasplab.sampling import SamplerConfig
 from conftest import oracle_collision, random_sphere_cloud
 

@@ -192,6 +192,25 @@ class TestExitCodes:
     def test_losscheck_impossible_tolerance_is_three(self, capsys):
         assert main(["losscheck", "--trials", "1", "--set", "losscheck.tol=1e-15"]) == 3
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["normals", "scene.xyz", "--subsample", "-5", "-o", "o.ply"], "--subsample"),
+        (["normals", "scene.xyz", "--subsample", "0", "-o", "o.ply"], "--subsample"),
+        (["eval", "g.csv", "scene.ply", "gt.csv", "--gripper", GRIPPER, "--pool", "0", "--top", "0"], "--pool"),
+        (["eval", "g.csv", "scene.ply", "gt.csv", "--gripper", GRIPPER, "--top", "-1"], "--top"),
+    ])
+    def test_out_of_range_count_flag_is_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_negative_pool_setting_is_data_error(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        out = tmp_path / "a"
+        run_pipeline(tmp_path, out)
+        capsys.readouterr()
+        assert main(["eval", str(out / "scored.csv"), str(out / "scene.ply"), str(out / "scored.csv"),
+                     "--gripper", GRIPPER, "--set", "eval.pool=-3"]) == 2
+        assert "pool and top must be >= 1, got pool=-3" in capsys.readouterr().err
+
     def test_unknown_setting_is_data_error(self, tmp_path, capsys):
         write_inputs(tmp_path)
         assert main(["normals", str(tmp_path / "scene.xyz"), "-o",

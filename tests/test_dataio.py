@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, ScoredGrasp
 from grasplab.dataio import (
@@ -93,6 +95,35 @@ class TestPointCloudIO:
             "0 0 0\n1 1 1\n"
         )
         with pytest.raises(ParseError, match=":9"):
+            read_point_cloud(path)
+
+    def test_xyz_zero_length_normal_names_its_line(self, tmp_path):
+        path = tmp_path / "badn.xyz"
+        good = "".join(f"{i} 0 0 0 0 1\n" for i in range(6))
+        path.write_text("# six good rows, then a zero normal\n" + good + "6 0 0 0 0 0\n7 0 0 0 0 1\n")
+        with pytest.raises(ParseError, match=r"badn\.xyz:8: zero-length normal"):
+            read_point_cloud(path)
+
+    def test_ply_zero_length_normal_names_its_line(self, tmp_path):
+        path = tmp_path / "badn.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float nx\nproperty float ny\nproperty float nz\n"
+            "end_header\n"
+            "0 0 0 0 0 1\n\n1 0 0 0 0 1\n2 0 0 0 0 0\n"
+        )
+        with pytest.raises(ParseError, match=r"badn\.ply:14: zero-length normal"):
+            read_point_cloud(path)
+
+    @pytest.mark.parametrize("count", ["abc", "-1", "2.0", "+1", ""])
+    def test_ply_bad_vertex_count_names_header_line(self, tmp_path, count):
+        path = tmp_path / "count.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\ncomment scanner\nelement vertex {count}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
+        )
+        with pytest.raises(ParseError, match=r"count\.ply:4"):
             read_point_cloud(path)
 
     def test_round_trip_ply(self, tmp_path, rng):
@@ -191,6 +222,49 @@ class TestConfidenceIO:
         path.write_text("0.5\n")
         with pytest.raises(ParseError, match=":1"):
             read_confidence(path)
+
+    @pytest.mark.parametrize("count", ["x", "-2", "1e3"])
+    def test_bad_count_names_header_line(self, tmp_path, count):
+        path = tmp_path / "c.txt"
+        path.write_text(f"# d_th=0.01 width=0 n={count}\n0.5\n")
+        with pytest.raises(ParseError, match=r"c\.txt:1: expected a non-negative integer count"):
+            read_confidence(path)
+
+
+class TestHeaderCountProperty:
+    """Any count token in a header either parses or fails with a positioned ParseError."""
+
+    TOKENS = st.one_of(st.integers(-3, 3).map(str), st.text(st.characters(codec="utf-8"), max_size=8))
+    SETTINGS = settings(max_examples=150, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def _parses_or_positioned(read, path):
+        try:
+            return read(path)
+        except ParseError as exc:
+            assert exc.path == str(path)
+            assert 1 <= exc.line <= len(path.read_text().splitlines()) + 1
+            return None
+
+    @SETTINGS
+    @given(token=TOKENS)
+    def test_ply_element_vertex(self, tmp_path, token):
+        path = tmp_path / "fuzz.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {token}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
+        )
+        cloud = self._parses_or_positioned(read_point_cloud, path)
+        assert cloud is None or len(cloud) == 1
+
+    @SETTINGS
+    @given(token=TOKENS)
+    def test_confidence_n(self, tmp_path, token):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(f"# d_th=0.01 width=0 n={token}\n0.5\n")
+        field = self._parses_or_positioned(read_confidence, path)
+        assert field is None or len(field) == 1
 
 
 class TestConfigIO:

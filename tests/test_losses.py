@@ -278,3 +278,27 @@ class TestGradientCheck:
             return LossResult(float(np.sum(x**2)), 2.0 * x)
 
         assert gradient_check(quad, np.array([0.3, -0.7, 2.0])) < 1e-8
+
+
+class TestLosscheckStream:
+    # sha256 of criterion 3's 200 configurations: case names, inputs and
+    # analytic gradients, in the order the losscheck subcommand draws them
+    STREAM_SHA256 = "04f0387fa791e0ffc4bcc33d6508eff07ae9c064e6d54a06246093d2a768c0b4"
+
+    def test_criterion_3_configurations_are_pinned(self):
+        import hashlib
+
+        from grasplab.cli import _losscheck_cases, _random_grn_case, _random_rn_case
+
+        rng = np.random.default_rng(2024)
+        cases = [(name, fn, x0) for name, fn, x0 in _losscheck_cases(rng, trials=40)]
+        for t in range(20):
+            cases.append((f"grn[{t}]", *_random_grn_case(rng)))
+            cases.append((f"rn[{t}]", *_random_rn_case(rng)))
+        digest = hashlib.sha256()
+        for name, fn, x0 in cases:
+            x = np.asarray(x0, dtype=np.float64)
+            grads = np.asarray(fn(x).gradients, dtype=np.float64)
+            digest.update(name.encode() + x.tobytes() + grads.tobytes())
+        assert len(cases) == 200
+        assert digest.hexdigest() == self.STREAM_SHA256

@@ -89,6 +89,12 @@ class TestSelectForEval:
         with pytest.raises(ValueError):
             select_for_eval([], worksheet_scene(), GRIPPER)
 
+    @pytest.mark.parametrize("pool,top", [(0, 0), (-3, 100), (10, 0), (10, -1)])
+    def test_pool_and_top_below_one_rejected(self, pool, top):
+        scored = [ScoredGrasp(worksheet_grasps()[0], 0.5)]
+        with pytest.raises(ValueError, match="pool and top must be >= 1"):
+            select_for_eval(scored, worksheet_scene(), GRIPPER, pool=pool, top=top)
+
 
 class TestCfr:
     def test_ratio(self, rng):
