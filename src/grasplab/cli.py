@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 failed check.
 
 Tunable constants live in a flat settings map (see DEFAULTS), overridable
 by a --config file and repeatable --set key=value flags; explicit
-subcommand flags win over both.
+subcommand flags win over both. Each value takes the type of its default.
 """
 
 from __future__ import annotations
@@ -99,13 +99,23 @@ def _parse_gripper(text: str) -> GripperParams:
     return GripperParams(d, w, h, t)
 
 
+def _typed(key: str, text: str):
+    """A setting's text as the type of its default: a float takes any real, an int only an integer."""
+    kind = type(DEFAULTS[key])
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a real"
+        raise ValueError(f"setting {key} expects {expected}, got {text!r}") from None
+
+
 def _settings(args) -> dict:
     merged = dict(DEFAULTS)
     if getattr(args, "config", None):
         for key, value in dataio.read_config(args.config).items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = value
+            merged[key] = _typed(key, str(value))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
@@ -113,12 +123,12 @@ def _settings(args) -> dict:
         key = key.strip()
         if key not in merged:
             raise ValueError(f"unknown setting {key!r}")
-        merged[key] = dataio._coerce(value.strip())
+        merged[key] = _typed(key, value.strip())
     return merged
 
 
-def _pick(flag, settings: dict, key: str, cast=float):
-    return cast(settings[key]) if flag is None else cast(flag)
+def _pick(flag, settings: dict, key: str):
+    return settings[key] if flag is None else flag
 
 
 def _load_cloud(args) -> PointCloud:
@@ -142,7 +152,7 @@ def _load_cloud(args) -> PointCloud:
 def _cmd_normals(args) -> int:
     settings = _settings(args)
     cloud = _load_cloud(args)
-    k = _pick(args.k, settings, "normals.k", int)
+    k = _pick(args.k, settings, "normals.k")
     normals, valid = estimate_normals(cloud, k)
     n_bad = int(np.sum(~valid))
     if n_bad:
@@ -156,12 +166,12 @@ def _cmd_sample(args) -> int:
     cloud = _load_cloud(args)
     gripper = _parse_gripper(args.gripper)
     cfg = SamplerConfig(
-        n_centers=_pick(args.centers, settings, "sampler.n_centers", int),
-        n_orientation_perturbations=_pick(args.orientations, settings, "sampler.n_orientations", int),
-        n_angle_perturbations=_pick(args.angles, settings, "sampler.n_angles", int),
+        n_centers=_pick(args.centers, settings, "sampler.n_centers"),
+        n_orientation_perturbations=_pick(args.orientations, settings, "sampler.n_orientations"),
+        n_angle_perturbations=_pick(args.angles, settings, "sampler.n_angles"),
         angle_range=_pick(args.angle_range, settings, "sampler.angle_range"),
         rng_seed=args.seed,
-        k_neighbors=_pick(args.knn, settings, "sampler.k", int),
+        k_neighbors=_pick(args.knn, settings, "sampler.k"),
     )
     candidates = sample_candidates(cloud, gripper, cfg)
     dataio.write_grasps(args.output, [ScoredGrasp(g, 0.0) for g in candidates])
@@ -212,14 +222,14 @@ def _cmd_labels(args) -> int:
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
-    k1 = _pick(args.k1, settings, "labels.k1", int)
+    k1 = _pick(args.k1, settings, "labels.k1")
     if k1 > len(cloud):
         print(f"warning: k1={k1} exceeds cloud size; using {len(cloud)}", file=sys.stderr)
         k1 = len(cloud)
-    m = _pick(args.anchors, settings, "anchors.m", int)
-    c_b = float(settings["anchors.c_b"])
-    angle_pos = float(settings["anchors.angle_pos"])
-    angle_neg = float(settings["anchors.angle_neg"])
+    m = _pick(args.anchors, settings, "anchors.m")
+    c_b = settings["anchors.c_b"]
+    angle_pos = settings["anchors.angle_pos"]
+    angle_neg = settings["anchors.angle_neg"]
 
     anchor_dirs = anchors_mod.anchor_set(m)
     positives = select_positive_points(field, k1)
@@ -234,7 +244,7 @@ def _cmd_labels(args) -> int:
         + ",pos_anchor,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,theta,sq"
     ]
     refine_lines = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq"]
-    region_lines = ["point_index,padded," + ",".join(f"i{j}" for j in range(int(settings["region.keep"])))]
+    region_lines = ["point_index,padded," + ",".join(f"i{j}" for j in range(settings["region.keep"]))]
 
     fmt = dataio._fmt
     for pi in positives:
@@ -261,7 +271,7 @@ def _cmd_labels(args) -> int:
         refine = anchors_mod.assign_refine_labels(
             gt.grasp,
             proposal,
-            **{k: float(settings[f"refine.{k}"]) for k in ("d1", "d2", "beta1", "beta2", "gamma1", "gamma2")},
+            **{k: settings[f"refine.{k}"] for k in ("d1", "d2", "beta1", "beta2", "gamma1", "gamma2")},
             c_b=c_b,
             gt_quality=gt.s_q,
         )
@@ -270,8 +280,8 @@ def _cmd_labels(args) -> int:
             ",".join([str(int(pi)), str(int(refine.y))] + [fmt(v) for v in rblock])
         )
         if args.regions:
-            idx, padded = ball_query(cloud, p, radius=float(settings["region.radius"]),
-                                     keep=int(settings["region.keep"]), seed=args.seed)
+            idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=settings["region.keep"],
+                                     seed=args.seed)
             region_lines.append(",".join([str(int(pi)), str(int(padded))] + [str(int(i)) for i in idx]))
 
     (out_dir / "anchor_labels.csv").write_text("\n".join(anchor_lines) + "\n")
@@ -283,8 +293,10 @@ def _cmd_labels(args) -> int:
 
 def _cmd_losscheck(args) -> int:
     settings = _settings(args)
-    trials = _pick(args.trials, settings, "losscheck.trials", int)
-    tol = float(settings["losscheck.tol"])
+    trials = _pick(args.trials, settings, "losscheck.trials")
+    if trials < 1:
+        raise ValueError(f"losscheck.trials must be >= 1, got {trials}")
+    tol = settings["losscheck.tol"]
     h = args.h
     rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {}
@@ -348,8 +360,8 @@ def _cmd_eval(args) -> int:
         scene,
         [sg.grasp for sg in gt],
         gripper,
-        pool=_pick(args.pool, settings, "eval.pool", int),
-        top=_pick(args.top, settings, "eval.top", int),
+        pool=_pick(args.pool, settings, "eval.pool"),
+        top=_pick(args.top, settings, "eval.top"),
     )
     elapsed = time.perf_counter() - t0
     print(dataio.format_report(report), end="")
@@ -426,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("losscheck", parents=[common], help="finite-difference gradient checks")
     p.add_argument("--h", type=float, default=1e-6, help="central-difference step")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_losscheck)
 
     p = sub.add_parser("select", parents=[common], help="pick the best grasp from a list")
@@ -464,9 +476,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except dataio.ParseError as exc:
-        print(f"grasplab: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"grasplab: error: {exc}", file=sys.stderr)
         return 2

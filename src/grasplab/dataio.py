@@ -2,9 +2,9 @@
 
 Everything is plain ASCII so fixtures stay auditable and diffable. Reals
 are printed with 9 significant digits (sub-micron at meter scale) and all
-read/write pairs round-trip to 1e-8 absolute or better. Parsers reject
-malformed input instead of repairing it, and every error names the file
-and line.
+read/write pairs round-trip to 1e-8 absolute or better. Files are read as
+UTF-8. Parsers reject malformed input instead of repairing it, and every
+error (an undecodable byte included) names the file and line.
 
 Formats:
   * point clouds: an ASCII PLY subset (x y z [nx ny nz] [red green blue])
@@ -18,6 +18,8 @@ Formats:
 from __future__ import annotations
 
 import math
+from contextlib import suppress
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +59,60 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
+_REAL = "%.9g"
+
+
 def _fmt(v: float) -> str:
-    return f"{float(v):.9g}"
+    return _REAL % float(v)
+
+
+def _rows_text(data: np.ndarray) -> str:
+    """Rows of reals in `_fmt`'s format, space-separated, one newline-terminated line each."""
+    row = " ".join([_REAL] * data.shape[1]) + "\n"
+    return (row * len(data)) % tuple(data.ravel().tolist())
+
+
+def _read_lines(path) -> list[str]:
+    """The file's lines, decoded as UTF-8; an undecodable byte is an error at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
 def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
     out = []
     for f in fields:
         try:
-            v = float(f)
+            out.append(float(f))
         except ValueError:
             raise ParseError(path, lineno, f"not a number: {f!r}") from None
-        if not math.isfinite(v):
+        if not math.isfinite(out[-1]):
             raise ParseError(path, lineno, f"non-finite value: {f!r}")
-        out.append(v)
     return out
+
+
+def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
+    """The non-blank lines as an (n, ncols) array of finite reals, and each row's line number.
+
+    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass; on a
+    defect the rows are walked again to report the first bad one: its column count, then its values.
+    """
+    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
+    rows = [lines[i - first_lineno] for i in linenos]
+    with suppress(ValueError):
+        if all(len(raw.split(sep)) == ncols for raw in rows):
+            fields = chain.from_iterable(map(str.split, rows, repeat(sep)))
+            data = np.fromiter(map(float, fields), float, len(rows) * ncols).reshape(len(rows), ncols)
+            if np.isfinite(data).all():
+                return data, linenos
+    for i, raw in zip(linenos, rows):
+        fields = raw.split(sep)
+        if len(fields) != ncols:
+            raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
+        _parse_floats(path, i, fields)
 
 
 def _parse_count(path, lineno: int, token: str) -> int:
@@ -82,11 +123,12 @@ def _parse_count(path, lineno: int, token: str) -> int:
 
 
 def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
-    """Normalize per-row normals; a zero-length one is an error at its own line."""
+    """Normalize per-row normals; a zero-length or overflowing one is an error at its own line."""
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    bad = np.flatnonzero(norms < 1e-12)
+    bad = np.flatnonzero((norms < 1e-12) | np.isinf(norms))
     if bad.size:
-        raise ParseError(path, linenos[bad[0]], "zero-length normal")
+        why = "zero-length normal" if norms[bad[0], 0] < 1e-12 else "normal length overflows"
+        raise ParseError(path, linenos[bad[0]], why)
     return normals / norms
 
 
@@ -100,9 +142,8 @@ _PLY_FIELDS = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue")
 def _read_ply(path, lines: list[str]) -> PointCloud:
     if len(lines) < 2 or lines[1].strip() != "format ascii 1.0":
         raise ParseError(path, 2, "expected 'format ascii 1.0'")
-    n_vertices = None
+    n_vertices = body_start = None
     props: list[str] = []
-    body_start = None
     for i, raw in enumerate(lines[2:], start=3):
         tokens = raw.split()
         if not tokens or tokens[0] == "comment":
@@ -122,59 +163,42 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
             raise ParseError(path, i, f"unexpected header line: {raw.strip()!r}")
     if body_start is None or n_vertices is None:
         raise ParseError(path, len(lines), "header ended before end_header/element vertex")
-    expected = [list(_PLY_FIELDS[:k]) for k in (3, 6, 9)] + [list(_PLY_FIELDS[:3]) + list(_PLY_FIELDS[6:])]
-    if props not in expected:
+    if props not in [list(_PLY_FIELDS[:k]) for k in (3, 6, 9)] + [list(_PLY_FIELDS[:3] + _PLY_FIELDS[6:])]:
         raise ParseError(path, body_start, f"unsupported property layout: {props}")
 
-    rows, linenos = [], []
-    for i, raw in enumerate(lines[body_start:], start=body_start + 1):
-        if not raw.strip():
-            continue
-        if len(rows) == n_vertices:
-            raise ParseError(path, i, f"data continues past the declared {n_vertices} vertices")
-        fields = raw.split()
-        if len(fields) != len(props):
-            raise ParseError(path, i, f"expected {len(props)} columns, got {len(fields)}")
-        rows.append(_parse_floats(path, i, fields))
-        linenos.append(i)
-    if len(rows) != n_vertices:
-        raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(rows)}")
-    data = np.asarray(rows, dtype=float).reshape(n_vertices, len(props))
-    points = data[:, :3]
-    normals = None
-    colors = None
-    col = 3
-    if "nx" in props:
-        normals = data[:, col:col + 3]
-        col += 3
-    if "red" in props:
-        colors = data[:, col:col + 3] / 255.0
-        if np.any(colors < 0.0) or np.any(colors > 1.0):
-            raise ParseError(path, body_start, "color components must be 0..255")
-    if normals is not None:
-        normals = _unit_normals(path, normals, linenos)
-    return PointCloud(points, normals, colors)
+    body = lines[body_start:]
+    try:
+        data, linenos = _float_rows(path, body, body_start + 1, len(props), None)
+    except ParseError as exc:
+        # a row past the declared count is reported as such before its own defects
+        _, linenos = _float_rows(path, body[:exc.line - body_start - 1], body_start + 1, len(props), None)
+        linenos.append(exc.line)
+        if len(linenos) <= n_vertices:
+            raise
+    if len(linenos) > n_vertices:
+        raise ParseError(path, linenos[n_vertices], f"data continues past the declared {n_vertices} vertices")
+    if len(linenos) != n_vertices:
+        raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(linenos)}")
+    colors = data[:, -3:] / 255.0 if "red" in props else None
+    if colors is not None and (np.any(colors < 0.0) or np.any(colors > 1.0)):
+        raise ParseError(path, body_start, "color components must be 0..255")
+    normals = _unit_normals(path, data[:, 3:6], linenos) if "nx" in props else None
+    return PointCloud(data[:, :3], normals, colors)
 
 
 def _read_xyz(path, lines: list[str]) -> PointCloud:
-    rows, linenos = [], []
-    width = None
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) not in (3, 6):
-            raise ParseError(path, i, f"expected 3 or 6 columns, got {len(fields)}")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ParseError(path, i, f"expected {width} columns, got {len(fields)}")
-        rows.append(_parse_floats(path, i, fields))
-        linenos.append(i)
-    if not rows:
+    body = [raw.split("#", 1)[0] for raw in lines]
+    width = next((len(fields) for fields in map(str.split, body) if fields), 3)
+    try:
+        # a first row neither 3 nor 6 wide fails the 3-column parse and is reported below
+        data, linenos = _float_rows(path, body, 1, width if width in (3, 6) else 3, None)
+    except ParseError as exc:
+        got = len(body[exc.line - 1].split())
+        if got in (3, 6):
+            raise
+        raise ParseError(path, exc.line, f"expected 3 or 6 columns, got {got}") from None
+    if not linenos:
         raise ParseError(path, len(lines) or 1, "no points found")
-    data = np.asarray(rows, dtype=float)
     normals = _unit_normals(path, data[:, 3:6], linenos) if width == 6 else None
     return PointCloud(data[:, :3], normals)
 
@@ -182,35 +206,22 @@ def _read_xyz(path, lines: list[str]) -> PointCloud:
 def read_point_cloud(path) -> PointCloud:
     """Read a cloud from the ASCII PLY subset or bare XYZ text."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if lines and lines[0].strip() == "ply":
-        return _read_ply(path, lines)
-    return _read_xyz(path, lines)
+    lines = _read_lines(path)
+    return (_read_ply if lines and lines[0].strip() == "ply" else _read_xyz)(path, lines)
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
     """Write a cloud; PLY when the suffix is .ply, XYZ text otherwise."""
-    path = Path(path)
-    if path.suffix.lower() == ".ply":
-        props = ["x", "y", "z"]
-        cols = [cloud.points]
-        if cloud.normals is not None:
-            props += ["nx", "ny", "nz"]
-            cols.append(cloud.normals)
+    cols = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
+    header = ""
+    if Path(path).suffix.lower() == ".ply":
+        props = list(_PLY_FIELDS[:3 * len(cols)])
         if cloud.colors is not None:
-            props += ["red", "green", "blue"]
+            props += _PLY_FIELDS[6:]
             cols.append(np.round(cloud.colors * 255.0))
-        header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
-        header += [f"property float {p}" for p in props]
-        header.append("end_header")
-        data = np.hstack(cols)
-        body = "\n".join(" ".join(_fmt(v) for v in row) for row in data)
-        path.write_text("\n".join(header) + "\n" + body + ("\n" if len(cloud) else ""))
-    else:
-        cols = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
-        data = np.hstack(cols)
-        body = "\n".join(" ".join(_fmt(v) for v in row) for row in data)
-        path.write_text(body + ("\n" if len(cloud) else ""))
+        header = "\n".join(["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+                            *(f"property float {p}" for p in props), "end_header", ""])
+    Path(path).write_text(header + _rows_text(np.hstack(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +230,26 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 
 def grasp_row(sg: ScoredGrasp) -> str:
     """One grasp-list CSV row: cx,cy,cz,rx,ry,rz,theta,sq."""
-    g = sg.grasp
-    vals = [*g.center, *g.orientation, g.theta, sg.s_q]
+    vals = [*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta, sg.s_q]
     if not all(math.isfinite(float(v)) for v in vals):
         raise ValueError("grasp contains non-finite fields")
     return ",".join(_fmt(v) for v in vals)
 
 
 def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
-    lines = [GRASP_HEADER] + [grasp_row(sg) for sg in grasps]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join([GRASP_HEADER, *map(grasp_row, grasps)]) + "\n")
 
 
 def read_grasps(path) -> list[ScoredGrasp]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != GRASP_HEADER:
         raise ParseError(path, 1, f"expected header {GRASP_HEADER!r}")
+    data, linenos = _float_rows(path, lines[1:], 2, 8, ",")
     out: list[ScoredGrasp] = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 8:
-            raise ParseError(path, i, f"expected 8 columns, got {len(fields)}")
-        v = _parse_floats(path, i, fields)
+    for i, v in zip(linenos, data.tolist()):
         try:
-            grasp = Grasp(v[0:3], v[3:6], v[6])
-            out.append(ScoredGrasp(grasp, v[7]))
+            out.append(ScoredGrasp(Grasp(v[0:3], v[3:6], v[6]), v[7]))
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from None
     return out
@@ -257,38 +260,34 @@ def read_grasps(path) -> list[ScoredGrasp]:
 # ---------------------------------------------------------------------------
 
 def write_confidence(path, field: ConfidenceField) -> None:
-    lines = [f"# d_th={_fmt(field.d_th)} width={_fmt(field.gripper_width)} n={len(field)}"]
-    lines += [_fmt(v) for v in field.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"# d_th={_fmt(field.d_th)} width={_fmt(field.gripper_width)} n={len(field)}\n"
+    Path(path).write_text(header + _rows_text(field.values[:, None]))
 
 
 def read_confidence(path) -> ConfidenceField:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise ParseError(path, 1, "expected '# d_th=<v> width=<v> n=<N>' header")
     tokens = lines[0].lstrip("#").split()
-    meta = {}
     for t in tokens:
         if "=" not in t:
             raise ParseError(path, 1, f"malformed header token {t!r}")
-        key, _, val = t.partition("=")
-        meta[key] = val
+    meta = dict(t.split("=", 1) for t in tokens)
     if set(meta) != {"d_th", "width", "n"}:
         raise ParseError(path, 1, f"header must define d_th, width, n; got {sorted(meta)}")
     d_th, width = _parse_floats(path, 1, [meta["d_th"], meta["width"]])
+    if not d_th > 0.0:
+        raise ParseError(path, 1, "d_th must be positive")
     n = _parse_count(path, 1, meta["n"])
-    values = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        v = _parse_floats(path, i, [raw.strip()])[0]
-        if not 0.0 <= v <= 1.0:
-            raise ParseError(path, i, f"confidence {v} outside [0, 1]")
-        values.append(v)
+    # one value per line: the whole stripped line is the field
+    values, linenos = _float_rows(path, [raw.strip() for raw in lines[1:]], 2, 1, "\n")
+    bad = np.flatnonzero((values < 0.0) | (values > 1.0))
+    if bad.size:
+        raise ParseError(path, linenos[bad[0]], f"confidence {float(values[bad[0], 0])} outside [0, 1]")
     if len(values) != n:
         raise ParseError(path, len(lines), f"header says n={n} but found {len(values)} values")
-    return ConfidenceField(np.asarray(values), d_th, width)
+    return ConfidenceField(values, d_th, width)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +311,13 @@ def read_config(path) -> dict:
     """
     path = Path(path)
     out: dict = {}
-    for i, raw in enumerate(path.read_text().splitlines(), start=1):
+    for i, raw in enumerate(_read_lines(path), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ParseError(path, i, f"expected 'key = value', got {raw.strip()!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
         if not key:
             raise ParseError(path, i, "empty key")
         if not value:
@@ -338,20 +335,10 @@ def read_config(path) -> dict:
 def read_xy(path) -> tuple[np.ndarray, np.ndarray]:
     """Sample pairs from a CSV with the exact header x,y."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != "x,y":
         raise ParseError(path, 1, "expected header 'x,y'")
-    xs, ys = [], []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 2:
-            raise ParseError(path, i, f"expected 2 columns, got {len(fields)}")
-        x, y = _parse_floats(path, i, fields)
-        xs.append(x)
-        ys.append(y)
-    return np.asarray(xs), np.asarray(ys)
+    return tuple(_float_rows(path, lines[1:], 2, 2, ",")[0].T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +356,5 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_csv(report: EvalReport) -> str:
-    row = ",".join(
-        [_fmt(report.cfr), _fmt(report.as_mean), _fmt(report.as_with_collision), _fmt(report.tcr), str(report.n_selected)]
-    )
-    return REPORT_HEADER + "\n" + row + "\n"
+    reals = ",".join(map(_fmt, [report.cfr, report.as_mean, report.as_with_collision, report.tcr]))
+    return f"{REPORT_HEADER}\n{reals},{report.n_selected}\n"

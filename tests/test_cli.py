@@ -223,6 +223,54 @@ class TestExitCodes:
         assert main(["score", str(tmp_path / "scene.xyz"), str(grasps),
                      "--gripper", GRIPPER, "-o", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_losscheck_trials_below_one_is_usage_error(self, capsys, trials):
+        assert main(["losscheck", "--trials", trials]) == 1
+        assert "argument --trials: must be >= 1" in capsys.readouterr().err
+
+    def test_losscheck_trials_setting_below_one_is_data_error(self, tmp_path, capsys):
+        assert main(["losscheck", "--set", "losscheck.trials=0"]) == 2
+        assert "losscheck.trials must be >= 1, got 0" in capsys.readouterr().err
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("losscheck.trials = -1\n")
+        assert main(["losscheck", "--config", str(cfg)]) == 2
+        assert "losscheck.trials must be >= 1, got -1" in capsys.readouterr().err
+
+    def test_undecodable_byte_is_data_error_at_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xyz"
+        bad.write_bytes(b"0 0 0\n1 \xff 1\n")
+        assert main(["normals", str(bad), "-o", str(tmp_path / "o.ply")]) == 2
+        assert f"{bad}:2: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
+
+class TestSettingTypes:
+    @pytest.mark.parametrize("item,kind", [
+        ("losscheck.trials=abc", "an integer"),
+        ("labels.k1=7.5", "an integer"),
+        ("labels.k1=7.0", "an integer"),
+        ("losscheck.tol=abc", "a real"),
+    ])
+    def test_bad_set_value_names_the_key(self, capsys, item, kind):
+        key, _, value = item.partition("=")
+        argv = ["labels", "g.csv", "--cloud", "c.ply", "--confidence", "c.txt", "-o", "out", "--set", item]
+        assert main(argv) == 2
+        assert f"setting {key} expects {kind}, got {value!r}" in capsys.readouterr().err
+
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("labels.k1 = 7.5\n")
+        assert main(["losscheck", "--trials", "1", "--config", str(cfg)]) == 2
+        assert "setting labels.k1 expects an integer, got '7.5'" in capsys.readouterr().err
+
+    def test_float_setting_accepts_an_integer(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        grasps = tmp_path / "g.csv"
+        grasps.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0.045,0,1,0,0,0\n")
+        out = tmp_path / "c.txt"
+        assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps),
+                     "--set", "confidence.d_th=1", "--set", "confidence.width=0", "-o", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "# d_th=1 width=0 n=400"
+
 
 class TestConfigPrecedence:
     def test_config_file_then_set_override(self, tmp_path, capsys):

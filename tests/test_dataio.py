@@ -14,6 +14,7 @@ from grasplab.dataio import (
     read_confidence,
     read_grasps,
     read_point_cloud,
+    read_xy,
     report_csv,
     write_confidence,
     write_grasps,
@@ -265,6 +266,149 @@ class TestHeaderCountProperty:
         path.write_text(f"# d_th=0.01 width=0 n={token}\n0.5\n")
         field = self._parses_or_positioned(read_confidence, path)
         assert field is None or len(field) == 1
+
+
+# Per reader: the function, a file name, a valid header and one valid data line.
+READERS = {
+    "ply": (read_point_cloud, "c.ply",
+            b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+            b"property float z\nproperty float nx\nproperty float ny\nproperty float nz\nend_header\n",
+            b"0 0 0 0 0 1\n"),
+    "xyz": (read_point_cloud, "c.xyz", b"# x y z nx ny nz\n", b"0 0 0 0 0 1\n"),
+    "grasps": (read_grasps, "g.csv", GRASP_HEADER.encode() + b"\n", b"0,0,0,0,1,0,0,0.5\n"),
+    "confidence": (read_confidence, "c.txt", b"# d_th=0.01 width=0 n=2\n", b"0.5\n"),
+    "config": (read_config, "c.cfg", b"# settings\n", b"a = 1\n"),
+    "xy": (read_xy, "s.csv", b"x,y\n", b"0.1,0.2\n"),
+}
+
+# Arbitrary bytes, plus byte strings built from the formats' own tokens so
+# that the fuzz also reaches rows that almost parse.
+FRAGMENTS = [b"0", b"1", b"-1", b"0.5", b"255", b"1e300", b"1e-300", b"nan", b"inf", b"x", b"_", b"=",
+             b"#", b",", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0c", b"\x00", b"\xc2\x85", b"\xe2\x80\xa8",
+             b"\xff", b"\xe2\x80", b"d_th=", b"width=", b"n=", b"ply", b"element vertex ", b"end_header",
+             b"property float nx", b"x,y", b"0 0 0 ", b"0,1,0,"]
+BYTES = st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join))
+
+
+class TestParserFuzz:
+    """Any bytes after a valid header, or alone, either parse or fail with a positioned ParseError."""
+
+    SETTINGS = settings(max_examples=100, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def _parses_or_positioned(read, path, data):
+        path.write_bytes(data)
+        try:
+            read(path)
+        except ParseError as exc:
+            assert exc.path == str(path)
+            assert 1 <= exc.line <= len(data.decode("utf-8", "replace").splitlines()) + 1
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @SETTINGS
+    @given(tail=BYTES)
+    def test_header_then_bytes(self, tmp_path, kind, tail):
+        read, name, header, _ = READERS[kind]
+        self._parses_or_positioned(read, tmp_path / name, header + tail)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @SETTINGS
+    @given(data=BYTES)
+    def test_bytes_alone(self, tmp_path, kind, data):
+        read, name, _, _ = READERS[kind]
+        self._parses_or_positioned(read, tmp_path / name, data)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError at the line that holds it."""
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_first_line(self, tmp_path, kind):
+        read, name, header, row = READERS[kind]
+        (tmp_path / name).write_bytes(b"\xff" + header + row)
+        with pytest.raises(ParseError, match=rf"{name}:1: not UTF-8 text: byte 0xff"):
+            read(tmp_path / name)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_later_line(self, tmp_path, kind):
+        read, name, header, row = READERS[kind]
+        line = header.count(b"\n") + 2
+        (tmp_path / name).write_bytes(header + row + b"0 \xe9 1\n" + row)
+        with pytest.raises(ParseError, match=rf"{name}:{line}: not UTF-8 text: byte 0xe9"):
+            read(tmp_path / name)
+
+    def test_lines_counted_as_the_parser_splits_them(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x,y\r0.1,0.2\r\n\x0c0.3,0.4\xe2\x80")
+        with pytest.raises(ParseError, match=r"s\.csv:4: not UTF-8 text: byte 0xe2"):
+            read_xy(path)
+
+
+class TestFuzzFindings:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_normal_names_its_line(self, tmp_path):
+        path = tmp_path / "n.xyz"
+        path.write_text("0 0 0 0 0 1\n0 0 0 1e300 1e300 0\n")
+        with pytest.raises(ParseError, match=r"n\.xyz:2: normal length overflows"):
+            read_point_cloud(path)
+
+    def test_non_positive_d_th_names_header_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# d_th=0 width=0 n=1\n0.5\n")
+        with pytest.raises(ParseError, match=r"c\.txt:1: d_th must be positive"):
+            read_confidence(path)
+
+
+class TestRowMessages:
+    """Messages of the shared row parser match the per-format rules they replace."""
+
+    PLY3 = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n")
+
+    @pytest.mark.parametrize("body,line,message", [
+        ("0 0 0 0\n", 1, "expected 3 or 6 columns, got 4"),
+        ("0 0 0\n\n1 2 3 4\n", 3, "expected 3 or 6 columns, got 4"),
+        ("0 0 0\n0 0 0 0 0 1\n", 2, "expected 3 columns, got 6"),
+        ("0 0 0 0 0 1\n0 0 0 # three\n", 2, "expected 6 columns, got 3"),
+    ])
+    def test_xyz_widths(self, tmp_path, body, line, message):
+        path = tmp_path / "w.xyz"
+        path.write_text(body)
+        with pytest.raises(ParseError, match=rf"w\.xyz:{line}: {message}$"):
+            read_point_cloud(path)
+
+    def test_uneven_rows_with_a_matching_total_are_rejected(self, tmp_path):
+        path = tmp_path / "u.ply"
+        path.write_text(self.PLY3.format(n=2) + "0 0 0 0\n0 0\n")
+        with pytest.raises(ParseError, match=r"u\.ply:8: expected 3 columns, got 4$"):
+            read_point_cloud(path)
+        path = tmp_path / "g.csv"
+        path.write_text(GRASP_HEADER + "\n0,0,0,0,1,0,0\n0,0,0,0,1,0,0,0.5,0\n")
+        with pytest.raises(ParseError, match=r"g\.csv:2: expected 8 columns, got 7$"):
+            read_grasps(path)
+
+    @pytest.mark.parametrize("extra", ["0 0 0", "1 2", "end"])
+    def test_ply_extra_row_is_reported_as_overflow(self, tmp_path, extra):
+        path = tmp_path / "o.ply"
+        path.write_text(self.PLY3.format(n=1) + f"0 0 0\n\n{extra}\n")
+        with pytest.raises(ParseError, match=r"o\.ply:10: data continues past the declared 1 vertices$"):
+            read_point_cloud(path)
+
+    def test_ply_defect_before_overflow_is_reported_first(self, tmp_path):
+        path = tmp_path / "o.ply"
+        path.write_text(self.PLY3.format(n=2) + "0 0 x\n0 0 0\n0 0 0\n")
+        with pytest.raises(ParseError, match=r"o\.ply:8: not a number: 'x'$"):
+            read_point_cloud(path)
+
+
+class TestRowWriter:
+    def test_matches_fmt_on_edge_values(self, tmp_path):
+        vals = np.array([[0.0, -0.0, 1 / 3], [1e-300, 5e-324, 1.7976931348623157e308],
+                         [255.0, 1e21, -math.pi]])
+        path = tmp_path / "e.xyz"
+        write_point_cloud(path, PointCloud(vals))
+        assert path.read_text() == "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in vals)
 
 
 class TestConfigIO:

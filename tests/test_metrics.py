@@ -8,11 +8,11 @@ from grasplab import (
     ScoredGrasp,
     antipodal_metrics,
     cfr,
-    check_collision,
     coverage_rate,
     evaluate,
     select_for_eval,
 )
+from conftest import oracle_collision
 
 GRIPPER = GripperParams(0.06, 0.06, 0.04, 0.01)
 
@@ -78,7 +78,9 @@ class TestSelectForEval:
         pool, top = 40, 10
         got = select_for_eval(scored, scene, GRIPPER, pool=pool, top=top)
         order = sorted(range(80), key=lambda i: (-scored[i].s_q, i))[:pool]
-        expect = [i for i in order if not check_collision(scene, scored[i].grasp, GRIPPER)][:top]
+        dims = (GRIPPER.depth, GRIPPER.width, GRIPPER.height, GRIPPER.thickness)
+        poses = [(sg.grasp.center, sg.grasp.orientation, sg.grasp.theta) for sg in scored]
+        expect = [i for i in order if not oracle_collision(scene.points.tolist(), *poses[i], *dims)][:top]
         assert [id(sg) for sg in got] == [id(scored[i]) for i in expect]
 
     def test_top_cannot_exceed_pool(self):
