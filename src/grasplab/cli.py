@@ -6,9 +6,10 @@ its inputs; re-running writes byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 failed check.
 
-Tunable constants live in a flat settings map (see DEFAULTS), overridable
-by a --config file and repeatable --set key=value flags; explicit
-subcommand flags win over both. Each value takes the type of its default.
+Tunable constants live in a flat settings map. SETTINGS declares each one
+once: its default, its allowed range and the subcommand flag that also sets
+it. A --config file overrides the defaults, repeatable --set key=value flags
+override the file, and an explicit subcommand flag wins over all of them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,33 +43,66 @@ from .policy import (
 )
 from .sampling import SamplerConfig, ball_query, estimate_normals, sample_candidates
 
-DEFAULTS = {
-    "normals.k": 16,
-    "sampler.n_centers": 10,
-    "sampler.n_orientations": 4,
-    "sampler.n_angles": 3,
-    "sampler.angle_range": math.pi / 6,
-    "sampler.k": 16,
-    "confidence.d_th": 0.01,
-    "confidence.width": 0.0,
-    "region.radius": 0.02,
-    "region.keep": 256,
-    "labels.k1": 768,
-    "anchors.m": 4,
-    "anchors.c_b": 0.1,
-    "anchors.angle_pos": anchors_mod.ANGLE_POS,
-    "anchors.angle_neg": anchors_mod.ANGLE_NEG,
-    "refine.d1": 0.015,
-    "refine.d2": 0.020,
-    "refine.beta1": math.pi / 4,
-    "refine.beta2": math.pi / 3,
-    "refine.gamma1": math.pi / 4,
-    "refine.gamma2": math.pi / 3,
-    "eval.pool": 1000,
-    "eval.top": 100,
-    "losscheck.trials": 25,
-    "losscheck.tol": 1e-5,
+
+class Setting(NamedTuple):
+    """One tunable: its default (every value takes the default's type), the range a value must lie in,
+    and the subcommand flag that also sets it. A real value must also be finite."""
+
+    default: int | float
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False  # low itself is out of range
+    flag: str | None = None
+    help: str | None = None
+
+    def parse(self, text: str) -> int | float:
+        """text as a value of this setting; also the argparse type of its flag."""
+        text, kind = text.strip(), type(self.default)
+        try:
+            value = kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a real"
+            raise argparse.ArgumentTypeError(f"expects {expected}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < self.low or (self.open_low and value == self.low) or value > self.high:
+            if self.high < math.inf:
+                bounds = f"in {'(' if self.open_low else '['}{self.low}, {self.high}]"
+            else:
+                bounds = f"{'>' if self.open_low else '>='} {self.low}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+
+SETTINGS = {
+    "normals.k": Setting(16, 3, flag="-k", help="neighborhood size"),
+    "sampler.n_centers": Setting(10, 1, flag="--centers"),
+    "sampler.n_orientations": Setting(4, 1, flag="--orientations"),
+    "sampler.n_angles": Setting(3, 1, flag="--angles"),
+    "sampler.angle_range": Setting(SamplerConfig.angle_range, 0, math.pi / 2, open_low=True,
+                                   flag="--angle-range"),
+    "sampler.k": Setting(SamplerConfig.k_neighbors, 4, flag="--knn", help="Darboux neighborhood size"),
+    "confidence.d_th": Setting(0.01, 0, open_low=True, flag="--dth", help="distance threshold (m)"),
+    "confidence.width": Setting(0.0, flag="--width", help="gripper width metadata (m)"),
+    "region.radius": Setting(0.02, 0, open_low=True),
+    "region.keep": Setting(256, 1),
+    "labels.k1": Setting(768, 1, flag="--k1", help="number of positive points"),
+    "anchors.m": Setting(4, 1, flag="--anchors", help="number of anchor orientations"),
+    "anchors.c_b": Setting(anchors_mod.CENTER_BALANCE, 0, open_low=True),
+    "anchors.angle_pos": Setting(anchors_mod.ANGLE_POS),
+    "anchors.angle_neg": Setting(anchors_mod.ANGLE_NEG),
+    "refine.d1": Setting(anchors_mod.REFINE_D1),
+    "refine.d2": Setting(anchors_mod.REFINE_D2),
+    "refine.beta1": Setting(anchors_mod.REFINE_BETA1),
+    "refine.beta2": Setting(anchors_mod.REFINE_BETA2),
+    "refine.gamma1": Setting(anchors_mod.REFINE_GAMMA1),
+    "refine.gamma2": Setting(anchors_mod.REFINE_GAMMA2),
+    "eval.pool": Setting(1000, 1, flag="--pool"),
+    "eval.top": Setting(100, 1, flag="--top"),
+    "losscheck.trials": Setting(25, 1, flag="--trials"),
+    "losscheck.tol": Setting(1e-5),
 }
+DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,69 +114,58 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    def _get_values(self, action, arg_strings):
+        # An option's own value "--" (`--k1=--`) is a value, not the end of the options. Python 3.11's
+        # argparse drops it and gives the option an empty list; pass it to the option's type instead.
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _parse_gripper(text: str) -> GripperParams:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--gripper expects D,W,H,T, got {text!r}")
-    d, w, h, t = (float(p) for p in parts)
-    return GripperParams(d, w, h, t)
-
-
-def _typed(key: str, text: str):
-    """A setting's text as the type of its default: a float takes any real, an int only an integer."""
-    kind = type(DEFAULTS[key])
+    """argparse type of --gripper: depth, width, height and thickness in meters."""
     try:
-        return kind(text)
+        d, w, h, t = map(float, text.split(","))
     except ValueError:
-        expected = "an integer" if kind is int else "a real"
-        raise ValueError(f"setting {key} expects {expected}, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects D,W,H,T reals, got {text!r}") from None
+    try:
+        return GripperParams(d, w, h, t)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _settings(args) -> dict:
+    """DEFAULTS, then the --config file, then each --set (a bad value names its key), then the flags."""
     merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in dataio.read_config(args.config).items():
-            if key not in merged:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _typed(key, str(value))
-    for item in getattr(args, "set", None) or []:
+    items = list(dataio.read_config(args.config).items()) if args.config else []
+    for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        key = key.strip()
+        items.append((key.strip(), value))
+    for key, value in items:
         if key not in merged:
             raise ValueError(f"unknown setting {key!r}")
-        merged[key] = _typed(key, value.strip())
+        try:
+            merged[key] = SETTINGS[key].parse(str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"setting {key} {exc}") from None
+    merged.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     return merged
 
 
-def _pick(flag, settings: dict, key: str):
-    return settings[key] if flag is None else flag
-
-
-def _load_cloud(args) -> PointCloud:
+def _load_cloud(args, normals: bool = False) -> PointCloud:
     cloud = dataio.read_point_cloud(args.cloud)
+    if normals and cloud.normals is None:
+        raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
     n = getattr(args, "subsample", None)
     if n is not None and n < len(cloud):
         rng = np.random.default_rng(args.seed)
         idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
-        cloud = PointCloud(
-            cloud.points[idx],
-            None if cloud.normals is None else cloud.normals[idx],
-            None if cloud.colors is None else cloud.colors[idx],
-        )
+        arrays = (cloud.points, cloud.normals, cloud.colors)
+        cloud = PointCloud(*(None if a is None else a[idx] for a in arrays))
     return cloud
 
 
@@ -149,11 +173,9 @@ def _load_cloud(args) -> PointCloud:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_normals(args) -> int:
-    settings = _settings(args)
+def _cmd_normals(args, settings) -> int:
     cloud = _load_cloud(args)
-    k = _pick(args.k, settings, "normals.k")
-    normals, valid = estimate_normals(cloud, k)
+    normals, valid = estimate_normals(cloud, settings["normals.k"])
     n_bad = int(np.sum(~valid))
     if n_bad:
         print(f"warning: {n_bad} point(s) with degenerate neighborhoods", file=sys.stderr)
@@ -161,60 +183,54 @@ def _cmd_normals(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    settings = _settings(args)
+def _cmd_sample(args, settings) -> int:
     cloud = _load_cloud(args)
-    gripper = _parse_gripper(args.gripper)
     cfg = SamplerConfig(
-        n_centers=_pick(args.centers, settings, "sampler.n_centers"),
-        n_orientation_perturbations=_pick(args.orientations, settings, "sampler.n_orientations"),
-        n_angle_perturbations=_pick(args.angles, settings, "sampler.n_angles"),
-        angle_range=_pick(args.angle_range, settings, "sampler.angle_range"),
+        n_centers=settings["sampler.n_centers"],
+        n_orientation_perturbations=settings["sampler.n_orientations"],
+        n_angle_perturbations=settings["sampler.n_angles"],
+        angle_range=settings["sampler.angle_range"],
         rng_seed=args.seed,
-        k_neighbors=_pick(args.knn, settings, "sampler.k"),
+        k_neighbors=settings["sampler.k"],
     )
-    candidates = sample_candidates(cloud, gripper, cfg)
+    candidates = sample_candidates(cloud, args.gripper, cfg)
     dataio.write_grasps(args.output, [ScoredGrasp(g, 0.0) for g in candidates])
     return 0
 
 
-def _cmd_collide(args) -> int:
+def _cmd_collide(args, settings) -> int:
     cloud = _load_cloud(args)
     scored = dataio.read_grasps(args.grasps)
-    gripper = _parse_gripper(args.gripper)
-    free = {id(g) for g in filter_collision_free([sg.grasp for sg in scored], cloud, gripper)}
+    free = {id(g) for g in filter_collision_free([sg.grasp for sg in scored], cloud, args.gripper)}
     dataio.write_grasps(args.output, [sg for sg in scored if id(sg.grasp) in free])
     return 0
 
 
-def _cmd_score(args) -> int:
-    cloud = _load_cloud(args)
-    if cloud.normals is None:
-        raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
+def _cmd_score(args, settings) -> int:
+    cloud = _load_cloud(args, normals=True)
     scored = dataio.read_grasps(args.grasps)
-    gripper = _parse_gripper(args.gripper)
     out = []
     for sg in scored:
-        pair = find_contacts(cloud, sg.grasp, gripper)
+        pair = find_contacts(cloud, sg.grasp, args.gripper)
         s_q = antipodal_score(pair, sg.grasp) if pair is not None else 0.0
         out.append(ScoredGrasp(sg.grasp, s_q))
     dataio.write_grasps(args.output, out)
     return 0
 
 
-def _cmd_confidence(args) -> int:
-    settings = _settings(args)
+def _cmd_confidence(args, settings) -> int:
     cloud = _load_cloud(args)
     scored = dataio.read_grasps(args.grasps)
-    d_th = _pick(args.dth, settings, "confidence.d_th")
-    width = _pick(args.width, settings, "confidence.width")
-    field = point_confidence(cloud, [sg.grasp for sg in scored], d_th, width)
+    d_th = settings["confidence.d_th"]
+    field = point_confidence(cloud, [sg.grasp for sg in scored], d_th, settings["confidence.width"])
+    if not field.values.any():
+        print(f"warning: every confidence value is 0; no grasp center lies within d_th={d_th:g} m of a point",
+              file=sys.stderr)
     dataio.write_confidence(args.output, field)
     return 0
 
 
-def _cmd_labels(args) -> int:
-    settings = _settings(args)
+def _cmd_labels(args, settings) -> int:
     cloud = dataio.read_point_cloud(args.cloud)
     field = dataio.read_confidence(args.confidence)
     if len(field) != len(cloud):
@@ -222,14 +238,14 @@ def _cmd_labels(args) -> int:
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
-    k1 = _pick(args.k1, settings, "labels.k1")
+    k1 = settings["labels.k1"]
     if k1 > len(cloud):
         print(f"warning: k1={k1} exceeds cloud size; using {len(cloud)}", file=sys.stderr)
         k1 = len(cloud)
-    m = _pick(args.anchors, settings, "anchors.m")
-    c_b = settings["anchors.c_b"]
+    m, c_b, keep = settings["anchors.m"], settings["anchors.c_b"], settings["region.keep"]
     angle_pos = settings["anchors.angle_pos"]
     angle_neg = settings["anchors.angle_neg"]
+    thresholds = {k: settings[f"refine.{k}"] for k in ("d1", "d2", "beta1", "beta2", "gamma1", "gamma2")}
 
     anchor_dirs = anchors_mod.anchor_set(m)
     positives = select_positive_points(field, k1)
@@ -238,15 +254,15 @@ def _cmd_labels(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    anchor_lines = [
-        "point_index,px,py,pz,gt_index,"
-        + ",".join(f"o{j}" for j in range(m))
-        + ",pos_anchor,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,theta,sq"
-    ]
-    refine_lines = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq"]
-    region_lines = ["point_index,padded," + ",".join(f"i{j}" for j in range(settings["region.keep"]))]
+    # one %-template per table: point index, then integer ('d') and real ('g') fields
+    anchor_row = dataio._row_template("dgggd" + "d" * (m + 1) + "g" * 8, ",")
+    refine_row = dataio._row_template("dd" + "g" * 8, ",")
+    region_row = dataio._row_template("dd" + "d" * keep, ",")
+    anchor_rows = ["point_index,px,py,pz,gt_index," + "".join(f"o{j}," for j in range(m))
+                   + "pos_anchor,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,theta,sq\n"]
+    refine_rows = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq\n"]
+    region_rows = ["point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"]
 
-    fmt = dataio._fmt
     for pi in positives:
         p = cloud.points[pi]
         gi = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
@@ -255,47 +271,29 @@ def _cmd_labels(args) -> int:
         label = anchors_mod.complete_label(label, gt.grasp, anchor_dirs, p, c_b, gt.s_q)
         block = label.residuals.as_array() if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
-        anchor_lines.append(
-            ",".join(
-                [str(int(pi)), fmt(p[0]), fmt(p[1]), fmt(p[2]), str(gi)]
-                + [str(int(c)) for c in label.classes]
-                + [str(pos_idx)]
-                + [fmt(v) for v in block]
-            )
-        )
+        anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
         # refine labels grade the anchor-reference pose (p, nearest anchor, 0)
         ref_idx = label.positive_index
         if ref_idx is None:
             ref_idx = int(np.argmax(anchor_dirs.directions @ gt.grasp.orientation))
         proposal = Grasp(p, anchor_dirs.directions[ref_idx], 0.0)
-        refine = anchors_mod.assign_refine_labels(
-            gt.grasp,
-            proposal,
-            **{k: settings[f"refine.{k}"] for k in ("d1", "d2", "beta1", "beta2", "gamma1", "gamma2")},
-            c_b=c_b,
-            gt_quality=gt.s_q,
-        )
+        refine = anchors_mod.assign_refine_labels(gt.grasp, proposal, **thresholds, c_b=c_b,
+                                                  gt_quality=gt.s_q)
         rblock = refine.residuals.as_array() if refine.residuals is not None else np.zeros(8)
-        refine_lines.append(
-            ",".join([str(int(pi)), str(int(refine.y))] + [fmt(v) for v in rblock])
-        )
+        refine_rows.append(refine_row % (pi, refine.y, *rblock))
         if args.regions:
-            idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=settings["region.keep"],
-                                     seed=args.seed)
-            region_lines.append(",".join([str(int(pi)), str(int(padded))] + [str(int(i)) for i in idx]))
+            idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=keep, seed=args.seed)
+            region_rows.append(region_row % (pi, padded, *idx))
 
-    (out_dir / "anchor_labels.csv").write_text("\n".join(anchor_lines) + "\n")
-    (out_dir / "refine_labels.csv").write_text("\n".join(refine_lines) + "\n")
+    (out_dir / "anchor_labels.csv").write_text("".join(anchor_rows))
+    (out_dir / "refine_labels.csv").write_text("".join(refine_rows))
     if args.regions:
-        (out_dir / "regions.csv").write_text("\n".join(region_lines) + "\n")
+        (out_dir / "regions.csv").write_text("".join(region_rows))
     return 0
 
 
-def _cmd_losscheck(args) -> int:
-    settings = _settings(args)
-    trials = _pick(args.trials, settings, "losscheck.trials")
-    if trials < 1:
-        raise ValueError(f"losscheck.trials must be >= 1, got {trials}")
+def _cmd_losscheck(args, settings) -> int:
+    trials = settings["losscheck.trials"]
     tol = settings["losscheck.tol"]
     h = args.h
     rng = np.random.default_rng(args.seed)
@@ -316,7 +314,7 @@ def _cmd_losscheck(args) -> int:
     return 3 if failed else 0
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args, settings) -> int:
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -331,7 +329,7 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, settings) -> int:
     xs, ys = dataio.read_xy(args.data)
     if args.mode == "linear":
         fit = fit_linear(xs, ys)
@@ -344,25 +342,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    settings = _settings(args)
-    scene = _load_cloud(args)
-    if scene.normals is None:
-        raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
+def _cmd_eval(args, settings) -> int:
+    scene = _load_cloud(args, normals=True)
     scored = dataio.read_grasps(args.grasps)
-    gt = dataio.read_grasps(args.gt)
-    if not gt:
+    truth = [sg.grasp for sg in dataio.read_grasps(args.gt)]
+    if not truth:
         raise ValueError(f"{args.gt} contains no ground-truth grasps")
-    gripper = _parse_gripper(args.gripper)
+    pool, top = settings["eval.pool"], settings["eval.top"]
     t0 = time.perf_counter()
-    report = evaluate(
-        scored,
-        scene,
-        [sg.grasp for sg in gt],
-        gripper,
-        pool=_pick(args.pool, settings, "eval.pool"),
-        top=_pick(args.top, settings, "eval.top"),
-    )
+    report = evaluate(scored, scene, truth, args.gripper, pool=pool, top=top)
     elapsed = time.perf_counter() - t0
     print(dataio.format_report(report), end="")
     print(f"elapsed_s = {elapsed:.3f}", file=sys.stderr)
@@ -375,6 +363,14 @@ def _cmd_eval(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _setting_flags(p: argparse.ArgumentParser, *prefixes: str) -> None:
+    """Declare on subcommand p the flag of each setting whose key starts with one of prefixes."""
+    for key, setting in SETTINGS.items():
+        if setting.flag and key.startswith(prefixes):
+            p.add_argument(setting.flag, dest=key, type=setting.parse, default=argparse.SUPPRESS,
+                           help=setting.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
@@ -382,47 +378,45 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value settings file")
 
     cloud_opts = argparse.ArgumentParser(add_help=False)
-    cloud_opts.add_argument("--subsample", type=_positive_int, help="randomly keep this many input points (seeded)")
+    cloud_opts.add_argument("--subsample", type=Setting(1, 1).parse,  # a count of at least 1, as the settings
+                            help="randomly keep this many input points (seeded)")
+
+    gripper_opts = argparse.ArgumentParser(add_help=False)
+    gripper_opts.add_argument("--gripper", required=True, type=_parse_gripper, metavar="D,W,H,T")
 
     parser = _Parser(prog="grasplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normals", parents=[common, cloud_opts], help="estimate and attach surface normals")
     p.add_argument("cloud")
-    p.add_argument("-k", type=int, default=None, help="neighborhood size")
+    _setting_flags(p, "normals.")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_normals)
 
-    p = sub.add_parser("sample", parents=[common, cloud_opts], help="generate grasp candidates")
+    p = sub.add_parser("sample", parents=[common, cloud_opts, gripper_opts], help="generate grasp candidates")
     p.add_argument("cloud")
-    p.add_argument("--gripper", required=True, metavar="D,W,H,T")
-    p.add_argument("--centers", type=int, default=None)
-    p.add_argument("--orientations", type=int, default=None)
-    p.add_argument("--angles", type=int, default=None)
-    p.add_argument("--angle-range", type=float, default=None, dest="angle_range")
-    p.add_argument("--knn", type=int, default=None, help="Darboux neighborhood size")
+    _setting_flags(p, "sampler.")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("collide", parents=[common, cloud_opts], help="drop candidates colliding with a scene")
+    p = sub.add_parser("collide", parents=[common, cloud_opts, gripper_opts],
+                       help="drop candidates colliding with a scene")
     p.add_argument("cloud")
     p.add_argument("grasps")
-    p.add_argument("--gripper", required=True, metavar="D,W,H,T")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_collide)
 
-    p = sub.add_parser("score", parents=[common, cloud_opts], help="fill antipodal scores from contacts")
+    p = sub.add_parser("score", parents=[common, cloud_opts, gripper_opts],
+                       help="fill antipodal scores from contacts")
     p.add_argument("cloud")
     p.add_argument("grasps")
-    p.add_argument("--gripper", required=True, metavar="D,W,H,T")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("confidence", parents=[common, cloud_opts], help="per-point grasp confidence field")
     p.add_argument("cloud")
     p.add_argument("grasps")
-    p.add_argument("--dth", type=float, default=None, help="distance threshold (m)")
-    p.add_argument("--width", type=float, default=None, help="gripper width metadata (m)")
+    _setting_flags(p, "confidence.")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_confidence)
 
@@ -430,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grasps")
     p.add_argument("--cloud", required=True, help="point cloud the confidence field aligns with")
     p.add_argument("--confidence", required=True, help="confidence field file")
-    p.add_argument("--k1", type=int, default=None, help="number of positive points")
-    p.add_argument("--anchors", type=int, default=None, help="number of anchor orientations")
+    _setting_flags(p, "labels.", "anchors.")
     p.add_argument("--regions", action="store_true", help="also write ball-query region indices")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_labels)
 
     p = sub.add_parser("losscheck", parents=[common], help="finite-difference gradient checks")
     p.add_argument("--h", type=float, default=1e-6, help="central-difference step")
-    p.add_argument("--trials", type=_positive_int, default=None)
+    _setting_flags(p, "losscheck.")
     p.set_defaults(func=_cmd_losscheck)
 
     p = sub.add_parser("select", parents=[common], help="pick the best grasp from a list")
@@ -455,13 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("eval", parents=[common, cloud_opts], help="evaluation report for a grasp set")
+    p = sub.add_parser("eval", parents=[common, cloud_opts, gripper_opts],
+                       help="evaluation report for a grasp set")
     p.add_argument("grasps")
     p.add_argument("cloud", help="scene cloud with normals")
     p.add_argument("gt", help="ground-truth grasp list")
-    p.add_argument("--gripper", required=True, metavar="D,W,H,T")
-    p.add_argument("--pool", type=_positive_int, default=None)
-    p.add_argument("--top", type=_positive_int, default=None)
+    _setting_flags(p, "eval.")
     p.add_argument("-o", "--output", default=None, help="also write the report as a CSV row")
     p.set_defaults(func=_cmd_eval)
 
@@ -475,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except (ValueError, OSError) as exc:
         print(f"grasplab: error: {exc}", file=sys.stderr)
         return 2

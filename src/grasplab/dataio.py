@@ -66,10 +66,14 @@ def _fmt(v: float) -> str:
     return _REAL % float(v)
 
 
+def _row_template(kinds: str, sep: str = " ") -> str:
+    """The %-template of one newline-terminated row: 'g' fields are reals in `_fmt`'s format, 'd' integers."""
+    return sep.join(_REAL if kind == "g" else "%d" for kind in kinds) + "\n"
+
+
 def _rows_text(data: np.ndarray) -> str:
     """Rows of reals in `_fmt`'s format, space-separated, one newline-terminated line each."""
-    row = " ".join([_REAL] * data.shape[1]) + "\n"
-    return (row * len(data)) % tuple(data.ravel().tolist())
+    return (_row_template("g" * data.shape[1]) * len(data)) % tuple(data.ravel().tolist())
 
 
 def _read_lines(path) -> list[str]:
@@ -124,7 +128,8 @@ def _parse_count(path, lineno: int, token: str) -> int:
 
 def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
     """Normalize per-row normals; a zero-length or overflowing one is an error at its own line."""
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing length is reported below, at its line
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
     bad = np.flatnonzero((norms < 1e-12) | np.isinf(norms))
     if bad.size:
         why = "zero-length normal" if norms[bad[0], 0] < 1e-12 else "normal length overflows"

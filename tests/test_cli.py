@@ -1,6 +1,18 @@
+import contextlib
+import io
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grasplab
+from grasplab import cli
 from grasplab.cli import main
 from conftest import random_sphere_cloud
 
@@ -209,7 +221,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", str(out / "scored.csv"), str(out / "scene.ply"), str(out / "scored.csv"),
                      "--gripper", GRIPPER, "--set", "eval.pool=-3"]) == 2
-        assert "pool and top must be >= 1, got pool=-3" in capsys.readouterr().err
+        assert "setting eval.pool must be >= 1, got -3" in capsys.readouterr().err
 
     def test_unknown_setting_is_data_error(self, tmp_path, capsys):
         write_inputs(tmp_path)
@@ -243,6 +255,23 @@ class TestExitCodes:
         assert f"{bad}:2: not UTF-8 text: byte 0xff" in capsys.readouterr().err
 
 
+class TestConfidenceWarning:
+    def run(self, tmp_path, capsys, center):
+        write_inputs(tmp_path)
+        grasps = tmp_path / "g.csv"
+        grasps.write_text(f"cx,cy,cz,rx,ry,rz,theta,sq\n{center},0,1,0,0,0\n")
+        assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps), "--dth", "0.01",
+                     "-o", str(tmp_path / "c.txt")]) == 0
+        return capsys.readouterr().err
+
+    def test_all_zero_field_warns(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "1,1,1")
+        assert "warning: every confidence value is 0; no grasp center lies within d_th=0.01 m" in err
+
+    def test_field_with_a_positive_value_does_not_warn(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "0,0,0.045") == ""
+
+
 class TestSettingTypes:
     @pytest.mark.parametrize("item,kind", [
         ("losscheck.trials=abc", "an integer"),
@@ -255,6 +284,13 @@ class TestSettingTypes:
         argv = ["labels", "g.csv", "--cloud", "c.ply", "--confidence", "c.txt", "-o", "out", "--set", item]
         assert main(argv) == 2
         assert f"setting {key} expects {kind}, got {value!r}" in capsys.readouterr().err
+
+    def test_value_is_quoted_without_surrounding_blanks(self, capsys):
+        base = BASE_ARGV["labels"]
+        assert main(base + ["--k1", " 7.5 "]) == 1
+        assert "argument --k1: expects an integer, got '7.5'" in capsys.readouterr().err
+        assert main(base + ["--set", "labels.k1 = 7.5 "]) == 2
+        assert "setting labels.k1 expects an integer, got '7.5'" in capsys.readouterr().err
 
     def test_bad_config_value_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
@@ -270,6 +306,180 @@ class TestSettingTypes:
         assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps),
                      "--set", "confidence.d_th=1", "--set", "confidence.width=0", "-o", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "# d_th=1 width=0 n=400"
+
+
+# one command line per subcommand with setting flags; no file in it is read before the settings resolve
+BASE_ARGV = {
+    "normals": ["normals", "c.xyz", "-o", "o.ply"],
+    "sample": ["sample", "c.ply", "--gripper", GRIPPER, "-o", "o.csv"],
+    "confidence": ["confidence", "c.ply", "g.csv", "-o", "c.txt"],
+    "labels": ["labels", "g.csv", "--cloud", "c.ply", "--confidence", "c.txt", "-o", "out"],
+    "losscheck": ["losscheck"],
+    "eval": ["eval", "g.csv", "c.ply", "gt.csv", "--gripper", GRIPPER],
+}
+COMMAND_OF_PREFIX = {"normals": "normals", "sampler": "sample", "confidence": "confidence",
+                     "labels": "labels", "anchors": "labels", "eval": "eval", "losscheck": "losscheck"}
+FLAGGED = sorted(key for key, s in cli.SETTINGS.items() if s.flag)
+
+
+def command_of(key):
+    return COMMAND_OF_PREFIX[key.split(".")[0]]
+
+
+def resolve(argv):
+    """The settings a command line resolves to, or (exit code, message) when it is rejected."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    try:
+        return cli._settings(args)
+    except ValueError as exc:
+        return 2, str(exc)
+
+
+class TestSettingRanges:
+    @pytest.mark.parametrize("argv,code,message", [
+        (BASE_ARGV["normals"] + ["--set", "normals.k=0"], 2, "setting normals.k must be >= 3, got 0"),
+        (BASE_ARGV["normals"] + ["-k", "2"], 1, "argument -k: must be >= 3, got 2"),
+        (BASE_ARGV["labels"] + ["--k1", "-4"], 1, "argument --k1: must be >= 1, got -4"),
+        (BASE_ARGV["labels"] + ["--k1", "abc"], 1, "argument --k1: expects an integer, got 'abc'"),
+        (BASE_ARGV["labels"] + ["--set", "anchors.c_b=0"], 2, "setting anchors.c_b must be > 0, got 0.0"),
+        (BASE_ARGV["sample"] + ["--centers", "0"], 1, "argument --centers: must be >= 1, got 0"),
+        (BASE_ARGV["sample"] + ["--angle-range", "2"], 1,
+         f"argument --angle-range: must be in (0, {math.pi / 2}], got 2.0"),
+        (BASE_ARGV["sample"] + ["--set", "sampler.k=3"], 2, "setting sampler.k must be >= 4, got 3"),
+        (BASE_ARGV["confidence"] + ["--dth", "inf"], 1, "argument --dth: must be finite, got inf"),
+        (BASE_ARGV["confidence"] + ["--dth", "0"], 1, "argument --dth: must be > 0, got 0.0"),
+        (BASE_ARGV["confidence"] + ["--set", "confidence.d_th=nan"], 2,
+         "setting confidence.d_th must be finite, got nan"),
+        (BASE_ARGV["confidence"] + ["--width=-inf"], 1, "argument --width: must be finite, got -inf"),
+        (BASE_ARGV["losscheck"] + ["--set", "losscheck.tol=nan"], 2, "setting losscheck.tol must be finite"),
+        # every subcommand checks every setting it is given
+        (BASE_ARGV["losscheck"] + ["--set", "region.keep=0"], 2, "setting region.keep must be >= 1, got 0"),
+        (["collide", "c.ply", "g.csv", "--gripper", GRIPPER, "-o", "o.csv", "--set", "bogus=1"], 2,
+         "unknown setting 'bogus'"),
+        # an option's own value "--" reaches its type instead of arriving as an empty list
+        (BASE_ARGV["labels"] + ["--k1=--"], 1, "argument --k1: expects an integer, got '--'"),
+        (BASE_ARGV["normals"] + ["--subsample=--"], 1, "argument --subsample: expects an integer, got '--'"),
+        (BASE_ARGV["sample"] + ["--gripper=--"], 1, "argument --gripper: expects D,W,H,T reals, got '--'"),
+        (BASE_ARGV["losscheck"] + ["--set=--"], 2, "--set expects key=value, got '--'"),
+    ])
+    def test_out_of_range_value_names_its_source(self, capsys, argv, code, message):
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,gripper,message", [
+        (["sample", "c.ply", "-o", "o.csv"], "a,b,c,d", "expects D,W,H,T reals, got 'a,b,c,d'"),
+        (["collide", "c.ply", "g.csv", "-o", "o.csv"], "0.06,0.1,0.02",
+         "expects D,W,H,T reals, got '0.06,0.1,0.02'"),
+        (["score", "c.ply", "g.csv", "-o", "o.csv"], "0.06,0.1,0.02,0.005,1", "expects D,W,H,T reals"),
+        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,-0.1,0.02,0.005",
+         "gripper width must be strictly positive, got -0.1"),
+        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,0.1,nan,0.005",
+         "gripper height must be strictly positive, got nan"),
+    ])
+    def test_bad_gripper_is_usage_error_naming_the_flag(self, capsys, argv, gripper, message):
+        assert main(argv + ["--gripper", gripper]) == 1
+        assert f"argument --gripper: {message}" in capsys.readouterr().err
+
+    def test_eval_without_normals_is_data_error(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        grasps = tmp_path / "g.csv"
+        grasps.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0,0,1,0,0,0\n")
+        scene = tmp_path / "scene.xyz"
+        assert main(["eval", str(grasps), str(scene), str(grasps), "--gripper", GRIPPER]) == 2
+        assert f"{scene} has no normals" in capsys.readouterr().err
+
+    def test_overflowing_normal_prints_only_its_error(self, tmp_path):
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("0 0 0 1e300 1e300 0\n")
+        code = "import sys; from grasplab.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(grasplab.__file__).resolve().parents[1])
+        argv = [sys.executable, "-c", code, "normals", str(bad), "-o", str(tmp_path / "o.ply")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == f"grasplab: error: {bad}:1: normal length overflows\n"
+
+
+class TestSettingRouting:
+    def test_flags_are_the_documented_thirteen(self):
+        assert sorted(cli.SETTINGS[key].flag for key in FLAGGED) == sorted([
+            "-k", "--centers", "--orientations", "--angles", "--angle-range", "--knn", "--dth",
+            "--width", "--k1", "--anchors", "--trials", "--pool", "--top"])
+
+    @pytest.mark.parametrize("key", FLAGGED)
+    def test_flag_is_accepted_by_its_subcommand_only(self, key):
+        flag = cli.SETTINGS[key].flag
+        value = str(cli.DEFAULTS[key])
+        assert resolve(BASE_ARGV[command_of(key)] + [flag, value])[key] == cli.DEFAULTS[key]
+        for command, argv in BASE_ARGV.items():
+            if command != command_of(key):
+                assert resolve(argv + [flag, value])[0] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(FLAGGED), text=st.one_of(
+        st.integers(-10**4, 10**4).map(str),
+        st.floats().map(repr),
+        st.text(max_size=12),
+        st.sampled_from(["0", "-0", "1", "3", "4", " 5 ", "1.0", "1e3", "1e400", "nan", "-inf",
+                         "1.5707963267948966", "1.5707963267948968", "", "=", "0x10", "1_000", "\x00",
+                         "--", "-k"]),
+    ))
+    def test_flag_and_set_resolve_alike(self, key, text):
+        setting, base = cli.SETTINGS[key], BASE_ARGV[command_of(key)]
+        via_flag = resolve(base + [f"{setting.flag}={text}"])
+        via_set = resolve(base + ["--set", f"{key}={text}"])
+        if isinstance(via_flag, dict):
+            value = via_flag[key]
+            assert isinstance(via_set, dict) and via_set[key] == value
+            assert type(value) is type(setting.default) is type(via_set[key])
+            assert math.isfinite(value) and setting.low <= value <= setting.high
+            assert not (setting.open_low and value == setting.low)
+        else:
+            code, message = via_flag
+            assert code == 1 and f"argument {setting.flag}: " in message
+            reason = message.split(f"argument {setting.flag}: ", 1)[1]
+            assert via_set == (2, f"setting {key} {reason}".rstrip("\n"))
+
+
+class TestSettingsDocs:
+    PINNED = {
+        "normals.k": 16, "sampler.n_centers": 10, "sampler.n_orientations": 4, "sampler.n_angles": 3,
+        "sampler.angle_range": math.pi / 6, "sampler.k": 16, "confidence.d_th": 0.01, "confidence.width": 0.0,
+        "region.radius": 0.02, "region.keep": 256, "labels.k1": 768, "anchors.m": 4, "anchors.c_b": 0.1,
+        "anchors.angle_pos": 5 * math.pi / 12, "anchors.angle_neg": 2 * math.pi / 3, "refine.d1": 0.015,
+        "refine.d2": 0.020, "refine.beta1": math.pi / 4, "refine.beta2": math.pi / 3,
+        "refine.gamma1": math.pi / 4, "refine.gamma2": math.pi / 3, "eval.pool": 1000, "eval.top": 100,
+        "losscheck.trials": 25, "losscheck.tol": 1e-5,
+    }
+
+    def test_defaults_keep_their_keys_values_and_types(self):
+        assert list(cli.DEFAULTS) == list(self.PINNED)
+        for key, value in self.PINNED.items():
+            assert cli.DEFAULTS[key] == value and type(cli.DEFAULTS[key]) is type(value), key
+
+    def test_readme_lists_every_setting_with_its_flag_and_range(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Settings"):readme.index("## File formats")]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, _default, flag, bounds = (cell.strip() for cell in line.strip("|").split("|"))
+                rows[key.strip("`")] = flag, bounds
+        assert sorted(rows) == sorted(cli.DEFAULTS)
+        for key, s in cli.SETTINGS.items():
+            kind = "integer" if type(s.default) is int else "real"
+            if s.high < math.inf:
+                high = "pi/2" if s.high == math.pi / 2 else f"{s.high:g}"
+                bounds = f"{kind} in {'(' if s.open_low else '['}{s.low:g}, {high}]"
+            elif s.low > -math.inf:
+                bounds = f"{kind} {'>' if s.open_low else '>='} {s.low:g}"
+            else:
+                bounds = kind
+            assert rows[key] == (f"`{command_of(key)} {s.flag}`" if s.flag else "", bounds), key
 
 
 class TestConfigPrecedence:
@@ -288,3 +498,7 @@ class TestConfigPrecedence:
                      "--config", str(cfg), "--set", "confidence.d_th=0.005",
                      "-o", str(out2)]) == 0
         assert "d_th=0.005" in out2.read_text().splitlines()[0]
+        out3 = tmp_path / "c3.txt"
+        assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps), "--dth", "0.04",
+                     "--config", str(cfg), "--set", "confidence.d_th=0.005", "-o", str(out3)]) == 0
+        assert "d_th=0.04" in out3.read_text().splitlines()[0]

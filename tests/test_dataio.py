@@ -9,6 +9,7 @@ from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, ScoredGrasp
 from grasplab.dataio import (
     GRASP_HEADER,
     ParseError,
+    _row_template,
     format_report,
     read_config,
     read_confidence,
@@ -346,7 +347,7 @@ class TestUndecodableBytes:
 
 
 class TestFuzzFindings:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is an error, not also a warning
     def test_overflowing_normal_names_its_line(self, tmp_path):
         path = tmp_path / "n.xyz"
         path.write_text("0 0 0 0 0 1\n0 0 0 1e300 1e300 0\n")
@@ -403,6 +404,12 @@ class TestRowMessages:
 
 
 class TestRowWriter:
+    def test_row_template_formats_integers_and_reals(self):
+        row = _row_template("dgd", ",")
+        assert row == "%d,%.9g,%d\n"
+        assert row % (np.int64(3), np.float64(1 / 3), np.True_) == "3,0.333333333,1\n"
+        assert row % (np.int8(-1), 1e21, 0) == "-1,1e+21,0\n"
+
     def test_matches_fmt_on_edge_values(self, tmp_path):
         vals = np.array([[0.0, -0.0, 1 / 3], [1e-300, 5e-324, 1.7976931348623157e308],
                          [255.0, 1e21, -math.pi]])
