@@ -373,7 +373,7 @@ def _setting_flags(p: argparse.ArgumentParser, *prefixes: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    common.add_argument("--seed", type=Setting(0, 0).parse, default=0, help="seed for all randomized steps")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a default setting")
     common.add_argument("--config", help="key=value settings file")
 
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_labels)
 
     p = sub.add_parser("losscheck", parents=[common], help="finite-difference gradient checks")
-    p.add_argument("--h", type=float, default=1e-6, help="central-difference step")
+    p.add_argument("--h", type=Setting(1e-6, 0, open_low=True).parse, default=1e-6,
+                   help="central-difference step")
     _setting_flags(p, "losscheck.")
     p.set_defaults(func=_cmd_losscheck)
 
@@ -443,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="fit policy coefficients from x,y samples")
     p.add_argument("data", help="CSV with header x,y")
     p.add_argument("--mode", choices=("sigmoid", "linear"), required=True)
-    p.add_argument("--init-a", type=float, default=1.0, dest="init_a")
-    p.add_argument("--init-b", type=float, default=0.5, dest="init_b")
+    p.add_argument("--init-a", type=Setting(1.0).parse, default=1.0, dest="init_a")
+    p.add_argument("--init-b", type=Setting(0.5).parse, default=0.5, dest="init_b")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_fit)
 

@@ -9,6 +9,7 @@ exactly 0; the score is always < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -16,6 +17,8 @@ from scipy.spatial import cKDTree
 from .core import Grasp, PointCloud
 
 __all__ = ["ConfidenceField", "point_confidence", "select_positive_points"]
+
+_BLOCK_PAIRS = 1 << 16  # point-center pairs per block; bounds the temporaries of a dense scene
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +60,20 @@ def point_confidence(
     if n == 0 or not grasps:
         return ConfidenceField(np.zeros(n), d_th, gripper_width)
     centers = np.stack([g.center for g in grasps])
-    tree = cKDTree(centers)
+    neighbors = cKDTree(centers).query_ball_point(cloud.points, d_th)
+    counts = np.fromiter(map(len, neighbors), np.intp, n)
+    flat = np.fromiter(chain.from_iterable(neighbors), np.intp, counts.sum())
+    starts = np.cumsum(counts) - counts
     sums = np.zeros(n)
-    neighbors = tree.query_ball_point(cloud.points, d_th)
-    for i, idx in enumerate(neighbors):
-        if idx:
-            d = np.linalg.norm(centers[idx] - cloud.points[i], axis=1)
-            sums[i] = np.sum(1.0 - d / d_th)
+    # points with k neighbours form (rows, k) blocks summed along their contiguous last axis, which
+    # keeps the per-point sum's pairwise order, so every value is bitwise that of a per-point loop
+    for k in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == k)
+        step = max(1, _BLOCK_PAIRS // k)
+        for sel in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+            idx = flat[starts[sel, None] + np.arange(k)]
+            d = np.linalg.norm(centers[idx] - cloud.points[sel, None], axis=2)
+            sums[sel] = np.sum(1.0 - d / d_th, axis=1)
     return ConfidenceField(np.tanh(sums), d_th, gripper_width)
 
 

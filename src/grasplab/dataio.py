@@ -18,6 +18,7 @@ Formats:
 from __future__ import annotations
 
 import math
+import re
 from contextlib import suppress
 from itertools import chain, repeat
 from pathlib import Path
@@ -86,6 +87,11 @@ def _read_lines(path) -> list[str]:
         raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
+# the characters on which np.loadtxt and Python's float accept and reject the same fields; outside
+# them (e.g. '_', '\x1f', 'inf', non-ASCII digits) the two disagree and the Python path decides
+_NUMERIC_TEXT = re.compile(r"[-+.0-9eE \t,]*")
+
+
 def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
     out = []
     for f in fields:
@@ -101,11 +107,20 @@ def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
 def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
     """The non-blank lines as an (n, ncols) array of finite reals, and each row's line number.
 
-    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass; on a
-    defect the rows are walked again to report the first bad one: its column count, then its values.
+    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass, by
+    numpy's C reader when every character is one Python's `float` reads alike; on a defect the rows
+    are walked again to report the first bad one: its column count, then its values.
     """
     linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
     rows = [lines[i - first_lineno] for i in linenos]
+    # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
+    # agrees only for one column, where a row with an inner blank fails the shape check. An empty
+    # body is left to the path below, which returns a (0, ncols) array
+    if rows and (sep in (None, ",") or ncols == 1 and sep == "\n") and _NUMERIC_TEXT.fullmatch("".join(rows)):
+        with suppress(ValueError):
+            data = np.loadtxt(rows, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
+            if data.shape == (len(rows), ncols) and np.isfinite(data).all():
+                return data, linenos
     with suppress(ValueError):
         if all(len(raw.split(sep)) == ncols for raw in rows):
             fields = chain.from_iterable(map(str.split, rows, repeat(sep)))

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from grasplab import PointCloud
+from grasplab import ConfidenceField, PointCloud
+from grasplab.dataio import ParseError
 
 
 def random_sphere_cloud(radius: float, n: int, seed: int = 0, center=(0.0, 0.0, 0.0)) -> PointCloud:
@@ -93,6 +95,35 @@ def oracle_collision(points, center, orientation, theta, depth, width, height, t
             if all(lo[i] + tol < q[i] < hi[i] - tol for i in range(3)):
                 return True
     return False
+
+
+def oracle_point_confidence(cloud: PointCloud, centers, d_th: float) -> ConfidenceField:
+    """The per-point loop: one norm and one sum over each point's centers within d_th, then tanh."""
+    centers = np.asarray(centers, dtype=float)
+    sums = np.zeros(len(cloud))
+    for i, idx in enumerate(cKDTree(centers).query_ball_point(cloud.points, d_th)):
+        if idx:
+            d = np.linalg.norm(centers[idx] - cloud.points[i], axis=1)
+            sums[i] = np.sum(1.0 - d / d_th)
+    return ConfidenceField(np.tanh(sums), d_th)
+
+
+def oracle_float_rows(path, lines, first_lineno, ncols, sep):
+    """The row parser in pure Python: `str.split` and `float` on every field, first bad row reported."""
+    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
+    out = []
+    for i in linenos:
+        fields = lines[i - first_lineno].split(sep)
+        if len(fields) != ncols:
+            raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
+        for f in fields:
+            try:
+                out.append(float(f))
+            except ValueError:
+                raise ParseError(path, i, f"not a number: {f!r}") from None
+            if not math.isfinite(out[-1]):
+                raise ParseError(path, i, f"non-finite value: {f!r}")
+    return np.array(out, dtype=float).reshape(len(linenos), ncols), linenos
 
 
 @pytest.fixture

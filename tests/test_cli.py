@@ -214,6 +214,24 @@ class TestExitCodes:
         assert main(argv) == 1
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["losscheck", "--h", "0"], "argument --h: must be > 0, got 0.0"),
+        (["losscheck", "--h", "nan"], "argument --h: must be finite, got nan"),
+        (["fit", "d.csv", "--mode", "sigmoid", "-o", "o.txt", "--init-a", "nan"],
+         "argument --init-a: must be finite, got nan"),
+        (["fit", "d.csv", "--mode", "linear", "-o", "o.txt", "--init-b=-inf"],
+         "argument --init-b: must be finite, got -inf"),
+        (["normals", "c.xyz", "-k", "3", "--subsample", "4", "--seed", "-1", "-o", "o.ply"],
+         "argument --seed: must be >= 0, got -1"),
+        (["sample", "c.ply", "--gripper", GRIPPER, "--seed", "-1", "-o", "o.csv"],
+         "argument --seed: must be >= 0, got -1"),
+        (["labels", "g.csv", "--cloud", "c.ply", "--confidence", "c.txt", "-o", "out", "--seed", "1.5"],
+         "argument --seed: expects an integer, got '1.5'"),
+    ])
+    def test_bad_plain_flag_is_usage_error_naming_it(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_negative_pool_setting_is_data_error(self, tmp_path, capsys):
         write_inputs(tmp_path)
         out = tmp_path / "a"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from grasplab import (
     ConfidenceField,
@@ -10,6 +11,8 @@ from grasplab import (
     point_confidence,
     select_positive_points,
 )
+from grasplab import confidence
+from conftest import oracle_point_confidence
 
 
 def _grasp_at(center):
@@ -74,6 +77,45 @@ class TestPointConfidence:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             point_confidence(ORIGIN_CLOUD, [], d_th=0.0)
+
+
+class TestGroupedSums:
+    """The grouped sums against the per-point loop, bit for bit."""
+
+    # clusters 1 m apart, each of `size` centers and `points` cloud points in cubes of half-side 1 mm
+    # and 4 mm about its anchor, so at d_th = 1 cm every point of a cluster sees exactly its centers
+    CLUSTERS = [(1, 50), (7, 50), (8, 50), (9, 8000), (12, 50), (40, 50)]
+
+    @staticmethod
+    def _scene(rng):
+        centers, points = [], [rng.uniform(5.0, 6.0, size=(50, 3))]  # no center within reach
+        for i, (size, n) in enumerate(TestGroupedSums.CLUSTERS):
+            anchor = np.array([float(i), 0.0, 0.0])
+            centers.append(anchor + rng.uniform(-1e-3, 1e-3, size=(size, 3)))
+            points.append(anchor + rng.uniform(-4e-3, 4e-3, size=(n, 3)))
+        # a shell of partial neighbourhoods around the largest cluster
+        points.append(np.array([5.0, 0.0, 0.0]) + rng.uniform(-0.012, 0.012, size=(300, 3)))
+        return PointCloud(np.vstack(points)), np.vstack(centers)
+
+    def test_neighbour_counts_span_the_summation_blocks(self, rng):
+        cloud, centers = self._scene(rng)
+        counts = [len(idx) for idx in cKDTree(centers).query_ball_point(cloud.points, 0.01)]
+        assert {0, 1, 7, 8, 9, 12, 40} <= set(counts)
+        # the 9-neighbour group alone holds more pairs than one block
+        assert 9 * counts.count(9) > confidence._BLOCK_PAIRS
+
+    @pytest.mark.parametrize("d_th", [0.01, 0.004, 0.03])
+    def test_bitwise_equal_to_per_point_loop(self, rng, d_th):
+        cloud, centers = self._scene(rng)
+        field = point_confidence(cloud, [_grasp_at(c) for c in centers], d_th=d_th)
+        assert field.values.tobytes() == oracle_point_confidence(cloud, centers, d_th).values.tobytes()
+
+    def test_block_size_does_not_change_a_bit(self, rng, monkeypatch):
+        cloud, centers = self._scene(rng)
+        grasps = [_grasp_at(c) for c in centers]
+        whole = point_confidence(cloud, grasps, d_th=0.01).values
+        monkeypatch.setattr(confidence, "_BLOCK_PAIRS", 5)  # one row a block from 3 neighbours on
+        assert point_confidence(cloud, grasps, d_th=0.01).values.tobytes() == whole.tobytes()
 
 
 class TestSelectPositivePoints:

@@ -9,6 +9,7 @@ from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, ScoredGrasp
 from grasplab.dataio import (
     GRASP_HEADER,
     ParseError,
+    _float_rows,
     _row_template,
     format_report,
     read_config,
@@ -21,6 +22,7 @@ from grasplab.dataio import (
     write_grasps,
     write_point_cloud,
 )
+from conftest import oracle_float_rows
 
 
 class TestPointCloudIO:
@@ -401,6 +403,56 @@ class TestRowMessages:
         path.write_text(self.PLY3.format(n=2) + "0 0 x\n0 0 0\n0 0 0\n")
         with pytest.raises(ParseError, match=r"o\.ply:8: not a number: 'x'$"):
             read_point_cloud(path)
+
+
+class TestRowParserDifferential:
+    """`_float_rows` against the pure-Python row parser: same array bytes, line numbers and messages."""
+
+    # the C reader's alphabet, and what lies just outside it: blanks Python's float strips, digit
+    # separators, non-ASCII digits and the words float reads as non-finite
+    PIECES = [*"0123456789.-+eE \t,", "\x1f", "\xa0", "\x0b", "_", "\u0663", "\uff11", "inf", "-inf", "nan",
+              "Infinity", "1e400", "x"]
+    FIELD = st.one_of(st.floats().map(repr), st.floats(-1e3, 1e3).map("{:.9g}".format),
+                      st.lists(st.sampled_from(PIECES), max_size=5).map("".join))
+    SETTINGS = settings(max_examples=200, deadline=None)
+
+    @staticmethod
+    def _outcome(parse, lines, first, ncols, sep):
+        try:
+            data, linenos = parse("f.txt", lines, first, ncols, sep)
+        except ParseError as exc:
+            return str(exc), exc.line
+        return data.shape, data.tobytes(), linenos
+
+    @SETTINGS
+    @given(data=st.data(), ncols=st.sampled_from([1, 2, 3, 6, 8]), sep=st.sampled_from([None, ",", "\n"]),
+           first=st.integers(1, 9))
+    def test_agrees_with_pure_python(self, data, ncols, sep, first):
+        joiner = st.sampled_from([" ", "\t", "  ", "\x1f", "\xa0"] if sep is None else [",", ", ", " ,", "\x1f"])
+        # rows of the right width (they mostly parse), rows of any width, free text and blank lines
+        row = st.one_of(
+            st.tuples(st.lists(self.FIELD, min_size=ncols, max_size=ncols), joiner, st.sampled_from(["", " ", "\t"]))
+            .map(lambda t: t[2] + t[1].join(t[0]) + t[2]),
+            st.tuples(st.lists(self.FIELD, max_size=9), joiner).map(lambda t: t[1].join(t[0])),
+            st.lists(st.sampled_from(self.PIECES), max_size=20).map("".join),
+            st.sampled_from(["", " ", "\x1f"]),
+        )
+        lines = data.draw(st.lists(row, max_size=6))
+        assert (self._outcome(_float_rows, lines, first, ncols, sep)
+                == self._outcome(oracle_float_rows, lines, first, ncols, sep))
+
+    @pytest.mark.parametrize("lines,sep,ncols", [
+        (["0\x1f"], ",", 1),  # np.loadtxt strips the unit separator; Python's float does not
+        (["1_0 2 3"], None, 3),  # Python's float reads digit separators
+        (["\u0663 1 2"], None, 3),  # and non-ASCII digits
+        (["inf 1 2"], None, 3),
+        (["1 2"], "\n", 1),  # a whole-row field with an inner blank
+        (["1 2", "3 4"], "\n", 2),
+        ([], ",", 8),
+        (["", " \t"], None, 3),
+    ])
+    def test_where_the_c_reader_alone_would_differ(self, lines, sep, ncols):
+        assert self._outcome(_float_rows, lines, 1, ncols, sep) == self._outcome(oracle_float_rows, lines, 1, ncols, sep)
 
 
 class TestRowWriter:
