@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -107,31 +106,27 @@ def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
 def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
     """The non-blank lines as an (n, ncols) array of finite reals, and each row's line number.
 
-    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass, by
-    numpy's C reader when every character is one Python's `float` reads alike; on a defect the rows
-    are walked again to report the first bad one: its column count, then its values.
+    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass by
+    numpy's C reader when every character is one Python's `float` reads alike. Otherwise the rows are
+    walked in Python, which parses them or reports the first bad one: its column count, then its values.
     """
     linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
     rows = [lines[i - first_lineno] for i in linenos]
     # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
     # agrees only for one column, where a row with an inner blank fails the shape check. An empty
-    # body is left to the path below, which returns a (0, ncols) array
+    # body is left to the walk below, which returns a (0, ncols) array
     if rows and (sep in (None, ",") or ncols == 1 and sep == "\n") and _NUMERIC_TEXT.fullmatch("".join(rows)):
         with suppress(ValueError):
             data = np.loadtxt(rows, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
             if data.shape == (len(rows), ncols) and np.isfinite(data).all():
                 return data, linenos
-    with suppress(ValueError):
-        if all(len(raw.split(sep)) == ncols for raw in rows):
-            fields = chain.from_iterable(map(str.split, rows, repeat(sep)))
-            data = np.fromiter(map(float, fields), float, len(rows) * ncols).reshape(len(rows), ncols)
-            if np.isfinite(data).all():
-                return data, linenos
+    out = []
     for i, raw in zip(linenos, rows):
         fields = raw.split(sep)
         if len(fields) != ncols:
             raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
-        _parse_floats(path, i, fields)
+        out += _parse_floats(path, i, fields)
+    return np.array(out, float).reshape(len(rows), ncols), linenos
 
 
 def _parse_count(path, lineno: int, token: str) -> int:
