@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grasp
+from .core import Grasp, clamp_theta
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
 
@@ -228,8 +228,7 @@ def decode_proposal(
     if norm < 1e-9:
         raise ValueError("res_r + anchor_dir is degenerate (near zero vector)")
     center = np.asarray(res_c, dtype=float).reshape(3) * c_b + p
-    theta = min(max(float(theta), -math.pi / 2), math.pi / 2)
-    return Grasp(center, r / norm, theta)
+    return Grasp(center, r / norm, clamp_theta(theta))
 
 
 def assign_refine_labels(

@@ -209,11 +209,8 @@ def _cmd_collide(args, settings) -> int:
 def _cmd_score(args, settings) -> int:
     cloud = _load_cloud(args, normals=True)
     scored = dataio.read_grasps(args.grasps)
-    out = []
-    for sg in scored:
-        pair = find_contacts(cloud, sg.grasp, args.gripper)
-        s_q = antipodal_score(pair, sg.grasp) if pair is not None else 0.0
-        out.append(ScoredGrasp(sg.grasp, s_q))
+    out = [ScoredGrasp(sg.grasp, antipodal_score(find_contacts(cloud, sg.grasp, args.gripper), sg.grasp))
+           for sg in scored]
     dataio.write_grasps(args.output, out)
     return 0
 
@@ -323,9 +320,13 @@ def _cmd_select(args, settings) -> int:
     else:
         policy = DEFAULT_POLICY
         if args.coeffs:
-            policy = policy_from_mapping(dataio.read_config(args.coeffs))
+            coeffs = dataio.read_config(args.coeffs)
+            try:
+                policy = policy_from_mapping(coeffs)
+            except ValueError as exc:
+                raise ValueError(f"{args.coeffs}: {exc}") from None
         idx = analytic_select(scored, policy)
-    print(dataio.grasp_row(scored[idx]))
+    print(dataio._grasp_rows([scored[idx]]), end="")
     return 0
 
 

@@ -110,28 +110,26 @@ def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
 
 
-def _members(cloud: PointCloud, frame: GraspFrame, box: Box3, hits, strict: bool):
-    """Exact box test on the culled candidates `hits` (index lists, one per sphere).
-
-    Returns (ascending cloud indices inside the box, their grasp-frame coordinates).
-    """
-    idx = np.sort(np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp))
-    # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
-    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
-    q = world_to_grasp(frame, cloud.points[idx])
-    inside = box.contains_strict(q) if strict else box.contains(q)
-    return idx[inside], q[inside]
-
-
-def _box_points(cloud: PointCloud, frame: GraspFrame, box: Box3, strict: bool):
-    """Cloud points inside one gripper box of one grasp.
+def _box_points(cloud: PointCloud, frames: list[GraspFrame], box: Box3, strict: bool):
+    """Cloud points inside one gripper box, for each grasp frame in turn.
 
     Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
-    them. Returns (ascending cloud indices, their grasp-frame coordinates).
+    them. Yields (ascending cloud indices, their grasp-frame coordinates) per
+    frame. One KD-tree query covers the culling spheres of _QUERY_BATCH
+    frames; the exact box test then decides.
     """
     centers, radius = _cull_spheres(box)
-    hits = cloud.tree.query_ball_point(grasp_to_world(frame, centers), radius, return_sorted=False)
-    return _members(cloud, frame, box, hits, strict)
+    for start in range(0, len(frames), _QUERY_BATCH):
+        batch = frames[start:start + _QUERY_BATCH]
+        world = np.concatenate([grasp_to_world(frame, centers) for frame in batch])
+        hits = cloud.tree.query_ball_point(world, radius, return_sorted=False)
+        for frame, frame_hits in zip(batch, hits.reshape(len(batch), len(centers))):
+            idx = np.sort(np.fromiter(itertools.chain.from_iterable(frame_hits), dtype=np.intp))
+            # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
+            idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
+            q = world_to_grasp(frame, cloud.points[idx])
+            inside = box.contains_strict(q) if strict else box.contains(q)
+            yield idx[inside], q[inside]
 
 
 def filter_collision_free(
@@ -143,9 +141,7 @@ def filter_collision_free(
     inside a finger or the back plate.
 
     Grasps are tested one obstacle box at a time, fingers first and the back
-    plate last; a pass covers only the grasps no earlier box hit. The scene's
-    KD-tree culls each box to the points near the spheres covering it, and
-    the exact box test decides.
+    plate last; a pass covers only the grasps no earlier box hit.
     """
     if not candidates or len(scene_cloud) == 0:
         return list(candidates)
@@ -153,16 +149,8 @@ def filter_collision_free(
     free = np.ones(len(candidates), dtype=bool)
     for box in gripper_volume(s).obstacles:
         todo = np.flatnonzero(free)
-        if todo.size == 0:
-            break
-        centers, radius = _cull_spheres(box)
-        for start in range(0, todo.size, _QUERY_BATCH):
-            batch = todo[start:start + _QUERY_BATCH]
-            world = np.concatenate([grasp_to_world(frames[i], centers) for i in batch])
-            hits = scene_cloud.tree.query_ball_point(world, radius, return_sorted=False)
-            hits = hits.reshape(batch.size, len(centers))
-            for i, grasp_hits in zip(batch, hits):
-                free[i] = _members(scene_cloud, frames[i], box, grasp_hits, strict=True)[0].size == 0
+        hits = _box_points(scene_cloud, [frames[i] for i in todo], box, strict=True)
+        free[todo] = [idx.size == 0 for idx, _ in hits]
     return [g for g, ok in zip(candidates, free) if ok]
 
 
@@ -188,7 +176,7 @@ def closing_region_points(
         raise ValueError("keep must be >= 1")
     if len(cloud) == 0:
         raise EmptyRegionError("empty cloud has no closing-region points")
-    inside, q = _box_points(cloud, grasp_frame(g), gripper_volume(s).closing, strict=False)
+    inside, q = next(_box_points(cloud, [grasp_frame(g)], gripper_volume(s).closing, strict=False))
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
     idx, padded = resize_indices(inside.size, keep, seed)

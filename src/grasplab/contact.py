@@ -43,7 +43,7 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
         raise ValueError("find_contacts requires a cloud with normals")
     if len(cloud) == 0:
         return None
-    inside, q = _box_points(cloud, grasp_frame(g), gripper_volume(s).closing, strict=False)
+    inside, q = next(_box_points(cloud, [grasp_frame(g)], gripper_volume(s).closing, strict=False))
     y = q[:, 1]
     pos = np.flatnonzero(y >= 0.0)
     neg = np.flatnonzero(y < 0.0)
@@ -62,12 +62,14 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     )
 
 
-def antipodal_score(pair: ContactPair, g: Grasp) -> float:
-    """Force-closure proxy |cos(r, ni)| * |cos(r, nj)| in [0, 1].
+def antipodal_score(pair: ContactPair | None, g: Grasp) -> float:
+    """Force-closure proxy |cos(r, ni)| * |cos(r, nj)| in [0, 1]; 0 without a contact pair.
 
     Unsigned cosines make the score independent of normal orientation
     (estimated normals may point inward or outward).
     """
+    if pair is None:
+        return 0.0
     r = g.orientation
     score = 1.0
     for n in (pair.ni, pair.nj):

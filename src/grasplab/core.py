@@ -31,6 +31,7 @@ __all__ = [
     "GripperParams",
     "PointCloud",
     "GraspFrame",
+    "clamp_theta",
     "ground_reference",
     "grasp_frame",
     "world_to_grasp",
@@ -53,6 +54,11 @@ def _frozen_copy(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def clamp_theta(theta: float) -> float:
+    """theta clamped to the approach-angle range [-pi/2, pi/2]."""
+    return min(max(float(theta), -THETA_MAX), THETA_MAX)
 
 
 def _unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
@@ -84,7 +90,7 @@ class Grasp:
             raise ValueError(f"theta {t} outside [-pi/2, pi/2]")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "orientation", r / n)
-        object.__setattr__(self, "theta", min(max(t, -THETA_MAX), THETA_MAX))
+        object.__setattr__(self, "theta", clamp_theta(t))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "write_point_cloud",
     "read_grasps",
     "write_grasps",
-    "grasp_row",
     "read_confidence",
     "write_confidence",
     "read_config",
@@ -71,9 +70,9 @@ def _row_template(kinds: str, sep: str = " ") -> str:
     return sep.join(_REAL if kind == "g" else "%d" for kind in kinds) + "\n"
 
 
-def _rows_text(data: np.ndarray) -> str:
-    """Rows of reals in `_fmt`'s format, space-separated, one newline-terminated line each."""
-    return (_row_template("g" * data.shape[1]) * len(data)) % tuple(data.ravel().tolist())
+def _rows_text(data: np.ndarray, sep: str = " ") -> str:
+    """Rows of reals in `_fmt`'s format, joined by `sep`, one newline-terminated line each."""
+    return (_row_template("g" * data.shape[1], sep) * len(data)) % tuple(data.ravel().tolist())
 
 
 def _read_lines(path) -> list[str]:
@@ -86,9 +85,18 @@ def _read_lines(path) -> list[str]:
         raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
-# the characters on which np.loadtxt and Python's float accept and reject the same fields; outside
-# them (e.g. '_', '\x1f', 'inf', non-ASCII digits) the two disagree and the Python path decides
+# the characters on which np.loadtxt and the Python walk accept and reject the same fields; outside
+# them (e.g. '_', '\x1f', 'inf', non-ASCII digits) the walk decides, and rejects the row
 _NUMERIC_TEXT = re.compile(r"[-+.0-9eE \t,]*")
+# a field is ASCII number text, with only spaces and tabs around it; Python's float reads more
+# ('1_0', non-ASCII digits, other blanks)
+_NUMBER = re.compile(r"[ \t]*[-+.0-9eE]+[ \t]*")
+_NON_BLANK = re.compile(r"[^ \t]+")
+
+
+def _fields(raw: str, sep: str | None) -> list[str]:
+    """A row's fields: split on `sep`, or on runs of spaces and tabs when None."""
+    return _NON_BLANK.findall(raw) if sep is None else raw.split(sep)
 
 
 def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
@@ -100,17 +108,20 @@ def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
             raise ParseError(path, lineno, f"not a number: {f!r}") from None
         if not math.isfinite(out[-1]):
             raise ParseError(path, lineno, f"non-finite value: {f!r}")
+        if not _NUMBER.fullmatch(f):
+            raise ParseError(path, lineno, f"not a number: {f!r}")
     return out
 
 
 def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
     """The non-blank lines as an (n, ncols) array of finite reals, and each row's line number.
 
-    Fields are split on `sep` (whitespace when None). Well-formed rows are parsed in one pass by
-    numpy's C reader when every character is one Python's `float` reads alike. Otherwise the rows are
-    walked in Python, which parses them or reports the first bad one: its column count, then its values.
+    A blank line holds only spaces and tabs. Fields are split on `sep` (runs of spaces and tabs when
+    None). Well-formed rows are parsed in one pass by numpy's C reader when every character is one
+    it reads as the walk does. Otherwise the rows are walked in Python, which parses them or reports
+    the first bad one: its first field that is not a finite ASCII number, else its column count.
     """
-    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
+    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip(" \t")]
     rows = [lines[i - first_lineno] for i in linenos]
     # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
     # agrees only for one column, where a row with an inner blank fails the shape check. An empty
@@ -122,10 +133,10 @@ def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str 
                 return data, linenos
     out = []
     for i, raw in zip(linenos, rows):
-        fields = raw.split(sep)
+        fields = _fields(raw, sep)
+        out += _parse_floats(path, i, fields)
         if len(fields) != ncols:
             raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
-        out += _parse_floats(path, i, fields)
     return np.array(out, float).reshape(len(rows), ncols), linenos
 
 
@@ -203,15 +214,16 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
 
 def _read_xyz(path, lines: list[str]) -> PointCloud:
     body = [raw.split("#", 1)[0] for raw in lines]
-    width = next((len(fields) for fields in map(str.split, body) if fields), 3)
+    width = next((len(fields) for fields in (_fields(raw, None) for raw in body) if fields), 3)
     try:
         # a first row neither 3 nor 6 wide fails the 3-column parse and is reported below
         data, linenos = _float_rows(path, body, 1, width if width in (3, 6) else 3, None)
     except ParseError as exc:
-        got = len(body[exc.line - 1].split())
-        if got in (3, 6):
+        fields = _fields(body[exc.line - 1], None)
+        if len(fields) in (3, 6):
             raise
-        raise ParseError(path, exc.line, f"expected 3 or 6 columns, got {got}") from None
+        _parse_floats(path, exc.line, fields)  # a bad field is reported before the width, as by the walk
+        raise ParseError(path, exc.line, f"expected 3 or 6 columns, got {len(fields)}") from None
     if not linenos:
         raise ParseError(path, len(lines) or 1, "no points found")
     normals = _unit_normals(path, data[:, 3:6], linenos) if width == 6 else None
@@ -243,16 +255,14 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 # Grasp lists
 # ---------------------------------------------------------------------------
 
-def grasp_row(sg: ScoredGrasp) -> str:
-    """One grasp-list CSV row: cx,cy,cz,rx,ry,rz,theta,sq."""
-    vals = [*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta, sg.s_q]
-    if not all(math.isfinite(float(v)) for v in vals):
-        raise ValueError("grasp contains non-finite fields")
-    return ",".join(_fmt(v) for v in vals)
+def _grasp_rows(grasps: list[ScoredGrasp]) -> str:
+    """Grasp-list CSV rows, cx,cy,cz,rx,ry,rz,theta,sq, without the header."""
+    data = [(*sg.grasp.center.tolist(), *sg.grasp.orientation.tolist(), sg.grasp.theta, sg.s_q) for sg in grasps]
+    return _rows_text(np.array(data, float).reshape(len(grasps), 8), ",")
 
 
 def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
-    Path(path).write_text("\n".join([GRASP_HEADER, *map(grasp_row, grasps)]) + "\n")
+    Path(path).write_text(f"{GRASP_HEADER}\n{_grasp_rows(grasps)}")
 
 
 def read_grasps(path) -> list[ScoredGrasp]:
@@ -296,7 +306,7 @@ def read_confidence(path) -> ConfidenceField:
         raise ParseError(path, 1, "d_th must be positive")
     n = _parse_count(path, 1, meta["n"])
     # one value per line: the whole stripped line is the field
-    values, linenos = _float_rows(path, [raw.strip() for raw in lines[1:]], 2, 1, "\n")
+    values, linenos = _float_rows(path, [raw.strip(" \t") for raw in lines[1:]], 2, 1, "\n")
     bad = np.flatnonzero((values < 0.0) | (values > 1.0))
     if bad.size:
         raise ParseError(path, linenos[bad[0]], f"confidence {float(values[bad[0], 0])} outside [0, 1]")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from .anchors import IGNORE, POSITIVE, AnchorLabel, RefineLabel
-from .core import Grasp
+from .core import Grasp, clamp_theta
 
 EPS = 1e-7  # probability clamp for log stability
 
@@ -306,8 +306,7 @@ def _random_rn_case(rng: np.random.Generator):
         jitter = rng.normal(scale=0.02, size=3)
         prop_r = gt.orientation + rng.normal(scale=0.05, size=3)
         prop_r /= np.linalg.norm(prop_r)
-        theta = min(max(gt.theta + float(rng.normal(scale=0.1)), -math.pi / 2), math.pi / 2)
-        proposal = Grasp(gt.center + jitter, prop_r, theta)
+        proposal = Grasp(gt.center + jitter, prop_r, clamp_theta(gt.theta + float(rng.normal(scale=0.1))))
         gt_q, prop_q = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
         labels.append(anchors_mod.assign_refine_labels(gt, proposal, gt_quality=gt_q, proposal_quality=prop_q))
     if all(lb.y == IGNORE for lb in labels):

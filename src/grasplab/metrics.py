@@ -92,8 +92,7 @@ def antipodal_metrics(
     raw = []
     zeroed = []
     for g in grasps:
-        pair = find_contacts(scene, g, s)
-        score = antipodal_score(pair, g) if pair is not None else 0.0
+        score = antipodal_score(find_contacts(scene, g, s), g)
         raw.append(score)
         zeroed.append(0.0 if check_collision(scene, g, s) else score)
     return float(np.mean(raw)), float(np.mean(zeroed))

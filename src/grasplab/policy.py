@@ -34,7 +34,6 @@ __all__ = [
     "fit_linear",
     "fit_sigmoid",
     "pearson",
-    "policy_to_text",
     "policy_from_mapping",
 ]
 
@@ -124,8 +123,7 @@ def fit_linear(xs, ys) -> LinearFit:
 
 
 def _sigmoid_residuals(x: np.ndarray, y: np.ndarray, a: float, b: float):
-    z = np.clip(-a * (x - b), -500.0, 500.0)
-    s = 1.0 / (1.0 + np.exp(z))
+    s = SigmoidFit(a, b)(x)
     r = y - s
     ds = s * (1.0 - s)
     jac = np.column_stack([-ds * (x - b), ds * a])  # d r / d (a, b)
@@ -201,31 +199,24 @@ def pearson(xs, ys) -> float:
 
 
 # ---------------------------------------------------------------------------
-# key=value serialization of policy coefficients
+# Policy coefficients from a key=value map
 # ---------------------------------------------------------------------------
 
-def policy_to_text(policy: AnalyticPolicy) -> str:
-    return (
-        f"a = {policy.sigmoid.a:.9g}\n"
-        f"b = {policy.sigmoid.b:.9g}\n"
-        f"slope = {policy.linear.slope:.9g}\n"
-        f"intercept = {policy.linear.intercept:.9g}\n"
-    )
-
-
 def policy_from_mapping(values: dict) -> AnalyticPolicy:
-    """Build a policy from a key=value map; missing keys keep the defaults."""
-    def pick(key: str, default: float) -> float:
-        v = values.get(key, values.get(f"policy.{key}", default))
-        return float(v)
+    """Build a policy from a map of the keys a, b, slope and intercept; missing keys keep the defaults.
 
-    return AnalyticPolicy(
-        sigmoid=SigmoidFit(
-            a=pick("a", DEFAULT_POLICY.sigmoid.a),
-            b=pick("b", DEFAULT_POLICY.sigmoid.b),
-        ),
-        linear=LinearFit(
-            slope=pick("slope", DEFAULT_POLICY.linear.slope),
-            intercept=pick("intercept", DEFAULT_POLICY.linear.intercept),
-        ),
-    )
+    A value must be a finite real; another key, or another value, is an error that names the key.
+    """
+    defaults = {"a": DEFAULT_POLICY.sigmoid.a, "b": DEFAULT_POLICY.sigmoid.b,
+                "slope": DEFAULT_POLICY.linear.slope, "intercept": DEFAULT_POLICY.linear.intercept}
+    coeffs = dict(defaults)
+    for key, value in values.items():
+        if key not in defaults:
+            raise ValueError(f"unknown coefficient {key!r}; expected a, b, slope or intercept")
+        try:
+            coeffs[key] = float(value)
+        except (TypeError, ValueError):
+            coeffs[key] = math.nan
+        if not math.isfinite(coeffs[key]):
+            raise ValueError(f"coefficient {key} must be a finite real, got {value!r}")
+    return AnalyticPolicy(SigmoidFit(coeffs["a"], coeffs["b"]), LinearFit(coeffs["slope"], coeffs["intercept"]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, ground_reference, rotate_about_axis
+from .core import Grasp, GripperParams, PointCloud, clamp_theta, ground_reference, rotate_about_axis
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 
@@ -80,15 +80,23 @@ class SamplerConfig:
 # Normals and Darboux frames
 # ---------------------------------------------------------------------------
 
-def _neighborhood_eig(points: np.ndarray, neighbor_idx: np.ndarray):
-    """Eigen-decompose the covariance of each row's neighborhood.
+def _pca(cloud: PointCloud, index, k: int, viewpoint: np.ndarray):
+    """PCA of the k-nearest-neighbour covariance at the cloud points `index`, in one tree query.
 
-    Returns (eigenvalues (n, 3) ascending, eigenvectors (n, 3, 3) as columns).
+    Returns (normals (n, 3): smallest-eigenvalue eigenvectors facing `viewpoint`, not renormalized;
+    eigenvectors (n, 3, 3) as columns, eigenvalues ascending; valid (n,) bool, False where the
+    neighbourhood is rank-deficient (< 2, e.g. collinear)).
     """
-    nbrs = points[neighbor_idx]                      # (n, k, 3)
+    p = cloud.points[index]
+    _, idx = cloud.tree.query(p, k=k)
+    nbrs = cloud.points[idx]                         # (n, k, 3)
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / nbrs.shape[1]
-    return np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
+    normals = eigvecs[:, :, 0]
+    # rank < 2 <=> middle eigenvalue vanishes relative to the spread
+    valid = eigvals[:, 1] > 1e-10 * np.maximum(eigvals[:, 2], 1e-300)
+    flip = (normals @ np.asarray(viewpoint, dtype=float) - np.einsum("ni,ni->n", normals, p)) < 0.0
+    return np.where(flip[:, None], -normals, normals), eigvecs, valid
 
 
 def estimate_normals(
@@ -109,36 +117,27 @@ def estimate_normals(
     n = len(cloud)
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    _, idx = cloud.tree.query(cloud.points, k=k)
-    eigvals, eigvecs = _neighborhood_eig(cloud.points, idx)
-    normals = eigvecs[:, :, 0]
-    # rank < 2 <=> middle eigenvalue vanishes relative to the spread
-    scale = np.maximum(eigvals[:, 2], 1e-300)
-    valid = eigvals[:, 1] > 1e-10 * scale
-    flip = (normals @ np.asarray(viewpoint, dtype=float) - np.einsum("ni,ni->n", normals, cloud.points)) < 0.0
-    normals = np.where(flip[:, None], -normals, normals)
+    normals, _, valid = _pca(cloud, slice(None), k, viewpoint)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return normals, valid
 
 
-def _darboux(cloud: PointCloud, index: int, k: int, viewpoint: np.ndarray) -> DarbouxFrame:
-    p = cloud.points[index]
-    _, idx = cloud.tree.query(p, k=k)
-    eigvals, eigvecs = _neighborhood_eig(cloud.points, np.asarray(idx)[None, :])
-    eigvals, eigvecs = eigvals[0], eigvecs[0]
-    if eigvals[1] <= 1e-10 * max(eigvals[2], 1e-300):
-        raise ValueError(f"degenerate neighborhood at point {index} (rank < 2)")
-    normal = eigvecs[:, 0]
-    vp = np.asarray(viewpoint, dtype=float)
-    if float(normal @ (vp - p)) < 0.0:
-        normal = -normal
-    # tangent directions: remaining eigenvectors, larger eigenvalue first
-    major, minor = eigvecs[:, 2], eigvecs[:, 1]
-    major = major - (major @ normal) * normal
-    major /= np.linalg.norm(major)
-    minor = minor - (minor @ normal) * normal - (minor @ major) * major
-    minor /= np.linalg.norm(minor)
-    return DarbouxFrame(point=p.copy(), normal=normal, major=major, minor=minor)
+def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.ndarray) -> list[DarbouxFrame]:
+    """Darboux frames at the cloud points `index`; a rank-deficient neighbourhood is an error."""
+    normals, eigvecs, valid = _pca(cloud, index, k, viewpoint)
+    if not valid.all():
+        raise ValueError(f"degenerate neighborhood at point {int(index[np.argmin(valid)])} (rank < 2)")
+    frames = []
+    for i, normal, vecs in zip(index, normals, eigvecs):
+        # tangent directions: remaining eigenvectors, larger eigenvalue first. Per vector: a batched
+        # np.linalg.norm differs from the one-vector norm in the last bit
+        major, minor = vecs[:, 2], vecs[:, 1]
+        major = major - (major @ normal) * normal
+        major /= np.linalg.norm(major)
+        minor = minor - (minor @ normal) * normal - (minor @ major) * major
+        minor /= np.linalg.norm(minor)
+        frames.append(DarbouxFrame(point=cloud.points[i].copy(), normal=normal, major=major, minor=minor))
+    return frames
 
 
 def darboux_frame(
@@ -160,7 +159,7 @@ def darboux_frame(
         raise IndexError(f"index {index} out of range for {n} points")
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    return _darboux(cloud, index, k, viewpoint)
+    return _darboux_frames(cloud, np.array([index]), k, viewpoint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[
         x_ref = ground_reference(r)
         theta = math.atan2(float(np.cross(x_ref, approach) @ r), float(x_ref @ approach))
         if abs(theta) <= math.pi / 2 + 1e-12:
-            return r, min(max(theta, -math.pi / 2), math.pi / 2)
+            return r, clamp_theta(theta)
         r = -r
     raise RuntimeError("no valid approach angle found")  # unreachable for approach perpendicular to r
 
@@ -219,8 +218,7 @@ def sample_candidates(
         offsets = np.linspace(-cfg.angle_range, cfg.angle_range, cfg.n_angle_perturbations)
 
     out: list[Grasp] = []
-    for ci in centers:
-        frame = _darboux(object_cloud, int(ci), k, viewpoint)
+    for frame in _darboux_frames(object_cloud, centers, k, viewpoint):
         approach = -frame.normal
         center = frame.point + (gripper.depth / 2.0) * approach
         for spin in spins:
@@ -228,8 +226,7 @@ def sample_candidates(
             r /= np.linalg.norm(r)
             r, theta0 = _theta_for_approach(r, approach)
             for d in offsets:
-                theta = min(max(theta0 + float(d), -math.pi / 2), math.pi / 2)
-                out.append(Grasp(center, r, theta))
+                out.append(Grasp(center, r, clamp_theta(theta0 + float(d))))
     return out
 
 

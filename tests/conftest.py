@@ -108,21 +108,55 @@ def oracle_point_confidence(cloud: PointCloud, centers, d_th: float) -> Confiden
     return ConfidenceField(np.tanh(sums), d_th)
 
 
+def oracle_darboux(cloud: PointCloud, index: int, k: int, viewpoint=(0.0, 0.0, 10.0)):
+    """The per-point Darboux frame: its own kNN query, a one-matrix `eigh` and the n.(vp - p) flip.
+
+    Returns (point, normal, major, minor); a rank-deficient neighbourhood raises ValueError naming the point.
+    """
+    p = cloud.points[index]
+    _, idx = cKDTree(cloud.points).query(p, k=k)
+    nbrs = cloud.points[np.asarray(idx)[None, :]]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / nbrs.shape[1])
+    eigvals, eigvecs = eigvals[0], eigvecs[0]
+    if eigvals[1] <= 1e-10 * max(eigvals[2], 1e-300):
+        raise ValueError(f"degenerate neighborhood at point {index} (rank < 2)")
+    normal = eigvecs[:, 0]
+    if float(normal @ (np.asarray(viewpoint, dtype=float) - p)) < 0.0:
+        normal = -normal
+    major, minor = eigvecs[:, 2], eigvecs[:, 1]
+    major = major - (major @ normal) * normal
+    major /= np.linalg.norm(major)
+    minor = minor - (minor @ normal) * normal - (minor @ major) * major
+    minor /= np.linalg.norm(minor)
+    return p.copy(), normal, major, minor
+
+
 def oracle_float_rows(path, lines, first_lineno, ncols, sep):
-    """The row parser in pure Python: `str.split` and `float` on every field, first bad row reported."""
-    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip()]
+    """The row parser in pure Python: first bad row reported, its first bad field before its width.
+
+    A blank line holds only spaces and tabs. Fields are split on `sep`, or on runs of spaces and tabs
+    when None. A field must read as a finite `float` and, spaces and tabs around it aside, be made of
+    the characters of an ASCII number.
+    """
+    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip(" \t")]
     out = []
     for i in linenos:
-        fields = lines[i - first_lineno].split(sep)
-        if len(fields) != ncols:
-            raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
+        raw = lines[i - first_lineno]
+        fields = [f for f in raw.replace("\t", " ").split(" ") if f] if sep is None else raw.split(sep)
         for f in fields:
             try:
-                out.append(float(f))
+                value = float(f)
             except ValueError:
                 raise ParseError(path, i, f"not a number: {f!r}") from None
-            if not math.isfinite(out[-1]):
+            if not math.isfinite(value):
                 raise ParseError(path, i, f"non-finite value: {f!r}")
+            text = f.strip(" \t")
+            if not text or any(c not in "+-.0123456789eE" for c in text):
+                raise ParseError(path, i, f"not a number: {f!r}")
+            out.append(value)
+        if len(fields) != ncols:
+            raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
     return np.array(out, dtype=float).reshape(len(linenos), ncols), linenos
 
 

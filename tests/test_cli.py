@@ -184,6 +184,46 @@ class TestSelect:
         assert first == second
 
 
+class TestSelectCoeffs:
+    ROWS = ["0,0,0,0,1,0,1.5,0.8", "1,0,0,0,1,0,-1.5,0.8"]  # near-vertical first, near-horizontal second
+
+    def _grasps(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n" + "\n".join(self.ROWS) + "\n")
+        return str(path)
+
+    def test_select_picks_with_the_fitted_coefficients(self, tmp_path, capsys):
+        # a falling reach curve favours the horizontal grasp, where the built-in one favours the vertical
+        x = np.linspace(0, 1, 40)
+        y = 1.0 / (1.0 + np.exp(10.0 * (x - 0.5)))
+        (tmp_path / "reach.csv").write_text("x,y\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(x, y)))
+        coeffs = str(tmp_path / "c.txt")
+        assert main(["fit", str(tmp_path / "reach.csv"), "--mode", "sigmoid", "-o", coeffs]) == 0
+        fitted = grasplab.dataio.read_config(coeffs)
+        assert fitted["a"] == pytest.approx(-10.0, rel=1e-4) and fitted["b"] == pytest.approx(0.5, abs=1e-6)
+        capsys.readouterr()
+        assert main(["select", self._grasps(tmp_path), "--policy", "analytic"]) == 0
+        assert capsys.readouterr().out == self.ROWS[0] + "\n"
+        assert main(["select", self._grasps(tmp_path), "--policy", "analytic", "--coeffs", coeffs]) == 0
+        assert capsys.readouterr().out == self.ROWS[1] + "\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("a = nan\n", "coefficient a must be a finite real, got nan"),
+        ("b = inf\n", "coefficient b must be a finite real, got inf"),
+        ("slope = -1e400\n", "coefficient slope must be a finite real, got -inf"),
+        ("a = abc\n", "coefficient a must be a finite real, got 'abc'"),
+        ("a = 1\nbogus = 3\n", "unknown coefficient 'bogus'"),
+        ("policy.a = 3\n", "unknown coefficient 'policy.a'"),
+    ])
+    def test_bad_coefficient_is_data_error_naming_file_and_key(self, tmp_path, capsys, text, message):
+        coeffs = tmp_path / "c.txt"
+        coeffs.write_text(text)
+        assert main(["select", self._grasps(tmp_path), "--coeffs", str(coeffs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grasplab: error: {coeffs}: {message}" in captured.err
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["select"]) == 1  # missing required argument
@@ -231,6 +271,15 @@ class TestExitCodes:
     def test_bad_plain_flag_is_usage_error_naming_it(self, capsys, argv, message):
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,field", [("1_0 0 0", "1_0"), ("0 \u0663 0", "\u0663"), ("0 0 \uff11", "\uff11"),
+                                           ("1\x1f0\x1f0", "1\x1f0\x1f0"), ("0\xa00 0 0", "0\xa00")])
+    def test_normals_rejects_numbers_python_alone_reads(self, tmp_path, capsys, row, field):
+        cloud = tmp_path / "c.xyz"
+        cloud.write_text("0 0 0\n1 0 0\n0 1 0\n" + row + "\n", encoding="utf-8")
+        assert main(["normals", str(cloud), "-k", "3", "-o", str(tmp_path / "o.ply")]) == 2
+        assert f"grasplab: error: {cloud}:4: not a number: {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.ply").exists()
 
     def test_negative_pool_setting_is_data_error(self, tmp_path, capsys):
         write_inputs(tmp_path)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from grasplab import (
     ContactPair,
@@ -10,6 +13,7 @@ from grasplab import (
     GripperParams,
     PointCloud,
     SamplerConfig,
+    antipodal_score,
     check_collision,
     closing_region_points,
     filter_collision_free,
@@ -21,6 +25,7 @@ from grasplab import (
     world_to_grasp,
 )
 from grasplab.collision import BOUNDARY_TOL, _cull_spheres
+from grasplab.sampling import _theta_for_approach
 from conftest import oracle_collision, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
@@ -362,3 +367,59 @@ class TestCulledKernel:
             assert find_contacts(cloud, AXIS_Y, GRIPPER) is None
             with pytest.raises(EmptyRegionError):
                 closing_region_points(cloud, AXIS_Y, GRIPPER)
+
+
+FACE_MARGIN = 1e-6  # points this close to a box face, or to the closing plane y = 0, are dropped
+
+
+def _near_a_face(points, grasps):
+    """Points within FACE_MARGIN of a box face of any grasp, or of its closing plane inside the closing box."""
+    near = np.zeros(len(points), dtype=bool)
+    volume = gripper_volume(GRIPPER)
+    for g in grasps:
+        q = world_to_grasp(grasp_frame(g), points)
+        for box in (volume.closing, *volume.obstacles):
+            outer = np.all((q > box.lo - FACE_MARGIN) & (q < box.hi + FACE_MARGIN), axis=1)
+            inner = np.all((q > box.lo + FACE_MARGIN) & (q < box.hi - FACE_MARGIN), axis=1)
+            near |= outer & ~inner
+            if box is volume.closing:
+                near |= outer & (np.abs(q[:, 1]) < FACE_MARGIN)
+    return near
+
+
+def _moved(g, R, t):
+    """g carried by the rigid motion x -> R x + t; the closing axis may flip to keep theta in range."""
+    r, theta = _theta_for_approach(R @ g.orientation, R @ grasp_frame(g).x_axis)
+    return Grasp(R @ g.center + t, r, theta)
+
+
+class TestRigidMotion:
+    """Moving the cloud and the grasps together keeps survivors, contacts and antipodal scores."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           quat=st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 0.1),
+           shift=st.lists(st.floats(-2, 2), min_size=3, max_size=3))
+    def test_survivors_contacts_and_scores_are_invariant(self, seed, quat, shift):
+        rng = np.random.default_rng(seed)
+        grasps = [_random_grasp(rng, span=0.04) for _ in range(30)]
+        grasps = [Grasp(g.center + (0.0, 0.0, 0.03), g.orientation, g.theta) for g in grasps]
+        scene = tabletop_cloud(seed, n_table=300, n_object=200)
+        keep = ~_near_a_face(scene.points, grasps)
+        cloud = PointCloud(scene.points[keep], scene.normals[keep])
+        R, t = Rotation.from_quat(quat).as_matrix(), np.array(shift)
+        moved_cloud = PointCloud(cloud.points @ R.T + t, cloud.normals @ R.T)
+        moved = [_moved(g, R, t) for g in grasps]
+
+        free = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
+        moved_free = {id(m) for m in filter_collision_free(moved, moved_cloud, GRIPPER)}
+        assert [id(g) in free for g in grasps] == [id(m) in moved_free for m in moved]
+        for g, m in zip(grasps, moved):
+            pair, moved_pair = find_contacts(cloud, g, GRIPPER), find_contacts(moved_cloud, m, GRIPPER)
+            assert (pair is None) == (moved_pair is None)
+            assert antipodal_score(moved_pair, m) == pytest.approx(antipodal_score(pair, g), abs=1e-9)
+            if pair is not None:
+                # a flipped closing axis swaps which jaw touches which point
+                flipped = float(m.orientation @ (R @ g.orientation)) < 0.0
+                want = [pair.cj, pair.ci] if flipped else [pair.ci, pair.cj]
+                np.testing.assert_allclose((np.array([moved_pair.ci, moved_pair.cj]) - t) @ R, want, atol=1e-9)

@@ -54,6 +54,11 @@ class TestFindContacts:
 
 
 class TestAntipodalScore:
+    def test_no_contact_pair_scores_zero(self):
+        assert antipodal_score(None, PINCH) == 0.0
+        assert antipodal_score(find_contacts(pinch_cloud(), Grasp((0, 0.5, 0), (0, 1, 0), 0.0), GRIPPER),
+                               PINCH) == 0.0
+
     def test_perfectly_opposed_normals(self):
         pair = ContactPair(
             ci=np.array([0, 0.02, 0.0]),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grasplab.core import clamp_theta
 from grasplab import (
     Grasp,
     GripperParams,
@@ -135,3 +136,18 @@ class TestVerticalScore:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             vertical_score(2.0)
+
+
+class TestClampTheta:
+    @pytest.mark.parametrize("theta,expected", [
+        (math.pi / 2, math.pi / 2), (-math.pi / 2, -math.pi / 2), (0.0, 0.0), (-0.0, -0.0), (1.2, 1.2),
+        (math.pi / 2 + 1e-9, math.pi / 2), (-math.pi / 2 - 1e-9, -math.pi / 2), (3.0, math.pi / 2),
+        (-1e300, -math.pi / 2), (math.inf, math.pi / 2), (np.float64(2.0), math.pi / 2),
+    ])
+    def test_clamps_to_the_approach_range(self, theta, expected):
+        got = clamp_theta(theta)
+        assert type(got) is float and got == expected and math.copysign(1, got) == math.copysign(1, expected)
+
+    def test_grasp_clamps_serialized_endpoints(self):
+        assert Grasp((0, 0, 0), (0, 1, 0), 1.57079633).theta == math.pi / 2
+        assert Grasp((0, 0, 0), (0, 1, 0), -1.57079633).theta == -math.pi / 2

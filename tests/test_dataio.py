@@ -174,6 +174,20 @@ class TestGraspIO:
             worst = max(worst, abs(a.grasp.theta - b.grasp.theta), abs(a.s_q - b.s_q))
         assert worst <= 1e-8
 
+    def test_bytes_match_per_field_formatting(self, tmp_path, rng):
+        grasps = []
+        for _ in range(300):
+            r = rng.normal(size=3)
+            g = Grasp(rng.normal(scale=10.0 ** rng.integers(-8, 4), size=3), r / np.linalg.norm(r),
+                      float(rng.uniform(-math.pi / 2, math.pi / 2)))
+            grasps.append(ScoredGrasp(g, float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))))
+        grasps.append(ScoredGrasp(Grasp((0, -0.0, 1e-300), (0, 0, -1), math.pi / 2), 1.0))
+        path = tmp_path / "g.csv"
+        write_grasps(path, grasps)
+        rows = [",".join("%.9g" % float(v) for v in [*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta,
+                                                      sg.s_q]) for sg in grasps]
+        assert path.read_bytes() == ("\n".join([GRASP_HEADER, *rows]) + "\n").encode()
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("cx,cy,cz\n")
@@ -398,6 +412,13 @@ class TestRowMessages:
         with pytest.raises(ParseError, match=r"o\.ply:10: data continues past the declared 1 vertices$"):
             read_point_cloud(path)
 
+    @pytest.mark.parametrize("field", ["inf", "-inf", "nan", "Infinity", "1e400"])
+    def test_non_finite_keeps_its_message(self, tmp_path, field):
+        path = tmp_path / "g.csv"
+        path.write_text(f"{GRASP_HEADER}\n0,0,{field},0,1,0,0,0.5\n")
+        with pytest.raises(ParseError, match=rf"g\.csv:2: non-finite value: '{field}'$"):
+            read_grasps(path)
+
     def test_ply_defect_before_overflow_is_reported_first(self, tmp_path):
         path = tmp_path / "o.ply"
         path.write_text(self.PLY3.format(n=2) + "0 0 x\n0 0 0\n0 0 0\n")
@@ -442,7 +463,7 @@ class TestRowParserDifferential:
                 == self._outcome(oracle_float_rows, lines, first, ncols, sep))
 
     @pytest.mark.parametrize("lines,sep,ncols", [
-        (["0\x1f"], ",", 1),  # np.loadtxt strips the unit separator; Python's float does not
+        (["0\x1f"], ",", 1),  # np.loadtxt strips the unit separator; the walk rejects it
         (["1_0 2 3"], None, 3),  # Python's float reads digit separators
         (["\u0663 1 2"], None, 3),  # and non-ASCII digits
         (["inf 1 2"], None, 3),
@@ -450,6 +471,11 @@ class TestRowParserDifferential:
         (["1 2", "3 4"], "\n", 2),
         ([], ",", 8),
         (["", " \t"], None, 3),
+        (["1\x1f0\x1f0"], None, 3),  # Python's str.split splits on the unit separator
+        (["0 0 \uff11"], None, 3),
+        (["\xa0", "0 0 0"], None, 3),  # a line of another blank is not blank
+        (["0 0 1e400"], None, 3),
+        (["0 x 0 0"], None, 3),  # a bad field is reported before the width
     ])
     def test_where_the_c_reader_alone_would_differ(self, lines, sep, ncols):
         assert self._outcome(_float_rows, lines, 1, ncols, sep) == self._outcome(oracle_float_rows, lines, 1, ncols, sep)

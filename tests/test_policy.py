@@ -18,7 +18,7 @@ from grasplab import (
     pearson,
     vertical_score,
 )
-from grasplab.policy import policy_from_mapping, policy_to_text
+from grasplab.policy import policy_from_mapping
 
 
 def _sg(s_q, theta):
@@ -172,16 +172,6 @@ class TestPearson:
 
 
 class TestPolicySerialization:
-    def test_round_trip_via_mapping(self):
-        text = policy_to_text(DEFAULT_POLICY)
-        values = {}
-        for line in text.strip().splitlines():
-            key, _, val = line.partition("=")
-            values[key.strip()] = float(val)
-        policy = policy_from_mapping(values)
-        assert policy.sigmoid.a == DEFAULT_POLICY.sigmoid.a
-        assert policy.linear.intercept == DEFAULT_POLICY.linear.intercept
-
     def test_missing_keys_fall_back_to_defaults(self):
         policy = policy_from_mapping({"a": 5.0})
         assert policy.sigmoid.a == 5.0

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from grasplab import sampling
 from grasplab import (
+    DarbouxFrame,
     EmptyRegionError,
     GripperParams,
     PointCloud,
@@ -15,7 +17,7 @@ from grasplab import (
     grasp_frame,
     sample_candidates,
 )
-from conftest import random_sphere_cloud, tabletop_cloud
+from conftest import oracle_darboux, random_sphere_cloud, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 
@@ -88,6 +90,72 @@ class TestDarbouxFrame:
         cloud = PointCloud(np.column_stack([np.arange(6.0), np.zeros(6), np.zeros(6)]))
         with pytest.raises(ValueError):
             darboux_frame(cloud, index=0, k=4)
+
+
+class TestDarbouxAgainstPerPointOracle:
+    """The shared PCA kernel gives the per-point frame bit for bit, one seed or many per tree query."""
+
+    CLOUDS = {
+        "sphere": lambda: random_sphere_cloud(0.05, 800, seed=3),
+        "plane": lambda: plane_cloud(600, seed=4),
+        "tabletop": lambda: tabletop_cloud(5),
+    }
+
+    @staticmethod
+    def _bytes(frames):
+        return [b"".join(np.asarray(v).tobytes() for v in frame) for frame in frames]
+
+    @staticmethod
+    def _use_per_point_frames(monkeypatch):
+        monkeypatch.setattr(sampling, "_darboux_frames", lambda cloud, index, k, viewpoint: [
+            DarbouxFrame(*oracle_darboux(cloud, int(i), k, viewpoint)) for i in index])
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_darboux_frame_is_bitwise_the_oracle(self, name):
+        cloud = self.CLOUDS[name]()
+        for index in range(0, len(cloud), 7):
+            f = darboux_frame(cloud, index, k=12)
+            got = self._bytes([(f.point, f.normal, f.major, f.minor)])
+            assert got == self._bytes([oracle_darboux(cloud, index, 12)]), index
+
+    @pytest.mark.parametrize("name", sorted(CLOUDS))
+    def test_sample_candidates_is_bitwise_the_per_point_loop(self, name, monkeypatch):
+        cloud = self.CLOUDS[name]()
+        cfg = SamplerConfig(n_centers=60, n_orientation_perturbations=3, n_angle_perturbations=3, rng_seed=8)
+        got = sample_candidates(cloud, GRIPPER, cfg)
+        self._use_per_point_frames(monkeypatch)
+        want = sample_candidates(cloud, GRIPPER, cfg)
+        assert len(got) == len(want) == 540
+        assert self._bytes((g.center, g.orientation, g.theta) for g in got) == \
+            self._bytes((g.center, g.orientation, g.theta) for g in want)
+
+    def test_sample_candidates_makes_one_tree_query(self):
+        cloud = tabletop_cloud(2)
+        tree, shapes = cloud.tree, []
+
+        class CountingTree:
+            def query(self, x, k):
+                shapes.append(np.shape(x))
+                return tree.query(x, k=k)
+
+        object.__setattr__(cloud, "_tree", CountingTree())
+        assert len(sample_candidates(cloud, GRIPPER, SamplerConfig(n_centers=25, rng_seed=1))) == 25
+        assert shapes == [(25, 3)]
+
+    def test_rank_deficient_seed_raises_the_oracles_message(self, monkeypatch):
+        # a collinear run far from a plane patch: seeds on the run have rank-1 neighbourhoods
+        line = np.column_stack([10.0 + 0.01 * np.arange(30), np.zeros(30), np.zeros(30)])
+        cloud = PointCloud(np.vstack([plane_cloud(30, seed=6).points, line]))
+        cfg = SamplerConfig(n_centers=12, rng_seed=2, k_neighbors=8)
+        with pytest.raises(ValueError) as got:
+            sample_candidates(cloud, GRIPPER, cfg)
+        self._use_per_point_frames(monkeypatch)
+        with pytest.raises(ValueError) as want:
+            sample_candidates(cloud, GRIPPER, cfg)
+        assert str(got.value) == str(want.value)
+        assert "degenerate neighborhood at point" in str(got.value)
+        with pytest.raises(ValueError, match=r"^degenerate neighborhood at point 45 \(rank < 2\)$"):
+            darboux_frame(cloud, 45, k=8)
 
 
 class TestSampleCandidates:
