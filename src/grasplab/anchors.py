@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import Grasp, clamp_theta
 
@@ -63,12 +64,11 @@ class AnchorSet:
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=float).reshape(-1, 3)
         norms = np.linalg.norm(d, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("anchor directions must be unit length")
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if np.linalg.norm(d[i] - d[j]) < 1e-9:
-                    raise ValueError(f"anchor directions {i} and {j} coincide")
+        for i, j in sorted(cKDTree(d).query_pairs(2e-9)):  # a superset of the pairs the exact test finds
+            if np.linalg.norm(d[i] - d[j]) < 1e-9:
+                raise ValueError(f"anchor directions {i} and {j} coincide")
         object.__setattr__(self, "directions", d)
 
     def __len__(self) -> int:

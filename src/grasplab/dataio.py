@@ -4,7 +4,9 @@ Everything is plain ASCII so fixtures stay auditable and diffable. Reals
 are printed with 9 significant digits (sub-micron at meter scale) and all
 read/write pairs round-trip to 1e-8 absolute or better. Files are read as
 UTF-8. Parsers reject malformed input instead of repairing it, and every
-error (an undecodable byte included) names the file and line.
+error (an undecodable byte included) names the file and line. All text
+input, flags included, ends lines at '\n' (a '\r' before it is dropped),
+splits on spaces and tabs, and reads ASCII numbers (`parse_number`).
 
 Formats:
   * point clouds: an ASCII PLY subset (x y z [nx ny nz] [red green blue])
@@ -34,6 +36,8 @@ REPORT_HEADER = "cfr,as_mean,as_with_collision,tcr,n_selected"
 
 __all__ = [
     "ParseError",
+    "NonFinite",
+    "parse_number",
     "GRASP_HEADER",
     "REPORT_HEADER",
     "read_point_cloud",
@@ -76,22 +80,44 @@ def _rows_text(data: np.ndarray, sep: str = " ") -> str:
 
 
 def _read_lines(path) -> list[str]:
-    """The file's lines, decoded as UTF-8; an undecodable byte is an error at its line."""
+    """The file's lines, decoded as UTF-8: each ends at '\n', and a '\r' before it is dropped; nothing
+    else breaks a line. An undecodable byte is an error at its line."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+    return lines if lines[-1] else lines[:-1]  # the text after a final '\n' is no line
 
 
 # the characters on which np.loadtxt and the Python walk accept and reject the same fields; outside
 # them (e.g. '_', '\x1f', 'inf', non-ASCII digits) the walk decides, and rejects the row
 _NUMERIC_TEXT = re.compile(r"[-+.0-9eE \t,]*")
-# a field is ASCII number text, with only spaces and tabs around it; Python's float reads more
-# ('1_0', non-ASCII digits, other blanks)
+# numbers: ASCII text with only spaces and tabs around it (float and int also read '1_0', '\u0663', '\xa03')
 _NUMBER = re.compile(r"[ \t]*[-+.0-9eE]+[ \t]*")
+_INTEGER = re.compile(r"[ \t]*-?[0-9]+[ \t]*")
 _NON_BLANK = re.compile(r"[^ \t]+")
+_BLANKS = " \t"
+
+
+class NonFinite(ValueError):
+    """Real text that float reads as a nan or an infinity."""
+
+
+def parse_number(text: str, kind: type = float) -> int | float:
+    """text as an int (ASCII digits after an optional '-') or a float (`_NUMBER` text that float reads
+    as a finite value, checked first: 'nan', 'inf', '1e400' raise NonFinite); else a ValueError."""
+    try:
+        value = kind(text)
+    except ValueError:  # also an int past int's digit limit
+        raise ValueError(f"not a number: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise NonFinite(f"non-finite value: {text!r}")
+    if not (_NUMBER if kind is float else _INTEGER).fullmatch(text):
+        raise ValueError(f"not a number: {text!r}")
+    return value
 
 
 def _fields(raw: str, sep: str | None) -> list[str]:
@@ -100,28 +126,20 @@ def _fields(raw: str, sep: str | None) -> list[str]:
 
 
 def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
-    out = []
-    for f in fields:
-        try:
-            out.append(float(f))
-        except ValueError:
-            raise ParseError(path, lineno, f"not a number: {f!r}") from None
-        if not math.isfinite(out[-1]):
-            raise ParseError(path, lineno, f"non-finite value: {f!r}")
-        if not _NUMBER.fullmatch(f):
-            raise ParseError(path, lineno, f"not a number: {f!r}")
-    return out
+    try:
+        return [parse_number(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
 
 
 def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
-    """The non-blank lines as an (n, ncols) array of finite reals, and each row's line number.
+    """The non-blank lines as an (n, ncols) array of reals, and each row's line number.
 
-    A blank line holds only spaces and tabs. Fields are split on `sep` (runs of spaces and tabs when
-    None). Well-formed rows are parsed in one pass by numpy's C reader when every character is one
-    it reads as the walk does. Otherwise the rows are walked in Python, which parses them or reports
-    the first bad one: its first field that is not a finite ASCII number, else its column count.
+    Fields are split on `sep` (runs of blanks when None). numpy's C reader parses well-formed rows in
+    one pass when every character is one it reads as the walk does. Otherwise a Python walk parses
+    them or reports the first bad row: its first field that is not a real, else its column count.
     """
-    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip(" \t")]
+    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip(_BLANKS)]
     rows = [lines[i - first_lineno] for i in linenos]
     # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
     # agrees only for one column, where a row with an inner blank fails the shape check. An empty
@@ -141,10 +159,11 @@ def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str 
 
 
 def _parse_count(path, lineno: int, token: str) -> int:
-    """A non-negative decimal count from a header line."""
-    if not (token.isascii() and token.isdigit()):
-        raise ParseError(path, lineno, f"expected a non-negative integer count, got {token!r}")
-    return int(token)
+    """A count from a header line: an integer, non-negative and written without a sign."""
+    with suppress(ValueError):
+        if not token.startswith("-"):
+            return parse_number(token, int)
+    raise ParseError(path, lineno, f"expected a non-negative integer count, got {token!r}")
 
 
 def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
@@ -166,27 +185,27 @@ _PLY_FIELDS = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue")
 
 
 def _read_ply(path, lines: list[str]) -> PointCloud:
-    if len(lines) < 2 or lines[1].strip() != "format ascii 1.0":
+    if len(lines) < 2 or lines[1].strip(_BLANKS) != "format ascii 1.0":
         raise ParseError(path, 2, "expected 'format ascii 1.0'")
     n_vertices = body_start = None
     props: list[str] = []
     for i, raw in enumerate(lines[2:], start=3):
-        tokens = raw.split()
+        tokens = _fields(raw, None)
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "element":
             if len(tokens) != 3 or tokens[1] != "vertex":
-                raise ParseError(path, i, f"unsupported element: {raw.strip()!r}")
+                raise ParseError(path, i, f"unsupported element: {raw.strip(_BLANKS)!r}")
             n_vertices = _parse_count(path, i, tokens[2])
         elif tokens[0] == "property":
             if len(tokens) != 3 or tokens[1] not in ("float", "double", "uchar"):
-                raise ParseError(path, i, f"unsupported property: {raw.strip()!r}")
+                raise ParseError(path, i, f"unsupported property: {raw.strip(_BLANKS)!r}")
             props.append(tokens[2])
         elif tokens[0] == "end_header":
             body_start = i
             break
         else:
-            raise ParseError(path, i, f"unexpected header line: {raw.strip()!r}")
+            raise ParseError(path, i, f"unexpected header line: {raw.strip(_BLANKS)!r}")
     if body_start is None or n_vertices is None:
         raise ParseError(path, len(lines), "header ended before end_header/element vertex")
     if props not in [list(_PLY_FIELDS[:k]) for k in (3, 6, 9)] + [list(_PLY_FIELDS[:3] + _PLY_FIELDS[6:])]:
@@ -234,7 +253,7 @@ def read_point_cloud(path) -> PointCloud:
     """Read a cloud from the ASCII PLY subset or bare XYZ text."""
     path = Path(path)
     lines = _read_lines(path)
-    return (_read_ply if lines and lines[0].strip() == "ply" else _read_xyz)(path, lines)
+    return (_read_ply if lines and lines[0].strip(_BLANKS) == "ply" else _read_xyz)(path, lines)
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
@@ -268,7 +287,7 @@ def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
 def read_grasps(path) -> list[ScoredGrasp]:
     path = Path(path)
     lines = _read_lines(path)
-    if not lines or lines[0].strip() != GRASP_HEADER:
+    if not lines or lines[0].strip(_BLANKS) != GRASP_HEADER:
         raise ParseError(path, 1, f"expected header {GRASP_HEADER!r}")
     data, linenos = _float_rows(path, lines[1:], 2, 8, ",")
     out: list[ScoredGrasp] = []
@@ -294,7 +313,7 @@ def read_confidence(path) -> ConfidenceField:
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise ParseError(path, 1, "expected '# d_th=<v> width=<v> n=<N>' header")
-    tokens = lines[0].lstrip("#").split()
+    tokens = _fields(lines[0].lstrip("#"), None)
     for t in tokens:
         if "=" not in t:
             raise ParseError(path, 1, f"malformed header token {t!r}")
@@ -306,7 +325,7 @@ def read_confidence(path) -> ConfidenceField:
         raise ParseError(path, 1, "d_th must be positive")
     n = _parse_count(path, 1, meta["n"])
     # one value per line: the whole stripped line is the field
-    values, linenos = _float_rows(path, [raw.strip(" \t") for raw in lines[1:]], 2, 1, "\n")
+    values, linenos = _float_rows(path, [raw.strip(_BLANKS) for raw in lines[1:]], 2, 1, "\n")
     bad = np.flatnonzero((values < 0.0) | (values > 1.0))
     if bad.size:
         raise ParseError(path, linenos[bad[0]], f"confidence {float(values[bad[0], 0])} outside [0, 1]")
@@ -319,37 +338,25 @@ def read_confidence(path) -> ConfidenceField:
 # Config
 # ---------------------------------------------------------------------------
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
-def read_config(path) -> dict:
-    """Flat 'key = value' map with '#' comments; keys may be dotted.
-
-    Values are coerced to int, then float, else kept as strings. Duplicate
-    keys are an error; unknown keys are the consumer's problem.
-    """
+def read_config(path) -> dict[str, str]:
+    """Flat 'key = value' map of text, with '#' comments; keys may be dotted. Duplicate keys are an
+    error; unknown keys, and parsing the values, are the consumer's problem."""
     path = Path(path)
-    out: dict = {}
+    out: dict[str, str] = {}
     for i, raw in enumerate(_read_lines(path), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = raw.split("#", 1)[0].strip(_BLANKS)
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(path, i, f"expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+            raise ParseError(path, i, f"expected 'key = value', got {raw.strip(_BLANKS)!r}")
+        key, value = (part.strip(_BLANKS) for part in stripped.split("=", 1))
         if not key:
             raise ParseError(path, i, "empty key")
         if not value:
             raise ParseError(path, i, f"empty value for key {key!r}")
         if key in out:
             raise ParseError(path, i, f"duplicate key {key!r}")
-        out[key] = _coerce(value)
+        out[key] = value
     return out
 
 
@@ -361,7 +368,7 @@ def read_xy(path) -> tuple[np.ndarray, np.ndarray]:
     """Sample pairs from a CSV with the exact header x,y."""
     path = Path(path)
     lines = _read_lines(path)
-    if not lines or lines[0].strip() != "x,y":
+    if not lines or lines[0].strip(_BLANKS) != "x,y":
         raise ParseError(path, 1, "expected header 'x,y'")
     return tuple(_float_rows(path, lines[1:], 2, 2, ",")[0].T.copy())
 

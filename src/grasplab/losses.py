@@ -241,11 +241,8 @@ def gradient_check(
 
 
 def _losscheck_cases(rng: np.random.Generator, trials: int):
-    """Yield (name, flat-loss closure, input vector) finite-difference cases.
-
-    These, then _random_grn_case / _random_rn_case pairs, are the cases the
-    losscheck subcommand and acceptance criterion 3 check.
-    """
+    """Yield the (name, flat-loss closure, input vector) cases that losscheck and acceptance criterion 3
+    check: `trials` rounds of four scalar-loss cases, then `trials` rounds of one grn and one rn case."""
     for t in range(trials):
         n = int(rng.integers(2, 6))
         gt = rng.uniform(-1.0, 1.0, size=n)
@@ -260,6 +257,9 @@ def _losscheck_cases(rng: np.random.Generator, trials: int):
         y = int(rng.integers(0, 2))
         yield f"focal[{t}]", (lambda v, y=y: focal_loss(float(v[0]), y)), np.array([p])
         yield f"bce[{t}]", (lambda v, y=y: binary_cross_entropy(float(v[0]), y)), np.array([p])
+    for t in range(trials):
+        yield f"grn[{t}]", *_random_grn_case(rng)
+        yield f"rn[{t}]", *_random_rn_case(rng)
 
 
 def _random_grasp(rng: np.random.Generator) -> Grasp:

@@ -203,20 +203,14 @@ def pearson(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 
 def policy_from_mapping(values: dict) -> AnalyticPolicy:
-    """Build a policy from a map of the keys a, b, slope and intercept; missing keys keep the defaults.
-
-    A value must be a finite real; another key, or another value, is an error that names the key.
-    """
+    """A policy from a map of the keys a, b, slope and intercept to finite reals; missing keys keep the
+    defaults. Another key, or a value that is not a finite real (text included), names the key."""
     defaults = {"a": DEFAULT_POLICY.sigmoid.a, "b": DEFAULT_POLICY.sigmoid.b,
                 "slope": DEFAULT_POLICY.linear.slope, "intercept": DEFAULT_POLICY.linear.intercept}
-    coeffs = dict(defaults)
     for key, value in values.items():
         if key not in defaults:
             raise ValueError(f"unknown coefficient {key!r}; expected a, b, slope or intercept")
-        try:
-            coeffs[key] = float(value)
-        except (TypeError, ValueError):
-            coeffs[key] = math.nan
-        if not math.isfinite(coeffs[key]):
+        if isinstance(value, str) or not math.isfinite(value):
             raise ValueError(f"coefficient {key} must be a finite real, got {value!r}")
+    coeffs = {**defaults, **values}
     return AnalyticPolicy(SigmoidFit(coeffs["a"], coeffs["b"]), LinearFit(coeffs["slope"], coeffs["intercept"]))

@@ -160,6 +160,15 @@ def oracle_float_rows(path, lines, first_lineno, ncols, sep):
     return np.array(out, dtype=float).reshape(len(linenos), ncols), linenos
 
 
+def oracle_anchor_coincidence(directions):
+    """The first (i, j), i < j, of directions closer than 1e-9, as the double loop finds it; else None."""
+    for i in range(len(directions)):
+        for j in range(i + 1, len(directions)):
+            if np.linalg.norm(directions[i] - directions[j]) < 1e-9:
+                return i, j
+    return None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -11,7 +11,8 @@ from grasplab import (
     decode_proposal,
     encode_residuals,
 )
-from grasplab.anchors import ANGLE_NEG, ANGLE_POS, IGNORE, NEGATIVE, POSITIVE
+from grasplab.anchors import ANGLE_NEG, ANGLE_POS, IGNORE, NEGATIVE, POSITIVE, AnchorSet
+from conftest import oracle_anchor_coincidence
 
 
 
@@ -39,6 +40,27 @@ class TestAnchorSet:
         for i in range(m):
             for j in range(i + 1, m):
                 assert np.linalg.norm(d[i] - d[j]) > 1e-6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coincidence_check_matches_the_double_loop(self, seed):
+        # plant `seed` pairs among 200 directions: exact copies, and offsets just inside and just
+        # outside the 1e-9 tolerance, which the tree query returns and the exact test must sort out
+        rng = np.random.default_rng(seed)
+        d = anchor_set(200).directions.copy()
+        for _ in range(seed):
+            i, j = rng.choice(len(d), 2, replace=False)
+            offset = np.cross(d[i], [0.0, 0.0, 1.0] if abs(d[i, 2]) < 0.9 else [1.0, 0.0, 0.0])
+            offset *= rng.choice([0.0, 0.6e-9, 0.99e-9, 1.01e-9, 1.5e-9]) / np.linalg.norm(offset)
+            d[j] = (d[i] + offset) / np.linalg.norm(d[i] + offset)
+        expected = oracle_anchor_coincidence(d)
+        if expected is None:
+            assert len(AnchorSet(d)) == len(d)
+        else:
+            with pytest.raises(ValueError, match=rf"^anchor directions {expected[0]} and {expected[1]} coincide$"):
+                AnchorSet(d)
+
+    def test_large_sets_build_in_one_query(self):
+        assert len(anchor_set(5000)) == 5000
 
 
 class TestAssignAnchorLabels:

@@ -200,7 +200,8 @@ class TestSelectCoeffs:
         coeffs = str(tmp_path / "c.txt")
         assert main(["fit", str(tmp_path / "reach.csv"), "--mode", "sigmoid", "-o", coeffs]) == 0
         fitted = grasplab.dataio.read_config(coeffs)
-        assert fitted["a"] == pytest.approx(-10.0, rel=1e-4) and fitted["b"] == pytest.approx(0.5, abs=1e-6)
+        a, b = (grasplab.dataio.parse_number(fitted[key]) for key in ("a", "b"))
+        assert a == pytest.approx(-10.0, rel=1e-4) and b == pytest.approx(0.5, abs=1e-6)
         capsys.readouterr()
         assert main(["select", self._grasps(tmp_path), "--policy", "analytic"]) == 0
         assert capsys.readouterr().out == self.ROWS[0] + "\n"
@@ -208,11 +209,12 @@ class TestSelectCoeffs:
         assert capsys.readouterr().out == self.ROWS[1] + "\n"
 
     @pytest.mark.parametrize("text,message", [
-        ("a = nan\n", "coefficient a must be a finite real, got nan"),
-        ("b = inf\n", "coefficient b must be a finite real, got inf"),
-        ("slope = -1e400\n", "coefficient slope must be a finite real, got -inf"),
+        ("a = nan\n", "coefficient a must be a finite real, got 'nan'"),
+        ("b = inf\n", "coefficient b must be a finite real, got 'inf'"),
+        ("slope = -1e400\n", "coefficient slope must be a finite real, got '-1e400'"),
         ("a = abc\n", "coefficient a must be a finite real, got 'abc'"),
         ("a = 1\nbogus = 3\n", "unknown coefficient 'bogus'"),
+        ("bogus = abc\n", "unknown coefficient 'bogus'"),
         ("policy.a = 3\n", "unknown coefficient 'policy.a'"),
     ])
     def test_bad_coefficient_is_data_error_naming_file_and_key(self, tmp_path, capsys, text, message):
@@ -445,8 +447,9 @@ class TestSettingRanges:
         (["score", "c.ply", "g.csv", "-o", "o.csv"], "0.06,0.1,0.02,0.005,1", "expects D,W,H,T reals"),
         (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,-0.1,0.02,0.005",
          "gripper width must be strictly positive, got -0.1"),
-        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,0.1,nan,0.005",
-         "gripper height must be strictly positive, got nan"),
+        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,0.1,nan,0.005", "gripper height must be finite, got nan"),
+        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,inf,0.02,0.005", "gripper width must be finite, got inf"),
+        (["eval", "g.csv", "c.ply", "gt.csv"], "0.06,0.1,0.02,1_0", "expects D,W,H,T reals, got '0.06,0.1,0.02,1_0'"),
     ])
     def test_bad_gripper_is_usage_error_naming_the_flag(self, capsys, argv, gripper, message):
         assert main(argv + ["--gripper", gripper]) == 1

@@ -84,10 +84,10 @@ class TestGraspFrame:
         np.testing.assert_allclose(f.x_axis, [1, 0, 0], atol=1e-12)
 
     def test_rotation_orthonormal_det_plus_one(self, rng):
-        for _ in range(10_000):
-            R = grasp_frame(_random_grasp(rng)).rotation
-            np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-9)
-            assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
+        rotations = np.stack([grasp_frame(_random_grasp(rng)).rotation for _ in range(10_000)])
+        identities = np.broadcast_to(np.eye(3), rotations.shape)
+        np.testing.assert_allclose(rotations.transpose(0, 2, 1) @ rotations, identities, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.det(rotations), 1.0, rtol=0, atol=1e-9)
 
     def test_frame_stable_under_small_perturbation(self, rng):
         for _ in range(200):
