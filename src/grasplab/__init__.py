@@ -33,6 +33,7 @@ from .core import (
     GripperParams,
     PointCloud,
     grasp_frame,
+    grasp_frames,
     grasp_to_world,
     vertical_score,
     world_to_grasp,

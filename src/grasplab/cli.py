@@ -45,6 +45,9 @@ from .policy import (
 from .sampling import SamplerConfig, ball_query, estimate_normals, sample_candidates
 
 
+_INT64 = (-2**63, 2**63 - 1)  # the range an integer setting or count flag may take
+
+
 class Setting(NamedTuple):
     """One tunable: its default (every value takes the default's type), the range a value must lie in,
     and the subcommand flag that also sets it. A real value must also be finite."""
@@ -72,6 +75,10 @@ class Setting(NamedTuple):
             else:
                 bounds = f"{'>' if self.open_low else '>='} {self.low}"
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        if kind is int and not _INT64[0] <= value <= _INT64[1]:  # counts reach numpy as int64
+            low = max(self.low, _INT64[0])
+            raise argparse.ArgumentTypeError(f"must be in {'(' if self.open_low else '['}{low}, {_INT64[1]}], "
+                                             f"got {value}")
         return value
 
 
@@ -144,21 +151,25 @@ def _parse_gripper(text: str) -> GripperParams:
 
 
 def _settings(args) -> dict:
-    """DEFAULTS, then the --config file, then each --set (a bad value names its key), then the flags."""
+    """DEFAULTS, then the --config file, then each --set, then the flags.
+
+    A bad key or value names the key, and from the --config file also its file:line.
+    """
     merged = dict(DEFAULTS)
-    items = list(dataio.read_config(args.config).items()) if args.config else []
+    config = dataio.read_config(args.config).items() if args.config else ()
+    items = [(key, value, f"{args.config}:{value.line}: ") for key, value in config]
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        items.append((key.strip(dataio._BLANKS), value))
-    for key, value in items:
+        items.append((key.strip(dataio._BLANKS), value, ""))
+    for key, value, where in items:
         if key not in merged:
-            raise ValueError(f"unknown setting {key!r}")
+            raise ValueError(f"{where}unknown setting {key!r}")
         try:
             merged[key] = SETTINGS[key].parse(value)
         except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"setting {key} {exc}") from None
+            raise ValueError(f"{where}setting {key} {exc}") from None
     merged.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     return merged
 

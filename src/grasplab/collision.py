@@ -10,22 +10,44 @@ ones being grasped, not collisions.
 Every box query runs through one kernel: the cloud's KD-tree keeps only
 the points inside a few spheres covering the box, then the exact box test
 decides, so culling never changes a result.
+
+The collision filter settles most colliding grasps before that kernel. A
+grid of "core" balls sits inside each obstacle box, every ball at least
+BOUNDARY_TOL + _BALL_SLACK from each face. A scene point within a ball's
+radius of its center is strictly inside the box under the exact test,
+whatever the rounding of the frame transform, so one nearest-neighbour
+query per box proves a collision. The balls need not cover the box: the
+grasps no ball proves go through the exact test, which decides alone
+whether a grasp is free. The survivors are the exact test's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GraspFrame, GripperParams, PointCloud, grasp_frame, grasp_to_world, world_to_grasp
+from .core import (
+    Grasp,
+    GraspFrame,
+    GripperParams,
+    PointCloud,
+    grasp_frame,
+    grasp_frames,
+    grasp_to_world,
+    world_to_grasp,
+)
 from .sampling import EmptyRegionError, resize_indices
 
 BOUNDARY_TOL = 1e-12  # points this close to a box face count as outside
 _CULL_SLACK = 1e-9    # culling-sphere margin; must exceed BOUNDARY_TOL
 _QUERY_BATCH = 16     # grasps per KD-tree query; bounds the index lists held at once
+_BALL_SLACK = 1e-9    # core-ball margin beyond BOUNDARY_TOL, for rounding in the frame transform
+_MAX_BALLS = 128      # core balls per box; any subset of them proves no less
+_BALL_BLOCK = 1024    # grasps per core-ball query; bounds the ball centers held at once
 
 __all__ = [
     "Box3",
@@ -45,12 +67,13 @@ class Box3:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(3)
-        hi = np.asarray(self.hi, dtype=float).reshape(3)
+        lo = np.array(self.lo, dtype=float).reshape(3)
+        hi = np.array(self.hi, dtype=float).reshape(3)
         if np.any(hi <= lo):
             raise ValueError(f"box has non-positive extent: lo={lo}, hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        for name, corner in (("lo", lo), ("hi", hi)):
+            corner.flags.writeable = False  # a box is a cache key; see gripper_volume
+            object.__setattr__(self, name, corner)
 
     @property
     def volume(self) -> float:
@@ -59,12 +82,12 @@ class Box3:
     def contains_strict(self, points: np.ndarray) -> np.ndarray:
         """Strict interior test with BOUNDARY_TOL shrink; (N,) bool."""
         p = np.atleast_2d(points)
-        return np.all(p > self.lo + BOUNDARY_TOL, axis=1) & np.all(p < self.hi - BOUNDARY_TOL, axis=1)
+        return ((p > self.lo + BOUNDARY_TOL) & (p < self.hi - BOUNDARY_TOL)).all(axis=1)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Inclusive membership with BOUNDARY_TOL slack; (N,) bool."""
         p = np.atleast_2d(points)
-        return np.all(p >= self.lo - BOUNDARY_TOL, axis=1) & np.all(p <= self.hi + BOUNDARY_TOL, axis=1)
+        return ((p >= self.lo - BOUNDARY_TOL) & (p <= self.hi + BOUNDARY_TOL)).all(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +104,13 @@ class GripperVolume:
         return (self.finger_pos, self.finger_neg, self.back)
 
 
+@functools.lru_cache(maxsize=16)
 def gripper_volume(s: GripperParams) -> GripperVolume:
-    """Box decomposition of a gripper; every extent traces back to (D, W, H, T)."""
+    """Box decomposition of a gripper; every extent traces back to (D, W, H, T).
+
+    Built once per gripper, so the spheres and balls derived from a box are
+    built once too.
+    """
     d2, w2, h2, t = s.depth / 2.0, s.width / 2.0, s.height / 2.0, s.thickness
     return GripperVolume(
         closing=Box3((-d2, -w2, -h2), (d2, w2, h2)),
@@ -92,6 +120,7 @@ def gripper_volume(s: GripperParams) -> GripperVolume:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     """Centers (grasp frame) and common radius of spheres covering `box`.
 
@@ -107,6 +136,7 @@ def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     cell[axis] /= n
     centers = np.tile(box.lo + cell / 2.0, (n, 1))
     centers[:, axis] += np.arange(n) * cell[axis]
+    centers.flags.writeable = False
     return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
 
 
@@ -132,31 +162,88 @@ def _box_points(cloud: PointCloud, frames: list[GraspFrame], box: Box3, strict: 
             yield idx[inside], q[inside]
 
 
+@functools.lru_cache(maxsize=64)
+def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
+    """Centers (grasp frame) and common radius of balls strictly inside `box`.
+
+    The balls are inscribed in cubes whose side is the box's smallest
+    extent, spread evenly along each axis, at most _MAX_BALLS of them. The
+    radius stops BOUNDARY_TOL + _BALL_SLACK short of the cube's faces, so
+    a point within it of a center is strictly inside the box. A box too
+    thin for that margin gets no balls.
+    """
+    ext = box.hi - box.lo
+    side = float(ext.min())
+    radius = side / 2.0 - BOUNDARY_TOL - _BALL_SLACK
+    if radius <= 0.0:
+        return np.empty((0, 3)), 0.0
+    n = np.ceil(ext / side)
+    for _ in range(3):  # the thinnest axis holds one cube, so at most two axes shrink
+        over = n.prod() / _MAX_BALLS
+        if over <= 1.0:
+            break
+        big = n > 1
+        n[big] = np.maximum(1.0, np.floor(n[big] / over ** (1.0 / big.sum())))
+    axes = [box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a])) for a in range(3)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers.flags.writeable = False
+    return centers, radius
+
+
+def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, box: Box3) -> np.ndarray:
+    """(G,) bool: some cloud point lies in a core ball of `box`, so the grasp collides."""
+    centers, radius = _core_balls(box)
+    hit = np.zeros(len(rotations), dtype=bool)
+    if not len(centers):
+        return hit
+    for start in range(0, len(rotations), _BALL_BLOCK):
+        block = slice(start, start + _BALL_BLOCK)
+        world = centers @ rotations[block].transpose(0, 2, 1) + origins[block, None, :]
+        d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=radius)
+        hit[block] = np.isfinite(d).reshape(-1, len(centers)).any(axis=1)
+    return hit
+
+
+def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
+    """(G,) bool: no cloud point strictly inside a finger or the back plate of each grasp frame.
+
+    Each obstacle box's core balls first settle the grasps they prove
+    colliding (see the module docstring); the exact box test decides the
+    rest, fingers first and the back plate last. Every pass covers only the
+    grasps no earlier pass hit.
+    """
+    obstacles = gripper_volume(s).obstacles
+    free = np.ones(len(rotations), dtype=bool)
+    for box in obstacles:
+        todo = np.flatnonzero(free)
+        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], box)
+    for box in obstacles:
+        todo = np.flatnonzero(free)
+        frames = [GraspFrame(rotations[i], origins[i]) for i in todo]
+        free[todo] = [idx.size == 0 for idx, _ in _box_points(cloud, frames, box, strict=True)]
+    return free
+
+
 def filter_collision_free(
     candidates: list[Grasp],
     scene_cloud: PointCloud,
     s: GripperParams,
 ) -> list[Grasp]:
     """Order-preserving subsequence of candidates with no cloud point strictly
-    inside a finger or the back plate.
-
-    Grasps are tested one obstacle box at a time, fingers first and the back
-    plate last; a pass covers only the grasps no earlier box hit.
-    """
+    inside a finger or the back plate. All frames are built in one batch."""
     if not candidates or len(scene_cloud) == 0:
         return list(candidates)
-    frames = [grasp_frame(g) for g in candidates]
-    free = np.ones(len(candidates), dtype=bool)
-    for box in gripper_volume(s).obstacles:
-        todo = np.flatnonzero(free)
-        hits = _box_points(scene_cloud, [frames[i] for i in todo], box, strict=True)
-        free[todo] = [idx.size == 0 for idx, _ in hits]
+    rotations = grasp_frames(np.stack([g.orientation for g in candidates]), [g.theta for g in candidates])
+    free = _free_mask(scene_cloud, rotations, np.stack([g.center for g in candidates]), s)
     return [g for g, ok in zip(candidates, free) if ok]
 
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
     """True iff any cloud point lies strictly inside a finger or the back plate."""
-    return not filter_collision_free([g], cloud, s)
+    if len(cloud) == 0:
+        return False
+    frame = grasp_frame(g)
+    return not _free_mask(cloud, frame.rotation[None], frame.origin[None], s)[0]
 
 
 def closing_region_points(

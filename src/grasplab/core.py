@@ -32,8 +32,10 @@ __all__ = [
     "PointCloud",
     "GraspFrame",
     "clamp_theta",
+    "cross",
     "ground_reference",
     "grasp_frame",
+    "grasp_frames",
     "world_to_grasp",
     "grasp_to_world",
     "vertical_score",
@@ -59,13 +61,6 @@ def _frozen_copy(a) -> np.ndarray:
 def clamp_theta(theta: float) -> float:
     """theta clamped to the approach-angle range [-pi/2, pi/2]."""
     return min(max(float(theta), -THETA_MAX), THETA_MAX)
-
-
-def _unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValueError(f"{name} has near-zero length")
-    return v / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,39 +190,66 @@ class GraspFrame:
         return self.rotation[:, 2]
 
 
-def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed Rodrigues rotation of v about a unit axis."""
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of (3,) or (G, 3) arrays.
+
+    The same products and differences as np.cross, so the same bits, without
+    its per-call axis handling, which costs more than the arithmetic on a few rows.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
+    """Right-handed Rodrigues rotation of v about a unit axis.
+
+    v and axis are (3,) or (G, 3) and angle is a scalar or (G,). The cosine
+    and sine come from libm through `math`, so a row's bits do not depend on
+    numpy's vector kernels or on the batch it is in.
+    """
     axis = np.asarray(axis, dtype=float)
     v = np.asarray(v, dtype=float)
-    c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * float(np.dot(axis, v)) * (1.0 - c)
+    angle = np.asarray(angle, dtype=float)
+    c = np.array([math.cos(a) for a in angle.ravel()]).reshape(*angle.shape, 1)
+    s = np.array([math.sin(a) for a in angle.ravel()]).reshape(*angle.shape, 1)
+    return v * c + cross(axis, v) * s + axis * np.vecdot(axis, v)[..., None] * (1.0 - c)
 
 
 def ground_reference(r: np.ndarray, warn: bool = False) -> np.ndarray:
-    """In-ground-plane reference X' = normalize((r_y, -r_x, 0)) of a closing axis r.
+    """In-ground-plane reference X' = normalize((r_y, -r_x, 0)) of closing axes r, (3,) or (G, 3).
 
     When r is (anti)parallel to world Z the reference is degenerate and X'
     falls back to (1, 0, 0), with a RuntimeWarning if `warn` is set.
     """
-    if abs(r[0]) >= 1e-9 or abs(r[1]) >= 1e-9:
-        return _unit(np.array([r[1], -r[0], 0.0]), "X'")
-    if warn:
-        warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning, stacklevel=3)
-    return np.array([1.0, 0.0, 0.0])
+    r = np.asarray(r, dtype=float)
+    x_ref = np.stack([r[..., 1], -r[..., 0], np.zeros(r.shape[:-1])], axis=-1)
+    flat = (np.abs(r[..., 0]) < 1e-9) & (np.abs(r[..., 1]) < 1e-9)
+    if np.any(flat):
+        if warn:
+            warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning,
+                          stacklevel=3)
+        x_ref[flat] = (1.0, 0.0, 0.0)
+    return x_ref / np.sqrt(np.vecdot(x_ref, x_ref))[..., None]
+
+
+def grasp_frames(orientations: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rotations (G, 3, 3) with columns (X_G, Y_G, Z_G) of G grasps.
+
+    Takes unit closing axes (G, 3) and approach angles (G,) in
+    [-pi/2, pi/2], as a Grasp holds them. The ground reference X' (see
+    ground_reference) is rotated about Y_G = orientation by theta to give
+    the approach axis X_G. A closing axis (anti)parallel to world Z warns
+    and uses X' = (1, 0, 0). Each row is bitwise the same in any batch.
+    """
+    r = np.asarray(orientations, dtype=float).reshape(-1, 3)
+    x_axis = rotate_about_axis(ground_reference(r, warn=True), r, np.asarray(thetas, dtype=float).reshape(-1))
+    return np.stack([x_axis, r, cross(x_axis, r)], axis=2)
 
 
 def grasp_frame(g: Grasp) -> GraspFrame:
-    """Build the canonical frame of a grasp.
-
-    The ground reference X' (see ground_reference) is rotated about
-    Y_G = orientation by theta to produce the approach axis X_G. A closing
-    axis (anti)parallel to world Z warns and uses X' = (1, 0, 0).
-    """
-    r = g.orientation
-    x_ref = ground_reference(r, warn=True)
-    x_axis = rotate_about_axis(x_ref, r, g.theta)
-    z_axis = np.cross(x_axis, r)
-    return GraspFrame(np.column_stack([x_axis, r, z_axis]), g.center)
+    """The canonical frame of one grasp: the one-row case of grasp_frames."""
+    return GraspFrame(grasp_frames(g.orientation[None], [g.theta])[0], g.center)
 
 
 def world_to_grasp(frame: GraspFrame, points: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ __all__ = [
     "write_grasps",
     "read_confidence",
     "write_confidence",
+    "ConfigText",
     "read_config",
     "read_xy",
     "format_report",
@@ -338,11 +339,21 @@ def read_confidence(path) -> ConfidenceField:
 # Config
 # ---------------------------------------------------------------------------
 
-def read_config(path) -> dict[str, str]:
+class ConfigText(str):
+    """A config value's text; `line` is its line number in the file."""
+
+    def __new__(cls, text: str, line: int):
+        out = super().__new__(cls, text)
+        out.line = line
+        return out
+
+
+def read_config(path) -> dict[str, ConfigText]:
     """Flat 'key = value' map of text, with '#' comments; keys may be dotted. Duplicate keys are an
-    error; unknown keys, and parsing the values, are the consumer's problem."""
+    error; unknown keys, and parsing the values, are the consumer's problem. Each value carries its
+    line, so a consumer can name file:line."""
     path = Path(path)
-    out: dict[str, str] = {}
+    out: dict[str, ConfigText] = {}
     for i, raw in enumerate(_read_lines(path), start=1):
         stripped = raw.split("#", 1)[0].strip(_BLANKS)
         if not stripped:
@@ -356,7 +367,7 @@ def read_config(path) -> dict[str, str]:
             raise ParseError(path, i, f"empty value for key {key!r}")
         if key in out:
             raise ParseError(path, i, f"duplicate key {key!r}")
-        out[key] = value
+        out[key] = ConfigText(value, i)
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, clamp_theta, ground_reference, rotate_about_axis
+from .core import Grasp, GripperParams, PointCloud, clamp_theta, cross, ground_reference, rotate_about_axis
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 
@@ -166,21 +166,29 @@ def darboux_frame(
 # Candidate generation
 # ---------------------------------------------------------------------------
 
-def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[np.ndarray, float]:
-    """Closing axis (possibly flipped) and theta so the frame X axis equals `approach`.
+def _approach_angles(r: np.ndarray, approach: np.ndarray) -> np.ndarray:
+    """theta per row that rotates the ground reference of closing axis r onto `approach`, in (-pi, pi]."""
+    x_ref = ground_reference(r)
+    num, den = np.vecdot(cross(x_ref, approach), r), np.vecdot(x_ref, approach)
+    return np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
 
-    `approach` must be perpendicular to `orientation`. The closing axis is
-    sign-symmetric for a parallel jaw, so it is flipped whenever that brings
-    theta into [-pi/2, pi/2].
+
+def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closing axes (possibly flipped) and thetas so each frame's X axis equals its `approach`.
+
+    Takes (G, 3) rows, each approach perpendicular to its orientation. The
+    closing axis is sign-symmetric for a parallel jaw, so it is flipped
+    whenever that brings theta into [-pi/2, pi/2].
     """
-    r = orientation
-    for _ in range(2):
-        x_ref = ground_reference(r)
-        theta = math.atan2(float(np.cross(x_ref, approach) @ r), float(x_ref @ approach))
-        if abs(theta) <= math.pi / 2 + 1e-12:
-            return r, clamp_theta(theta)
-        r = -r
-    raise RuntimeError("no valid approach angle found")  # unreachable for approach perpendicular to r
+    r = np.array(orientation, dtype=float)
+    theta = _approach_angles(r, approach)
+    flip = np.abs(theta) > math.pi / 2 + 1e-12
+    if flip.any():
+        r[flip] = -r[flip]
+        theta[flip] = _approach_angles(r[flip], approach[flip])
+    if np.any(np.abs(theta) > math.pi / 2 + 1e-12):
+        raise RuntimeError("no valid approach angle found")  # unreachable for approach perpendicular to r
+    return r, np.array([clamp_theta(t) for t in theta])
 
 
 def sample_candidates(
@@ -217,17 +225,17 @@ def sample_candidates(
     else:
         offsets = np.linspace(-cfg.angle_range, cfg.angle_range, cfg.n_angle_perturbations)
 
-    out: list[Grasp] = []
-    for frame in _darboux_frames(object_cloud, centers, k, viewpoint):
-        approach = -frame.normal
-        center = frame.point + (gripper.depth / 2.0) * approach
-        for spin in spins:
-            r = rotate_about_axis(frame.major, approach, float(spin))
-            r /= np.linalg.norm(r)
-            r, theta0 = _theta_for_approach(r, approach)
-            for d in offsets:
-                out.append(Grasp(center, r, clamp_theta(theta0 + float(d))))
-    return out
+    frames = _darboux_frames(object_cloud, centers, k, viewpoint)
+    approach = -np.stack([frame.normal for frame in frames])
+    grasp_centers = np.stack([frame.point for frame in frames]) + (gripper.depth / 2.0) * approach
+    # one row per (seed, spin), seed-major
+    approach = np.repeat(approach, n_spin, axis=0)
+    r = rotate_about_axis(np.repeat(np.stack([frame.major for frame in frames]), n_spin, axis=0), approach,
+                          np.tile(spins, len(frames)))
+    r /= np.sqrt(np.vecdot(r, r))[:, None]
+    r, theta0 = _theta_for_approach(r, approach)
+    return [Grasp(center, axis, clamp_theta(t + float(d)))
+            for center, axis, t in zip(np.repeat(grasp_centers, n_spin, axis=0), r, theta0) for d in offsets]
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ class TestSettingTypes:
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("labels.k1 = 7.5\n")
         assert main(["losscheck", "--trials", "1", "--config", str(cfg)]) == 2
-        assert "setting labels.k1 expects an integer, got '7.5'" in capsys.readouterr().err
+        assert f"{cfg}:1: setting labels.k1 expects an integer, got '7.5'" in capsys.readouterr().err
 
     def test_float_setting_accepts_an_integer(self, tmp_path, capsys):
         write_inputs(tmp_path)
@@ -474,6 +474,40 @@ class TestSettingRanges:
         assert proc.stderr == f"grasplab: error: {bad}:1: normal length overflows\n"
 
 
+INT64_MAX = 2**63 - 1
+INT_KEYS = sorted(key for key, s in cli.SETTINGS.items() if type(s.default) is int)
+
+
+class TestIntegerRange:
+    """An integer setting or count flag takes what fits int64; beyond that is a range error naming its source."""
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_beyond_int64_names_the_flag_key_or_line(self, tmp_path, key):
+        setting = cli.SETTINGS[key]
+        base = BASE_ARGV[command_of(key)] if setting.flag else BASE_ARGV["losscheck"]
+        cfg = tmp_path / "big.cfg"
+        for value in (2**63, 10**23):
+            reason = f"must be in [{setting.low}, {INT64_MAX}], got {value}"
+            if setting.flag:
+                code, message = resolve(base + [setting.flag, str(value)])
+                assert code == 1 and f"argument {setting.flag}: {reason}" in message
+            assert resolve(base + ["--set", f"{key}={value}"]) == (2, f"setting {key} {reason}")
+            cfg.write_text(f"# big\n{key} = {value}\n")
+            assert resolve(base + ["--config", str(cfg)]) == (2, f"{cfg}:2: setting {key} {reason}")
+        assert resolve(base + ["--set", f"{key}={INT64_MAX}"])[key] == INT64_MAX
+
+    @pytest.mark.parametrize("flag,low", [("--seed", 0), ("--subsample", 1)])
+    def test_count_flags_stop_at_int64(self, flag, low):
+        code, message = resolve(BASE_ARGV["normals"] + [flag, str(INT64_MAX + 1)])
+        assert code == 1 and f"argument {flag}: must be in [{low}, {INT64_MAX}], got {INT64_MAX + 1}" in message
+        assert isinstance(resolve(BASE_ARGV["normals"] + [flag, str(INT64_MAX)]), dict)
+
+    def test_unknown_config_key_names_its_line(self, tmp_path):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text("normals.k = 3\n\nbogus = 1\n")
+        assert resolve(BASE_ARGV["normals"] + ["--config", str(cfg)]) == (2, f"{cfg}:3: unknown setting 'bogus'")
+
+
 class TestSettingRouting:
     def test_flags_are_the_documented_thirteen(self):
         assert sorted(cli.SETTINGS[key].flag for key in FLAGGED) == sorted([
@@ -492,6 +526,7 @@ class TestSettingRouting:
     @settings(max_examples=300, deadline=None)
     @given(key=st.sampled_from(FLAGGED), text=st.one_of(
         st.integers(-10**4, 10**4).map(str),
+        st.integers(INT64_MAX - 2, 2**64).map(str),
         st.floats().map(repr),
         st.text(max_size=12),
         st.sampled_from(["0", "-0", "1", "3", "4", " 5 ", "1.0", "1e3", "1e400", "nan", "-inf",

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,14 +22,16 @@ from grasplab import (
     filter_collision_free,
     find_contacts,
     grasp_frame,
+    grasp_frames,
     grasp_to_world,
     gripper_volume,
     sample_candidates,
     world_to_grasp,
 )
-from grasplab.collision import BOUNDARY_TOL, _cull_spheres
+from grasplab import collision
+from grasplab.collision import _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _core_balls, _cull_spheres
 from grasplab.sampling import _theta_for_approach
-from conftest import oracle_collision, tabletop_cloud
+from conftest import oracle_collision, oracle_frame, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 AXIS_Y = Grasp((0, 0, 0), (0, 1, 0), 0.0)
@@ -205,8 +210,9 @@ DIMS = (GRIPPER.depth, GRIPPER.width, GRIPPER.height, GRIPPER.thickness)
 def _planted(rng, g, boxes, strictly_inside):
     """World points near the faces and corners of a grasp's boxes.
 
-    With `strictly_inside`, some points lie strictly inside a box and some
-    exactly on the radii of the spheres that cull it; without, every point
+    With `strictly_inside`, some points lie strictly inside a box, some
+    exactly on the radii of the spheres that cull it and some just inside or
+    just outside the surface of a core ball; without, every point
     lies outside the boxes or within BOUNDARY_TOL of them, and points that
     land strictly inside a neighbouring obstacle box are dropped.
     """
@@ -231,10 +237,23 @@ def _planted(rng, g, boxes, strictly_inside):
         u = rng.normal(size=(len(centers), 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         world.append(grasp_to_world(frame, centers) + radius * u)
+        world.append(_near_ball_surfaces(rng, frame, box, 2))
     pts = np.vstack(world)
     if not strictly_inside:
         pts = pts[[not oracle_collision([p], g.center, g.orientation, g.theta, *DIMS) for p in pts.tolist()]]
     return pts
+
+
+BALL_SCALES = np.array([1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 1e-9])  # on both sides of a ball's surface
+
+
+def _near_ball_surfaces(rng, frame, box, n):
+    """World points just inside or just outside the surfaces of n core balls of box."""
+    centers, radius = _core_balls(box)
+    pick = rng.choice(len(centers), size=min(n, len(centers)), replace=False)
+    u = rng.normal(size=(len(pick), 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return grasp_to_world(frame, centers[pick] + radius * rng.choice(BALL_SCALES, size=(len(pick), 1)) * u)
 
 
 def _tiled_scene(rng, boxes_of, seeds):
@@ -369,6 +388,102 @@ class TestCulledKernel:
                 closing_region_points(cloud, AXIS_Y, GRIPPER)
 
 
+class TestCoreBallPrePass:
+    """The core balls only prove collisions, so the filter's verdicts stay the exact test's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.tuples(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(0.005, 0.2),
+                          st.floats(1e-9, 0.05)))
+    def test_every_ball_is_inside_its_box_by_the_margin(self, dims):
+        for box in gripper_volume(GripperParams(*dims)).obstacles:
+            centers, radius = _core_balls(box)
+            assert len(centers) <= _MAX_BALLS
+            if not len(centers):
+                assert min(box.hi - box.lo) <= 2 * (BOUNDARY_TOL + _BALL_SLACK)
+                continue
+            assert radius > 0.0
+            # exact arithmetic on the float values; 1e-15 of rounding in the centers is far inside the slack
+            margin = Fraction(BOUNDARY_TOL) + Fraction(_BALL_SLACK) - Fraction(1e-15)
+            r = Fraction(radius)
+            for c in centers.tolist():
+                for a in range(3):
+                    assert Fraction(c[a]) - r - Fraction(float(box.lo[a])) >= margin
+                    assert Fraction(float(box.hi[a])) - Fraction(c[a]) - r >= margin
+
+    def test_thin_gripper_stays_within_the_cap(self):
+        for box in gripper_volume(GripperParams(0.1, 0.15, 0.08, 0.002)).obstacles:
+            centers, radius = _core_balls(box)
+            assert 0 < len(centers) <= _MAX_BALLS and radius > 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40))
+    def test_batched_frames_equal_one_at_a_time(self, seed, n):
+        rng = np.random.default_rng(seed)
+        grasps = [_random_grasp(rng) for _ in range(n)]
+        special = [(0, 0, 1), (0, 0, -1), (1e-10, -1e-10, 1)]  # closing axis parallel to world Z
+        for i in rng.choice(n, size=rng.integers(0, min(n, 4) + 1), replace=False):
+            r = special[rng.integers(3)] if rng.integers(2) else grasps[i].orientation
+            theta = rng.choice([math.pi / 2, -math.pi / 2, grasps[i].theta])
+            grasps[i] = Grasp(grasps[i].center, r, theta)
+        flat = any(abs(g.orientation[0]) < 1e-9 and abs(g.orientation[1]) < 1e-9 for g in grasps)
+        with pytest.warns(RuntimeWarning) if flat else contextlib.nullcontext():
+            rotations = grasp_frames(np.stack([g.orientation for g in grasps]), [g.theta for g in grasps])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for g, rotation in zip(grasps, rotations):
+                assert np.array_equal(rotation, grasp_frame(g).rotation)
+                x, y, z, _ = oracle_frame(g.center, g.orientation, g.theta)
+                np.testing.assert_allclose(rotation, np.column_stack([x, y, z]), rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_survivors_match_oracle_near_ball_surfaces_and_faces(self, seed):
+        rng = np.random.default_rng(seed)
+        grasps = [_random_grasp(rng, span=0.2) for _ in range(30)]
+        obstacles = gripper_volume(GRIPPER).obstacles
+        plants = []
+        for i, g in enumerate(grasps):
+            frame, box = grasp_frame(g), obstacles[rng.integers(3)]
+            if i % 3 == 0:
+                plants.append(_near_ball_surfaces(rng, frame, box, 3))
+            elif i % 3 == 1:
+                # where a ball comes closest to a face: across the box's thinnest axis, either side of the face
+                centers, _ = _core_balls(box)
+                q = centers[rng.integers(len(centers))].copy()
+                axis = int(np.argmin(box.hi - box.lo))
+                q[axis] = (box.lo, box.hi)[rng.integers(2)][axis] + rng.choice([-1.0, 1.0]) * rng.choice(FACE_OFFSETS)
+                plants.append(grasp_to_world(frame, q[None]))
+        cloud = PointCloud(np.vstack(plants))
+        kept = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
+        points = cloud.points.tolist()
+        verdicts = [oracle_collision(points, g.center, g.orientation, g.theta, *DIMS) for g in grasps]
+        assert [id(g) not in kept for g in grasps] == verdicts
+        assert any(verdicts)
+
+    def test_deep_collision_is_settled_without_the_exact_test(self, monkeypatch):
+        balls, _ = _core_balls(gripper_volume(GRIPPER).finger_pos)
+        deep = Grasp((0.0, 0.0, 0.0), (0, 1, 0), 0.0)
+        clear = Grasp((1.0, 0.0, 0.0), (0, 1, 0), 0.0)
+        cloud = PointCloud(grasp_to_world(grasp_frame(deep), balls[:1]))
+        tested = []
+        real = collision._box_points
+
+        def counting(cloud, frames, box, strict):
+            tested.extend(tuple(frame.origin) for frame in frames)
+            return real(cloud, frames, box, strict)
+
+        monkeypatch.setattr(collision, "_box_points", counting)
+        assert filter_collision_free([deep, clear], cloud, GRIPPER) == [clear]
+        assert tuple(clear.center) in tested and tuple(deep.center) not in tested
+
+    def test_fingers_too_thin_for_balls_leave_the_exact_test(self):
+        thin = GripperParams(0.06, 0.08, 0.04, 1e-9)
+        assert all(len(_core_balls(box)[0]) == 0 for box in gripper_volume(thin).obstacles)
+        inside = PointCloud(np.array([[0.0, 0.04 + 5e-10, 0.0]]))
+        assert filter_collision_free([AXIS_Y], inside, thin) == []
+        assert filter_collision_free([AXIS_Y], PointCloud(np.array([[0.0, 0.04 + 2e-9, 0.0]])), thin) == [AXIS_Y]
+
+
 FACE_MARGIN = 1e-6  # points this close to a box face, or to the closing plane y = 0, are dropped
 
 
@@ -389,8 +504,8 @@ def _near_a_face(points, grasps):
 
 def _moved(g, R, t):
     """g carried by the rigid motion x -> R x + t; the closing axis may flip to keep theta in range."""
-    r, theta = _theta_for_approach(R @ g.orientation, R @ grasp_frame(g).x_axis)
-    return Grasp(R @ g.center + t, r, theta)
+    r, theta = _theta_for_approach((R @ g.orientation)[None], (R @ grasp_frame(g).x_axis)[None])
+    return Grasp(R @ g.center + t, r[0], theta[0])
 
 
 class TestRigidMotion:

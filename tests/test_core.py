@@ -9,6 +9,7 @@ from grasplab import (
     GripperParams,
     PointCloud,
     grasp_frame,
+    grasp_frames,
     grasp_to_world,
     vertical_score,
     world_to_grasp,
@@ -84,7 +85,9 @@ class TestGraspFrame:
         np.testing.assert_allclose(f.x_axis, [1, 0, 0], atol=1e-12)
 
     def test_rotation_orthonormal_det_plus_one(self, rng):
-        rotations = np.stack([grasp_frame(_random_grasp(rng)).rotation for _ in range(10_000)])
+        r = rng.normal(size=(10_000, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        rotations = grasp_frames(r, rng.uniform(-math.pi / 2, math.pi / 2, size=10_000))
         identities = np.broadcast_to(np.eye(3), rotations.shape)
         np.testing.assert_allclose(rotations.transpose(0, 2, 1) @ rotations, identities, atol=1e-9)
         np.testing.assert_allclose(np.linalg.det(rotations), 1.0, rtol=0, atol=1e-9)

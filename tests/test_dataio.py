@@ -520,6 +520,12 @@ class TestConfigIO:
         path.write_text("# comment\npolicy.a = 10.1244\nlabels.k1 = 768\nname = widget\n")
         assert read_config(path) == {"policy.a": "10.1244", "labels.k1": "768", "name": "widget"}
 
+    def test_values_carry_their_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("# comment\n\nlabels.k1 = 768\nname = widget # trailing\n")
+        assert {key: (value, value.line) for key, value in read_config(path).items()} == {
+            "labels.k1": ("768", 3), "name": ("widget", 4)}
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just words\n")

@@ -176,6 +176,10 @@ class TestReproducers:
          "argument --gripper: expects D,W,H,T reals"),
         (["select", "g.csv", "--coeffs", "coeffs.txt"], 2,
          "coeffs.txt: coefficient a must be a finite real, got '1_0'"),
+        (["normals", "five.xyz", "--config", "k.cfg", "-o", "o.ply"], 2,
+         "k.cfg:1: setting normals.k expects an integer, got '\u0663'"),
+        (["sample", "five.xyz", "--gripper", "0.06,0.1,0.02,0.005", "--centers", "99999999999999999999999",
+          "-o", "s.csv"], 1, "argument --centers: must be in [1, 9223372036854775807], got 99999999999999999999999"),
     ])
     def test_exits_non_zero_naming_the_source(self, files, monkeypatch, argv, code, message):
         monkeypatch.chdir(files)
@@ -185,17 +189,20 @@ class TestReproducers:
 
 
 # Whole command lines: a subcommand, its arguments drawn from tiny valid and malformed files, and
-# options with tokens from the rules above. No integer exceeds 50, and the flags whose values multiply
-# the work (the sampler's grid, --trials) stay below 6, so no example runs long.
+# options with tokens from the rules above. An integer is at most 50 or does not fit int64 (which every
+# integer flag and setting refuses before any work), and the flags whose values multiply the work (the
+# sampler's grid, --trials) stay below 6 when they are taken, so no example runs long.
 TOKENS = NUMBER_TOKENS + ["1 0 0\v", "\u0660.06,0.1,0.02,0.005", "element\x1fvertex 3", "-", "--", "", "=",
                           GRIPPER, "0.06,0.1,0.02", "0.06,0.1,nan,0.005", "heuristic", "analytic", "linear"]
 SET_ITEMS = ["normals.k=\u0663", "normals.k=0_3", "normals.k=3", "region.keep=50", "region.radius=0.05",
              "losscheck.tol=nan", "anchors.m=50", "anchors.c_b=1e-300", "labels.k1=3", "refine.d1=-1", "bogus=1",
-             "sampler.angle_range=1.5707963267948966", "confidence.width=1e308", "eval.top=50"]
+             "sampler.angle_range=1.5707963267948966", "confidence.width=1e308", "eval.top=50",
+             "sampler.n_centers=99999999999999999999999", "region.keep=9223372036854775808"]
 SMALL = st.integers(-1, 5).map(str)
+HUGE = st.one_of(st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1)).map(str)  # beyond int64
 GRIPPERS = st.sampled_from([GRIPPER] * 4 + ["0.06,0.1,0.02", "0.06,0.1,nan,0.005", "\u0660.06,0.1,0.02,0.005",
                                            "0.06,0.1,0.02,0.005\x0b", "0.06,0.1,0.02,-0.005"])
-VALUE = st.one_of(st.sampled_from(TOKENS), st.integers(-3, 50).map(str))
+VALUE = st.one_of(st.sampled_from(TOKENS), st.integers(-3, 50).map(str), HUGE)
 COMMON = ["--seed", "--set", "--config"]
 COMMANDS = {  # the subcommand's arguments ('@' a slot), and its other options
     "normals": (["@cloud", "-o", "@out"], ["--subsample", "-k"]),
@@ -255,13 +262,13 @@ def command_lines(draw, files, outputs):
     def value(slot):
         if slot in FILES:
             return draw(st.one_of(st.sampled_from([files[name] for name in FILES[slot]]), any_file))
-        multiplies = st.one_of(SMALL, st.sampled_from(TOKENS))
+        multiplies = st.one_of(SMALL, st.sampled_from(TOKENS), HUGE)
         strategy = {"@out": st.sampled_from(outputs), "-o": st.sampled_from(outputs),
                     "@trials": st.integers(1, 5).map(str), "@gripper": GRIPPERS, "--gripper": GRIPPERS,
                     "--centers": multiplies, "--orientations": multiplies, "--angles": multiplies,
                     "--trials": multiplies, "@mode": st.sampled_from(["sigmoid", "linear"]),
                     "--set": st.one_of(st.sampled_from(SET_ITEMS), VALUE)}
-        # any other option: a small count, which most of them take, or any token
+        # any other option: a small count, which most of them take, or any token or huge integer
         return draw(strategy.get(slot, st.one_of(SMALL, VALUE)))
 
     argv = [command] + [value(part) if part.startswith("@") else part for part in template]
