@@ -483,6 +483,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"grasplab: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a count that fits int64 can still ask for more memory than there is
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"grasplab: error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,13 +67,12 @@ class Box3:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=float).reshape(3)
-        hi = np.array(self.hi, dtype=float).reshape(3)
+        lo = np.asarray(self.lo, dtype=float).reshape(3)
+        hi = np.asarray(self.hi, dtype=float).reshape(3)
         if np.any(hi <= lo):
             raise ValueError(f"box has non-positive extent: lo={lo}, hi={hi}")
-        for name, corner in (("lo", lo), ("hi", hi)):
-            corner.flags.writeable = False  # a box is a cache key; see gripper_volume
-            object.__setattr__(self, name, corner)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def volume(self) -> float:
@@ -104,13 +103,8 @@ class GripperVolume:
         return (self.finger_pos, self.finger_neg, self.back)
 
 
-@functools.lru_cache(maxsize=16)
 def gripper_volume(s: GripperParams) -> GripperVolume:
-    """Box decomposition of a gripper; every extent traces back to (D, W, H, T).
-
-    Built once per gripper, so the spheres and balls derived from a box are
-    built once too.
-    """
+    """Box decomposition of a gripper; every extent traces back to (D, W, H, T)."""
     d2, w2, h2, t = s.depth / 2.0, s.width / 2.0, s.height / 2.0, s.thickness
     return GripperVolume(
         closing=Box3((-d2, -w2, -h2), (d2, w2, h2)),
@@ -120,7 +114,6 @@ def gripper_volume(s: GripperParams) -> GripperVolume:
     )
 
 
-@functools.lru_cache(maxsize=64)
 def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     """Centers (grasp frame) and common radius of spheres covering `box`.
 
@@ -136,7 +129,6 @@ def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     cell[axis] /= n
     centers = np.tile(box.lo + cell / 2.0, (n, 1))
     centers[:, axis] += np.arange(n) * cell[axis]
-    centers.flags.writeable = False
     return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
 
 
@@ -162,7 +154,6 @@ def _box_points(cloud: PointCloud, frames: list[GraspFrame], box: Box3, strict: 
             yield idx[inside], q[inside]
 
 
-@functools.lru_cache(maxsize=64)
 def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
     """Centers (grasp frame) and common radius of balls strictly inside `box`.
 
@@ -186,13 +177,22 @@ def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
         n[big] = np.maximum(1.0, np.floor(n[big] / over ** (1.0 / big.sum())))
     axes = [box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a])) for a in range(3)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    centers.flags.writeable = False
     return centers, radius
 
 
-def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, box: Box3) -> np.ndarray:
-    """(G,) bool: some cloud point lies in a core ball of `box`, so the grasp collides."""
-    centers, radius = _core_balls(box)
+@functools.lru_cache(maxsize=16)
+def _obstacle_balls(s: GripperParams) -> tuple[tuple[Box3, np.ndarray, float], ...]:
+    """(box, core-ball centers, radius) of each obstacle box of gripper s.
+
+    Kept per gripper because check_collision tests one grasp a call, and
+    placing the balls anew would add about 40% to each call.
+    """
+    return tuple((box, *_core_balls(box)) for box in gripper_volume(s).obstacles)
+
+
+def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, centers: np.ndarray,
+               radius: float) -> np.ndarray:
+    """(G,) bool: some cloud point lies in a core ball (grasp-frame centers), so the grasp collides."""
     hit = np.zeros(len(rotations), dtype=bool)
     if not len(centers):
         return hit
@@ -212,12 +212,12 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
     rest, fingers first and the back plate last. Every pass covers only the
     grasps no earlier pass hit.
     """
-    obstacles = gripper_volume(s).obstacles
+    obstacles = _obstacle_balls(s)
     free = np.ones(len(rotations), dtype=bool)
-    for box in obstacles:
+    for _, centers, radius in obstacles:
         todo = np.flatnonzero(free)
-        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], box)
-    for box in obstacles:
+        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], centers, radius)
+    for box, _, _ in obstacles:
         todo = np.flatnonzero(free)
         frames = [GraspFrame(rotations[i], origins[i]) for i in todo]
         free[todo] = [idx.size == 0 for idx, _ in _box_points(cloud, frames, box, strict=True)]

@@ -32,7 +32,6 @@ __all__ = [
     "PointCloud",
     "GraspFrame",
     "clamp_theta",
-    "cross",
     "ground_reference",
     "grasp_frame",
     "grasp_frames",
@@ -190,7 +189,7 @@ class GraspFrame:
         return self.rotation[:, 2]
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis of (3,) or (G, 3) arrays.
 
     The same products and differences as np.cross, so the same bits, without
@@ -213,7 +212,7 @@ def rotate_about_axis(v: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
     angle = np.asarray(angle, dtype=float)
     c = np.array([math.cos(a) for a in angle.ravel()]).reshape(*angle.shape, 1)
     s = np.array([math.sin(a) for a in angle.ravel()]).reshape(*angle.shape, 1)
-    return v * c + cross(axis, v) * s + axis * np.vecdot(axis, v)[..., None] * (1.0 - c)
+    return v * c + _cross(axis, v) * s + axis * np.vecdot(axis, v)[..., None] * (1.0 - c)
 
 
 def ground_reference(r: np.ndarray, warn: bool = False) -> np.ndarray:
@@ -244,7 +243,7 @@ def grasp_frames(orientations: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(orientations, dtype=float).reshape(-1, 3)
     x_axis = rotate_about_axis(ground_reference(r, warn=True), r, np.asarray(thetas, dtype=float).reshape(-1))
-    return np.stack([x_axis, r, cross(x_axis, r)], axis=2)
+    return np.stack([x_axis, r, _cross(x_axis, r)], axis=2)
 
 
 def grasp_frame(g: Grasp) -> GraspFrame:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, clamp_theta, cross, ground_reference, rotate_about_axis
+from .core import Grasp, GripperParams, PointCloud, _cross, clamp_theta, ground_reference, rotate_about_axis
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 
@@ -169,7 +169,7 @@ def darboux_frame(
 def _approach_angles(r: np.ndarray, approach: np.ndarray) -> np.ndarray:
     """theta per row that rotates the ground reference of closing axis r onto `approach`, in (-pi, pi]."""
     x_ref = ground_reference(r)
-    num, den = np.vecdot(cross(x_ref, approach), r), np.vecdot(x_ref, approach)
+    num, den = np.vecdot(_cross(x_ref, approach), r), np.vecdot(x_ref, approach)
     return np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
 
 

@@ -502,6 +502,18 @@ class TestIntegerRange:
         assert code == 1 and f"argument {flag}: must be in [{low}, {INT64_MAX}], got {INT64_MAX + 1}" in message
         assert isinstance(resolve(BASE_ARGV["normals"] + [flag, str(INT64_MAX)]), dict)
 
+    def test_count_beyond_memory_is_an_error_naming_the_step(self, tmp_path, capsys):
+        # fits int64, but 10**15 int64 indices need 8 PB, more than any address space holds
+        write_inputs(tmp_path)
+        ply = str(tmp_path / "scene.ply")
+        assert main(["normals", str(tmp_path / "scene.xyz"), "-k", "12", "-o", ply]) == 0
+        capsys.readouterr()
+        argv = ["sample", ply, "--gripper", GRIPPER, "--centers", str(10**15), "-o", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grasplab: error: sample: out of memory") and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_unknown_config_key_names_its_line(self, tmp_path):
         cfg = tmp_path / "u.cfg"
         cfg.write_text("normals.k = 3\n\nbogus = 1\n")
