@@ -27,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ _QUERY_BATCH = 16     # grasps per KD-tree query; bounds the index lists held at
 _BALL_SLACK = 1e-9    # core-ball margin beyond BOUNDARY_TOL, for rounding in the frame transform
 _MAX_BALLS = 128      # core balls per box; any subset of them proves no less
 _BALL_BLOCK = 1024    # grasps per core-ball query; bounds the ball centers held at once
+_KEY_BYTES = 12 * 8   # a verdict-table key: a frame's 9 rotation and 3 origin float64s
 
 __all__ = [
     "Box3",
@@ -81,12 +83,21 @@ class Box3:
     def contains_strict(self, points: np.ndarray) -> np.ndarray:
         """Strict interior test with BOUNDARY_TOL shrink; (N,) bool."""
         p = np.atleast_2d(points)
-        return ((p > self.lo + BOUNDARY_TOL) & (p < self.hi - BOUNDARY_TOL)).all(axis=1)
+        lo, hi = self.lo + BOUNDARY_TOL, self.hi - BOUNDARY_TOL
+        # column by column: a third of the cost of an (N, 3) mask reduced with .all(axis=1)
+        inside = (p[:, 0] > lo[0]) & (p[:, 0] < hi[0])
+        for a in (1, 2):
+            inside &= (p[:, a] > lo[a]) & (p[:, a] < hi[a])
+        return inside
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Inclusive membership with BOUNDARY_TOL slack; (N,) bool."""
         p = np.atleast_2d(points)
-        return ((p >= self.lo - BOUNDARY_TOL) & (p <= self.hi + BOUNDARY_TOL)).all(axis=1)
+        lo, hi = self.lo - BOUNDARY_TOL, self.hi + BOUNDARY_TOL
+        inside = (p[:, 0] >= lo[0]) & (p[:, 0] <= hi[0])
+        for a in (1, 2):
+            inside &= (p[:, a] >= lo[a]) & (p[:, a] <= hi[a])
+        return inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +143,15 @@ def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
     return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
 
 
-def _box_points(cloud: PointCloud, frames: list[GraspFrame], box: Box3, strict: bool):
+class _Kernel(NamedTuple):
+    """One gripper box with the spheres that cull its queries and the core balls that prove its hits."""
+
+    box: Box3
+    spheres: tuple[np.ndarray, float]  # _cull_spheres(box)
+    balls: tuple[np.ndarray, float]    # _core_balls(box)
+
+
+def _box_points(cloud: PointCloud, frames: list[GraspFrame], kernel: _Kernel, strict: bool):
     """Cloud points inside one gripper box, for each grasp frame in turn.
 
     Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
@@ -140,7 +159,7 @@ def _box_points(cloud: PointCloud, frames: list[GraspFrame], box: Box3, strict: 
     frame. One KD-tree query covers the culling spheres of _QUERY_BATCH
     frames; the exact box test then decides.
     """
-    centers, radius = _cull_spheres(box)
+    box, (centers, radius) = kernel.box, kernel.spheres
     for start in range(0, len(frames), _QUERY_BATCH):
         batch = frames[start:start + _QUERY_BATCH]
         world = np.concatenate([grasp_to_world(frame, centers) for frame in batch])
@@ -181,13 +200,16 @@ def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _obstacle_balls(s: GripperParams) -> tuple[tuple[Box3, np.ndarray, float], ...]:
-    """(box, core-ball centers, radius) of each obstacle box of gripper s.
+def _kernels(s: GripperParams) -> tuple[_Kernel, tuple[_Kernel, _Kernel, _Kernel]]:
+    """(closing box, obstacle boxes) of gripper s, each with its culling spheres and core balls.
 
-    Kept per gripper because check_collision tests one grasp a call, and
-    placing the balls anew would add about 40% to each call.
+    Kept per gripper because check_collision, find_contacts and
+    closing_region_points test one grasp a call, and building the boxes,
+    spheres and balls anew would cost more than the query itself.
     """
-    return tuple((box, *_core_balls(box)) for box in gripper_volume(s).obstacles)
+    v = gripper_volume(s)
+    kernel = lambda box: _Kernel(box, _cull_spheres(box), _core_balls(box))
+    return kernel(v.closing), tuple(kernel(box) for box in v.obstacles)
 
 
 def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, centers: np.ndarray,
@@ -204,7 +226,7 @@ def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, ce
     return hit
 
 
-def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
+def _decide(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
     """(G,) bool: no cloud point strictly inside a finger or the back plate of each grasp frame.
 
     Each obstacle box's core balls first settle the grasps they prove
@@ -212,16 +234,35 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
     rest, fingers first and the back plate last. Every pass covers only the
     grasps no earlier pass hit.
     """
-    obstacles = _obstacle_balls(s)
+    _, obstacles = _kernels(s)
     free = np.ones(len(rotations), dtype=bool)
-    for _, centers, radius in obstacles:
+    for kernel in obstacles:
         todo = np.flatnonzero(free)
-        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], centers, radius)
-    for box, _, _ in obstacles:
+        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], *kernel.balls)
+    for kernel in obstacles:
         todo = np.flatnonzero(free)
         frames = [GraspFrame(rotations[i], origins[i]) for i in todo]
-        free[todo] = [idx.size == 0 for idx, _ in _box_points(cloud, frames, box, strict=True)]
+        free[todo] = [idx.size == 0 for idx, _ in _box_points(cloud, frames, kernel, strict=True)]
     return free
+
+
+def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
+    """(G,) bool: _decide's verdict on each grasp frame, each frame decided once per cloud and gripper.
+
+    The cloud's verdict table (PointCloud._verdicts) is keyed by the
+    frame's bytes: its 9 rotation floats and 3 origin floats, all the
+    verdict depends on. Frames the table knows cost a dict lookup; the
+    rest go through _decide, in one batch, and their verdicts are stored.
+    """
+    table = cloud._verdicts.setdefault(s, {})
+    raw = np.concatenate([rotations.reshape(-1, 9), origins], axis=1, dtype=float).tobytes()
+    keys = [raw[i:i + _KEY_BYTES] for i in range(0, len(raw), _KEY_BYTES)]
+    verdicts = [table.get(key) for key in keys]
+    todo = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    if todo:
+        for i, free in zip(todo, _decide(cloud, rotations[todo], origins[todo], s).tolist()):
+            verdicts[i] = table[keys[i]] = free
+    return np.array(verdicts, dtype=bool)
 
 
 def filter_collision_free(
@@ -263,7 +304,7 @@ def closing_region_points(
         raise ValueError("keep must be >= 1")
     if len(cloud) == 0:
         raise EmptyRegionError("empty cloud has no closing-region points")
-    inside, q = next(_box_points(cloud, [grasp_frame(g)], gripper_volume(s).closing, strict=False))
+    inside, q = next(_box_points(cloud, [grasp_frame(g)], _kernels(s)[0], strict=False))
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
     idx, padded = resize_indices(inside.size, keep, seed)

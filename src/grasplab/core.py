@@ -46,7 +46,8 @@ __all__ = [
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
-    if not np.all(np.isfinite(a)):
+    # math.isfinite on three Python floats is several times cheaper than np.isfinite and np.all
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"{name} has non-finite components: {a}")
     return a
 
@@ -116,13 +117,17 @@ class PointCloud:
 
     A cloud is immutable: it keeps read-only copies of its arrays, so the
     KD-tree over its points (`tree`, built on first use and cached) can be
-    shared by every spatial query on the cloud and never goes stale.
+    shared by every spatial query on the cloud and never goes stale. For
+    the same reason the collision verdicts taken on the cloud are kept in
+    `_verdicts`: per gripper, a dict from the bytes of a grasp frame (9
+    rotation floats, then 3 origin floats) to True when that frame is free.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     colors: np.ndarray | None = None
     _tree: cKDTree | None = field(default=None, init=False, repr=False)
+    _verdicts: dict[GripperParams, dict[bytes, bool]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = _frozen_copy(self.points)
@@ -157,9 +162,10 @@ class PointCloud:
         return self._tree
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        """Same points and colors with new normals; shares this cloud's tree."""
+        """Same points and colors with new normals; shares this cloud's tree and collision verdicts."""
         out = PointCloud(self.points, normals, self.colors)
         object.__setattr__(out, "_tree", self._tree)
+        object.__setattr__(out, "_verdicts", self._verdicts)
         return out
 
 

@@ -148,14 +148,15 @@ class TestFilterCollisionFree:
         positions = [ids.index(id(g)) for g in out]
         assert positions == sorted(positions)
         kept = set(positions)
+        checked = PointCloud(cloud.points)  # its own verdict table, so each grasp is decided again
         for i, g in enumerate(grasps):
-            assert check_collision(cloud, g, GRIPPER) == (i not in kept)
+            assert check_collision(checked, g, GRIPPER) == (i not in kept)
 
     def test_idempotent(self, rng):
         cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(100, 3)))
         grasps = [_random_grasp(rng, span=0.08) for _ in range(30)]
         once = filter_collision_free(grasps, cloud, GRIPPER)
-        twice = filter_collision_free(once, cloud, GRIPPER)
+        twice = filter_collision_free(once, PointCloud(cloud.points), GRIPPER)
         assert [id(g) for g in once] == [id(g) for g in twice]
 
 
@@ -349,12 +350,13 @@ class TestCulledKernel:
     def test_filter_matches_oracle_on_tabletop_clouds(self, rng):
         grasps, tiles, cloud = _tiled_scene(rng, lambda v: v.obstacles, seeds=(0, 1, 2))
         kept = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
+        checked = PointCloud(cloud.points)  # its own verdict table, so each grasp is decided again
         hits = 0
         for g, tile in zip(grasps, tiles):
             # the other tiles lie beyond the gripper's reach from this grasp
             expected = oracle_collision(tile.tolist(), g.center, g.orientation, g.theta, *DIMS)
             assert (id(g) not in kept) == expected
-            assert check_collision(cloud, g, GRIPPER) == expected
+            assert check_collision(checked, g, GRIPPER) == expected
             hits += expected
         assert 0 < hits < len(grasps)
 
@@ -378,7 +380,7 @@ class TestCulledKernel:
         cloud = PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
         expected = oracle_collision(points.tolist(), AXIS_Y.center, AXIS_Y.orientation, AXIS_Y.theta, *DIMS)
         assert check_collision(cloud, AXIS_Y, GRIPPER) == expected
-        assert filter_collision_free([AXIS_Y], cloud, GRIPPER) == ([] if expected else [AXIS_Y])
+        assert filter_collision_free([AXIS_Y], PointCloud(points), GRIPPER) == ([] if expected else [AXIS_Y])
         if len(points):
             _assert_same_contacts(cloud, AXIS_Y)
             _assert_same_region(cloud, AXIS_Y, 4)
@@ -482,6 +484,55 @@ class TestCoreBallPrePass:
         inside = PointCloud(np.array([[0.0, 0.04 + 5e-10, 0.0]]))
         assert filter_collision_free([AXIS_Y], inside, thin) == []
         assert filter_collision_free([AXIS_Y], PointCloud(np.array([[0.0, 0.04 + 2e-9, 0.0]])), thin) == [AXIS_Y]
+
+
+class TestVerdictTable:
+    """A cloud decides each grasp frame once per gripper; later asks are table hits with the same verdicts."""
+
+    def test_check_after_filter_makes_no_query(self, rng, monkeypatch):
+        cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(200, 3)))
+        grasps = [_random_grasp(rng, span=0.08) for _ in range(60)]
+        free = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
+        assert 0 < len(free) < len(grasps)
+
+        def no_query(*args):
+            raise AssertionError("a decided grasp was queried again")
+
+        monkeypatch.setattr(collision, "_ball_hits", no_query)
+        monkeypatch.setattr(collision, "_box_points", no_query)
+        with_normals = cloud.with_normals(np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
+        for g in grasps:
+            assert check_collision(cloud, g, GRIPPER) == (id(g) not in free)
+            assert check_collision(with_normals, g, GRIPPER) == (id(g) not in free)
+
+    @pytest.mark.parametrize("first", ["narrow", "wide"])
+    def test_grippers_keep_separate_verdicts(self, first):
+        # the point sits in the narrow gripper's +Y finger and in the wide gripper's closing region
+        wide = GripperParams(GRIPPER.depth, 0.12, GRIPPER.height, GRIPPER.thickness)
+        cloud = PointCloud(np.array([[0.0, GRIPPER.width / 2 + GRIPPER.thickness / 2, 0.0]]))
+        order = [GRIPPER, wide] if first == "narrow" else [wide, GRIPPER]
+        for s in order + order:
+            assert check_collision(cloud, AXIS_Y, s) == (s is GRIPPER)
+            assert filter_collision_free([AXIS_Y], cloud, s) == ([] if s is GRIPPER else [AXIS_Y])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 30), data=st.data())
+    def test_mixed_batch_returns_the_uncached_verdicts_in_order(self, seed, n, data):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-0.1, 0.1, size=(150, 3))
+        grasps = [_random_grasp(rng, span=0.08) for _ in range(n)]
+        index = st.integers(0, n - 1)
+        filtered, checked = data.draw(st.lists(index, max_size=n)), data.draw(st.lists(index, max_size=n))
+        batch = data.draw(st.lists(index, min_size=1, max_size=2 * n))  # any order, repeats allowed
+        cloud = PointCloud(points)
+        filter_collision_free([grasps[i] for i in filtered], cloud, GRIPPER)
+        for i in checked:
+            check_collision(cloud, grasps[i], GRIPPER)
+        survivors = [id(g) for g in filter_collision_free([grasps[i] for i in batch], cloud, GRIPPER)]
+        uncached = [id(g) for g in filter_collision_free([grasps[i] for i in batch], PointCloud(points), GRIPPER)]
+        assert survivors == uncached
+        oracle = [not oracle_collision(points.tolist(), g.center, g.orientation, g.theta, *DIMS) for g in grasps]
+        assert survivors == [id(grasps[i]) for i in batch if oracle[i]]
 
 
 FACE_MARGIN = 1e-6  # points this close to a box face, or to the closing plane y = 0, are dropped
