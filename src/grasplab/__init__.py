@@ -76,7 +76,6 @@ from .sampling import (
     ball_query,
     darboux_frame,
     estimate_normals,
-    farthest_point_sampling,
     sample_candidates,
 )
 

@@ -19,6 +19,14 @@ whatever the rounding of the frame transform, so one nearest-neighbour
 query per box proves a collision. The balls need not cover the box: the
 grasps no ball proves go through the exact test, which decides alone
 whether a grasp is free. The survivors are the exact test's.
+
+Inside this module a batch of grasp frames is two arrays, rotations
+(G, 3, 3) and origins (G, 3); _to_world places grasp-frame points by
+every frame at once. Only the one-grasp entry points (check_collision,
+closing_region_points and contact.find_contacts) build a GraspFrame, with
+grasp_frame. Verdicts are kept per cloud in _VERDICTS, a weak-key table,
+so a frame asked about twice on one cloud and gripper is decided once
+and the table is freed with its cloud.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +47,6 @@ from .core import (
     PointCloud,
     grasp_frame,
     grasp_frames,
-    grasp_to_world,
-    world_to_grasp,
 )
 from .sampling import EmptyRegionError, resize_indices
 
@@ -50,6 +57,9 @@ _BALL_SLACK = 1e-9    # core-ball margin beyond BOUNDARY_TOL, for rounding in th
 _MAX_BALLS = 128      # core balls per box; any subset of them proves no less
 _BALL_BLOCK = 1024    # grasps per core-ball query; bounds the ball centers held at once
 _KEY_BYTES = 12 * 8   # a verdict-table key: a frame's 9 rotation and 3 origin float64s
+
+# cloud -> gripper -> grasp-frame bytes -> free; weak keys, so a cloud's verdicts are freed with it
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 __all__ = [
     "Box3",
@@ -80,23 +90,20 @@ class Box3:
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def contains_strict(self, points: np.ndarray) -> np.ndarray:
-        """Strict interior test with BOUNDARY_TOL shrink; (N,) bool."""
-        p = np.atleast_2d(points)
-        lo, hi = self.lo + BOUNDARY_TOL, self.hi - BOUNDARY_TOL
-        # column by column: a third of the cost of an (N, 3) mask reduced with .all(axis=1)
-        inside = (p[:, 0] > lo[0]) & (p[:, 0] < hi[0])
-        for a in (1, 2):
-            inside &= (p[:, a] > lo[a]) & (p[:, a] < hi[a])
-        return inside
+    def contains(self, points: np.ndarray, strict: bool = False) -> np.ndarray:
+        """(N,) bool membership with BOUNDARY_TOL tolerance.
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Inclusive membership with BOUNDARY_TOL slack; (N,) bool."""
+        Inclusive admits points up to BOUNDARY_TOL outside a face; strict
+        excludes points up to BOUNDARY_TOL inside one.
+        """
         p = np.atleast_2d(points)
-        lo, hi = self.lo - BOUNDARY_TOL, self.hi + BOUNDARY_TOL
-        inside = (p[:, 0] >= lo[0]) & (p[:, 0] <= hi[0])
+        tol = -BOUNDARY_TOL if strict else BOUNDARY_TOL
+        lo, hi = self.lo - tol, self.hi + tol
+        above, below = (np.greater, np.less) if strict else (np.greater_equal, np.less_equal)
+        # column by column: a third of the cost of an (N, 3) mask reduced with .all(axis=1)
+        inside = above(p[:, 0], lo[0]) & below(p[:, 0], hi[0])
         for a in (1, 2):
-            inside &= (p[:, a] >= lo[a]) & (p[:, a] <= hi[a])
+            inside &= above(p[:, a], lo[a]) & below(p[:, a], hi[a])
         return inside
 
 
@@ -151,25 +158,30 @@ class _Kernel(NamedTuple):
     balls: tuple[np.ndarray, float]    # _core_balls(box)
 
 
-def _box_points(cloud: PointCloud, frames: list[GraspFrame], kernel: _Kernel, strict: bool):
-    """Cloud points inside one gripper box, for each grasp frame in turn.
+def _to_world(points: np.ndarray, rotations: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """(G, n, 3): grasp-frame points (n, 3) placed in the world by each of G frames."""
+    return points @ rotations.transpose(0, 2, 1) + origins[:, None, :]
+
+
+def _box_points(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, kernel: _Kernel, strict: bool):
+    """Cloud points inside one gripper box, for each grasp frame (rotation, origin) in turn.
 
     Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
     them. Yields (ascending cloud indices, their grasp-frame coordinates) per
     frame. One KD-tree query covers the culling spheres of _QUERY_BATCH
-    frames; the exact box test then decides.
+    frames; the exact box test, on world_to_grasp's (p - o) @ R, then decides.
     """
     box, (centers, radius) = kernel.box, kernel.spheres
-    for start in range(0, len(frames), _QUERY_BATCH):
-        batch = frames[start:start + _QUERY_BATCH]
-        world = np.concatenate([grasp_to_world(frame, centers) for frame in batch])
-        hits = cloud.tree.query_ball_point(world, radius, return_sorted=False)
-        for frame, frame_hits in zip(batch, hits.reshape(len(batch), len(centers))):
+    for start in range(0, len(rotations), _QUERY_BATCH):
+        batch = slice(start, start + _QUERY_BATCH)
+        world = _to_world(centers, rotations[batch], origins[batch])
+        hits = cloud.tree.query_ball_point(world.reshape(-1, 3), radius, return_sorted=False)
+        for rotation, origin, frame_hits in zip(rotations[batch], origins[batch], hits.reshape(len(world), -1)):
             idx = np.sort(np.fromiter(itertools.chain.from_iterable(frame_hits), dtype=np.intp))
             # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
             idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
-            q = world_to_grasp(frame, cloud.points[idx])
-            inside = box.contains_strict(q) if strict else box.contains(q)
+            q = (cloud.points[idx] - origin) @ rotation
+            inside = box.contains(q, strict)
             yield idx[inside], q[inside]
 
 
@@ -220,7 +232,7 @@ def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, ce
         return hit
     for start in range(0, len(rotations), _BALL_BLOCK):
         block = slice(start, start + _BALL_BLOCK)
-        world = centers @ rotations[block].transpose(0, 2, 1) + origins[block, None, :]
+        world = _to_world(centers, rotations[block], origins[block])
         d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=radius)
         hit[block] = np.isfinite(d).reshape(-1, len(centers)).any(axis=1)
     return hit
@@ -241,20 +253,20 @@ def _decide(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: Gr
         free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], *kernel.balls)
     for kernel in obstacles:
         todo = np.flatnonzero(free)
-        frames = [GraspFrame(rotations[i], origins[i]) for i in todo]
-        free[todo] = [idx.size == 0 for idx, _ in _box_points(cloud, frames, kernel, strict=True)]
+        found = _box_points(cloud, rotations[todo], origins[todo], kernel, strict=True)
+        free[todo] = [idx.size == 0 for idx, _ in found]
     return free
 
 
 def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
     """(G,) bool: _decide's verdict on each grasp frame, each frame decided once per cloud and gripper.
 
-    The cloud's verdict table (PointCloud._verdicts) is keyed by the
+    The cloud's verdict table (_VERDICTS[cloud][s]) is keyed by the
     frame's bytes: its 9 rotation floats and 3 origin floats, all the
     verdict depends on. Frames the table knows cost a dict lookup; the
     rest go through _decide, in one batch, and their verdicts are stored.
     """
-    table = cloud._verdicts.setdefault(s, {})
+    table = _VERDICTS.setdefault(cloud, {}).setdefault(s, {})
     raw = np.concatenate([rotations.reshape(-1, 9), origins], axis=1, dtype=float).tobytes()
     keys = [raw[i:i + _KEY_BYTES] for i in range(0, len(raw), _KEY_BYTES)]
     verdicts = [table.get(key) for key in keys]
@@ -265,6 +277,11 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
     return np.array(verdicts, dtype=bool)
 
 
+def _closing_region(cloud: PointCloud, frame: GraspFrame, s: GripperParams):
+    """(ascending cloud indices, grasp-frame coordinates) of the closing region's points, faces included."""
+    return next(_box_points(cloud, frame.rotation[None], frame.origin[None], _kernels(s)[0], strict=False))
+
+
 def filter_collision_free(
     candidates: list[Grasp],
     scene_cloud: PointCloud,
@@ -272,8 +289,8 @@ def filter_collision_free(
 ) -> list[Grasp]:
     """Order-preserving subsequence of candidates with no cloud point strictly
     inside a finger or the back plate. All frames are built in one batch."""
-    if not candidates or len(scene_cloud) == 0:
-        return list(candidates)
+    if not candidates:
+        return []
     rotations = grasp_frames(np.stack([g.orientation for g in candidates]), [g.theta for g in candidates])
     free = _free_mask(scene_cloud, rotations, np.stack([g.center for g in candidates]), s)
     return [g for g, ok in zip(candidates, free) if ok]
@@ -281,8 +298,6 @@ def filter_collision_free(
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
     """True iff any cloud point lies strictly inside a finger or the back plate."""
-    if len(cloud) == 0:
-        return False
     frame = grasp_frame(g)
     return not _free_mask(cloud, frame.rotation[None], frame.origin[None], s)[0]
 
@@ -302,9 +317,7 @@ def closing_region_points(
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    if len(cloud) == 0:
-        raise EmptyRegionError("empty cloud has no closing-region points")
-    inside, q = next(_box_points(cloud, [grasp_frame(g)], _kernels(s)[0], strict=False))
+    inside, q = _closing_region(cloud, grasp_frame(g), s)
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
     idx, padded = resize_indices(inside.size, keep, seed)

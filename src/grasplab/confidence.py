@@ -31,8 +31,8 @@ class ConfidenceField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("confidence values must lie in [0, 1)")
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails both comparisons
+            raise ValueError("confidence values must be finite and lie in [0, 1)")
         # a saturated tanh serialized at 9 digits reads back as exactly 1.0;
         # fold it onto the open interval
         object.__setattr__(self, "values", np.minimum(v, np.nextafter(1.0, 0.0)))

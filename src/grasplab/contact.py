@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grasp, GripperParams, PointCloud, grasp_frame
-from .collision import _box_points, _kernels
+from .collision import _closing_region
 
 __all__ = ["ContactPair", "find_contacts", "antipodal_score", "width_fit"]
 
@@ -41,9 +41,7 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     """
     if cloud.normals is None:
         raise ValueError("find_contacts requires a cloud with normals")
-    if len(cloud) == 0:
-        return None
-    inside, q = next(_box_points(cloud, [grasp_frame(g)], _kernels(s)[0], strict=False))
+    inside, q = _closing_region(cloud, grasp_frame(g), s)
     y = q[:, 1]
     pos = np.flatnonzero(y >= 0.0)
     neg = np.flatnonzero(y < 0.0)

@@ -117,17 +117,13 @@ class PointCloud:
 
     A cloud is immutable: it keeps read-only copies of its arrays, so the
     KD-tree over its points (`tree`, built on first use and cached) can be
-    shared by every spatial query on the cloud and never goes stale. For
-    the same reason the collision verdicts taken on the cloud are kept in
-    `_verdicts`: per gripper, a dict from the bytes of a grasp frame (9
-    rotation floats, then 3 origin floats) to True when that frame is free.
+    shared by every spatial query on the cloud and never goes stale.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
     colors: np.ndarray | None = None
     _tree: cKDTree | None = field(default=None, init=False, repr=False)
-    _verdicts: dict[GripperParams, dict[bytes, bool]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = _frozen_copy(self.points)
@@ -162,10 +158,9 @@ class PointCloud:
         return self._tree
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
-        """Same points and colors with new normals; shares this cloud's tree and collision verdicts."""
+        """Same points and colors with new normals; shares this cloud's tree."""
         out = PointCloud(self.points, normals, self.colors)
         object.__setattr__(out, "_tree", self._tree)
-        object.__setattr__(out, "_verdicts", self._verdicts)
         return out
 
 

@@ -197,6 +197,8 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         if tokens[0] == "element":
             if len(tokens) != 3 or tokens[1] != "vertex":
                 raise ParseError(path, i, f"unsupported element: {raw.strip(_BLANKS)!r}")
+            if n_vertices is not None:
+                raise ParseError(path, i, "a second 'element vertex' declaration")
             n_vertices = _parse_count(path, i, tokens[2])
         elif tokens[0] == "property":
             if len(tokens) != 3 or tokens[1] not in ("float", "double", "uchar"):
@@ -314,11 +316,14 @@ def read_confidence(path) -> ConfidenceField:
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise ParseError(path, 1, "expected '# d_th=<v> width=<v> n=<N>' header")
-    tokens = _fields(lines[0].lstrip("#"), None)
-    for t in tokens:
+    meta = {}
+    for t in _fields(lines[0].lstrip("#"), None):
         if "=" not in t:
             raise ParseError(path, 1, f"malformed header token {t!r}")
-    meta = dict(t.split("=", 1) for t in tokens)
+        key, value = t.split("=", 1)
+        if key in meta:
+            raise ParseError(path, 1, f"duplicate key {key!r}")
+        meta[key] = value
     if set(meta) != {"d_th", "width", "n"}:
         raise ParseError(path, 1, f"header must define d_th, width, n; got {sorted(meta)}")
     d_th, width = _parse_floats(path, 1, [meta["d_th"], meta["width"]])

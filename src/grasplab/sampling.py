@@ -4,6 +4,8 @@ Normal estimation is PCA over k nearest neighbors; normals are oriented
 toward a viewpoint (default: a camera far above the scene on +Z). The
 Darboux frame at a point pairs that normal with the two principal
 directions of the neighborhood restricted to the tangent plane.
+Candidate generation takes the frames of all its seed points as arrays
+from one KD-tree query; only darboux_frame builds a DarbouxFrame.
 
 Candidate grasps are seeded at random surface points: the approach axis
 points along -normal into the surface, the closing axis starts along the
@@ -31,7 +33,6 @@ __all__ = [
     "sample_candidates",
     "ball_query",
     "resize_indices",
-    "farthest_point_sampling",
 ]
 
 
@@ -122,13 +123,16 @@ def estimate_normals(
     return normals, valid
 
 
-def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.ndarray) -> list[DarbouxFrame]:
-    """Darboux frames at the cloud points `index`; a rank-deficient neighbourhood is an error."""
+def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.ndarray):
+    """Darboux frames at the cloud points `index` as (points, normals, majors, minors), each (n, 3).
+
+    A rank-deficient neighbourhood is an error.
+    """
     normals, eigvecs, valid = _pca(cloud, index, k, viewpoint)
     if not valid.all():
         raise ValueError(f"degenerate neighborhood at point {int(index[np.argmin(valid)])} (rank < 2)")
-    frames = []
-    for i, normal, vecs in zip(index, normals, eigvecs):
+    majors, minors = np.empty_like(normals), np.empty_like(normals)
+    for j, (normal, vecs) in enumerate(zip(normals, eigvecs)):
         # tangent directions: remaining eigenvectors, larger eigenvalue first. Per vector: a batched
         # np.linalg.norm differs from the one-vector norm in the last bit
         major, minor = vecs[:, 2], vecs[:, 1]
@@ -136,8 +140,8 @@ def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.
         major /= np.linalg.norm(major)
         minor = minor - (minor @ normal) * normal - (minor @ major) * major
         minor /= np.linalg.norm(minor)
-        frames.append(DarbouxFrame(point=cloud.points[i].copy(), normal=normal, major=major, minor=minor))
-    return frames
+        majors[j], minors[j] = major, minor
+    return cloud.points[index], normals, majors, minors
 
 
 def darboux_frame(
@@ -159,7 +163,7 @@ def darboux_frame(
         raise IndexError(f"index {index} out of range for {n} points")
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    return _darboux_frames(cloud, np.array([index]), k, viewpoint)[0]
+    return DarbouxFrame(*(a[0] for a in _darboux_frames(cloud, np.array([index]), k, viewpoint)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +229,12 @@ def sample_candidates(
     else:
         offsets = np.linspace(-cfg.angle_range, cfg.angle_range, cfg.n_angle_perturbations)
 
-    frames = _darboux_frames(object_cloud, centers, k, viewpoint)
-    approach = -np.stack([frame.normal for frame in frames])
-    grasp_centers = np.stack([frame.point for frame in frames]) + (gripper.depth / 2.0) * approach
+    points, normals, majors, _ = _darboux_frames(object_cloud, centers, k, viewpoint)
+    approach = -normals
+    grasp_centers = points + (gripper.depth / 2.0) * approach
     # one row per (seed, spin), seed-major
     approach = np.repeat(approach, n_spin, axis=0)
-    r = rotate_about_axis(np.repeat(np.stack([frame.major for frame in frames]), n_spin, axis=0), approach,
-                          np.tile(spins, len(frames)))
+    r = rotate_about_axis(np.repeat(majors, n_spin, axis=0), approach, np.tile(spins, len(points)))
     r /= np.sqrt(np.vecdot(r, r))[:, None]
     r, theta0 = _theta_for_approach(r, approach)
     return [Grasp(center, axis, clamp_theta(t + float(d)))
@@ -280,24 +283,3 @@ def resize_indices(n: int, keep: int, seed: int) -> tuple[np.ndarray, bool]:
     if n < keep:
         return np.concatenate([np.arange(n), rng.choice(n, size=keep - n, replace=True)]), True
     return np.arange(n), False
-
-
-def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> np.ndarray:
-    """Greedy max-min subsampling: each pick maximizes the distance to the
-    already-selected set; ties break toward the lowest index."""
-    n = len(cloud)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be in [1, {n}]")
-    if not 0 <= start_index < n:
-        raise IndexError(f"start_index {start_index} out of range")
-    pts = cloud.points
-    selected = np.empty(k, dtype=int)
-    selected[0] = start_index
-    dists = np.linalg.norm(pts - pts[start_index], axis=1)
-    dists[start_index] = -np.inf  # selected points can never be re-picked
-    for i in range(1, k):
-        nxt = int(np.argmax(dists))  # argmax returns the first (lowest-index) maximum
-        selected[i] = nxt
-        dists = np.minimum(dists, np.linalg.norm(pts - pts[nxt], axis=1))
-        dists[nxt] = -np.inf
-    return selected

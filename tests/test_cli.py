@@ -317,6 +317,13 @@ class TestExitCodes:
         assert main(["losscheck", "--config", str(cfg)]) == 2
         assert "losscheck.trials must be >= 1, got -1" in capsys.readouterr().err
 
+    def test_second_ply_vertex_count_is_data_error_at_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "twice.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 5\nelement vertex 2\n"
+                       "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n1 1 1\n")
+        assert main(["normals", str(bad), "-o", str(tmp_path / "o.ply")]) == 2
+        assert f"{bad}:4: a second 'element vertex' declaration" in capsys.readouterr().err
+
     def test_undecodable_byte_is_data_error_at_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.xyz"
         bad.write_bytes(b"0 0 0\n1 \xff 1\n")

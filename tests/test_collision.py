@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +64,20 @@ class TestGripperVolume:
         v = gripper_volume(GRIPPER)
         assert v.back.hi[0] == v.closing.lo[0]
         assert v.back.lo[0] == pytest.approx(-0.04)
+
+
+class TestBox3:
+    @pytest.mark.parametrize("strict", [False, True], ids=["inclusive", "strict"])
+    @pytest.mark.parametrize("outside", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])  # past a face, in BOUNDARY_TOL
+    def test_contains_at_each_face(self, strict, outside):
+        # at +-1 the point is the tolerance bound itself: strict excludes it, inclusive admits it
+        box = gripper_volume(GRIPPER).finger_pos
+        expected = outside < -1.0 if strict else outside <= 1.0
+        for axis in range(3):
+            for sign, face in ((-1.0, box.lo), (1.0, box.hi)):
+                p = (box.lo + box.hi) / 2.0
+                p[axis] = face[axis] + sign * outside * BOUNDARY_TOL
+                assert box.contains(p, strict).tolist() == [expected], (axis, sign)
 
 
 class TestCheckCollision:
@@ -470,9 +486,9 @@ class TestCoreBallPrePass:
         tested = []
         real = collision._box_points
 
-        def counting(cloud, frames, box, strict):
-            tested.extend(tuple(frame.origin) for frame in frames)
-            return real(cloud, frames, box, strict)
+        def counting(cloud, rotations, origins, kernel, strict):
+            tested.extend(map(tuple, origins))
+            return real(cloud, rotations, origins, kernel, strict)
 
         monkeypatch.setattr(collision, "_box_points", counting)
         assert filter_collision_free([deep, clear], cloud, GRIPPER) == [clear]
@@ -500,10 +516,19 @@ class TestVerdictTable:
 
         monkeypatch.setattr(collision, "_ball_hits", no_query)
         monkeypatch.setattr(collision, "_box_points", no_query)
-        with_normals = cloud.with_normals(np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
         for g in grasps:
             assert check_collision(cloud, g, GRIPPER) == (id(g) not in free)
-            assert check_collision(with_normals, g, GRIPPER) == (id(g) not in free)
+
+    def test_verdicts_are_freed_with_their_cloud(self, rng):
+        cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(50, 3)))
+        filter_collision_free([_random_grasp(rng) for _ in range(5)], cloud, GRIPPER)
+        assert cloud in collision._VERDICTS
+        gc.collect()
+        before, ref = len(collision._VERDICTS), weakref.ref(cloud)
+        del cloud
+        gc.collect()
+        assert ref() is None  # the table holds no strong reference to its cloud
+        assert len(collision._VERDICTS) == before - 1
 
     @pytest.mark.parametrize("first", ["narrow", "wide"])
     def test_grippers_keep_separate_verdicts(self, first):

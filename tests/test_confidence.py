@@ -118,6 +118,13 @@ class TestGroupedSums:
         assert point_confidence(cloud, grasps, d_th=0.01).values.tobytes() == whole.tobytes()
 
 
+class TestConfidenceField:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_out_of_range_or_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite and lie in"):
+            ConfidenceField(np.array([bad, 0.5]), 0.01)
+
+
 class TestSelectPositivePoints:
     def test_top_two(self):
         field = ConfidenceField(np.array([0.1, 0.9, 0.5]), d_th=0.01)

@@ -235,6 +235,12 @@ class TestConfidenceIO:
         with pytest.raises(ParseError):
             read_confidence(path)
 
+    def test_duplicate_header_key_names_it(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# d_th=0.5 d_th=0.01 width=0 n=2\n0.5\n0.5\n")
+        with pytest.raises(ParseError, match=r"c\.txt:1: duplicate key 'd_th'"):
+            read_confidence(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("0.5\n")

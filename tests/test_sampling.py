@@ -5,7 +5,6 @@ import pytest
 
 from grasplab import sampling
 from grasplab import (
-    DarbouxFrame,
     EmptyRegionError,
     GripperParams,
     PointCloud,
@@ -13,7 +12,6 @@ from grasplab import (
     ball_query,
     darboux_frame,
     estimate_normals,
-    farthest_point_sampling,
     grasp_frame,
     sample_candidates,
 )
@@ -107,8 +105,8 @@ class TestDarbouxAgainstPerPointOracle:
 
     @staticmethod
     def _use_per_point_frames(monkeypatch):
-        monkeypatch.setattr(sampling, "_darboux_frames", lambda cloud, index, k, viewpoint: [
-            DarbouxFrame(*oracle_darboux(cloud, int(i), k, viewpoint)) for i in index])
+        monkeypatch.setattr(sampling, "_darboux_frames", lambda cloud, index, k, viewpoint: tuple(
+            map(np.array, zip(*(oracle_darboux(cloud, int(i), k, viewpoint) for i in index)))))
 
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_darboux_frame_is_bitwise_the_oracle(self, name):
@@ -263,40 +261,3 @@ class TestBallQuery:
         idx, _ = ball_query(cloud, center=(0.1, 0.0, 0.0), radius=0.7, keep=32, seed=3)
         d = np.linalg.norm(cloud.points[idx] - np.array([0.1, 0.0, 0.0]), axis=1)
         assert np.all(d <= 0.7 + 1e-12)
-
-
-class TestFarthestPointSampling:
-    def test_k_equals_n_is_permutation(self):
-        cloud = random_sphere_cloud(1.0, 40, seed=4)
-        idx = farthest_point_sampling(cloud, k=40, start_index=3)
-        assert sorted(idx.tolist()) == list(range(40))
-
-    def test_unit_square_second_pick_is_diagonal(self):
-        cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]]))
-        idx = farthest_point_sampling(cloud, k=2, start_index=0)
-        assert idx[1] == 3
-
-    def test_max_min_property_against_recheck(self, rng):
-        cloud = PointCloud(rng.uniform(-1, 1, size=(60, 3)))
-        k = 12
-        idx = farthest_point_sampling(cloud, k=k, start_index=0)
-        for step in range(1, k):
-            chosen = set(idx[:step].tolist())
-            dmin = lambda j: min(math.dist(cloud.points[j], cloud.points[c]) for c in chosen)
-            best = max(dmin(j) for j in range(60) if j not in chosen)
-            assert dmin(int(idx[step])) == pytest.approx(best, abs=1e-12)
-
-    def test_min_pairwise_distance_non_increasing(self, rng):
-        cloud = PointCloud(rng.uniform(-1, 1, size=(50, 3)))
-        prev = math.inf
-        for k in range(2, 20):
-            sel = cloud.points[farthest_point_sampling(cloud, k=k, start_index=0)]
-            d = min(
-                math.dist(sel[i], sel[j]) for i in range(k) for j in range(i + 1, k)
-            )
-            assert d <= prev + 1e-12
-            prev = d
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            farthest_point_sampling(random_sphere_cloud(1.0, 5, seed=0), k=6)
