@@ -46,6 +46,7 @@ from .sampling import SamplerConfig, ball_query, estimate_normals, sample_candid
 
 
 _INT64 = (-2**63, 2**63 - 1)  # the range an integer setting or count flag may take
+_NEAREST_PAIRS = 1 << 16  # point-center pairs per block of the labels' nearest-center search
 
 
 class Setting(NamedTuple):
@@ -91,7 +92,7 @@ SETTINGS = {
                                    flag="--angle-range"),
     "sampler.k": Setting(SamplerConfig.k_neighbors, 4, flag="--knn", help="Darboux neighborhood size"),
     "confidence.d_th": Setting(0.01, 0, open_low=True, flag="--dth", help="distance threshold (m)"),
-    "confidence.width": Setting(0.0, flag="--width", help="gripper width metadata (m)"),
+    "confidence.width": Setting(0.0, 0, flag="--width", help="gripper width metadata (m)"),
     "region.radius": Setting(0.02, 0, open_low=True),
     "region.keep": Setting(256, 1),
     "labels.k1": Setting(768, 1, flag="--k1", help="number of positive points"),
@@ -265,6 +266,12 @@ def _cmd_labels(args, settings) -> int:
     anchor_dirs = anchors_mod.anchor_set(m)
     positives = select_positive_points(field, k1)
     centers = np.stack([sg.grasp.center for sg in scored])
+    # each positive point's nearest ground-truth center, lowest index on ties
+    nearest = np.empty(len(positives), dtype=np.intp)
+    step = max(1, _NEAREST_PAIRS // len(centers))
+    for lo in range(0, len(positives), step):
+        points = cloud.points[positives[lo:lo + step], None]
+        nearest[lo:lo + step] = np.argmin(np.linalg.norm(centers - points, axis=2), axis=1)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,9 +285,8 @@ def _cmd_labels(args, settings) -> int:
     refine_rows = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq\n"]
     region_rows = ["point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"]
 
-    for pi in positives:
+    for pi, gi in zip(positives.tolist(), nearest.tolist()):
         p = cloud.points[pi]
-        gi = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
         gt = scored[gi]
         label = anchors_mod.assign_anchor_labels(gt.grasp, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q)
         label = anchors_mod.complete_label(label, gt.grasp, anchor_dirs, p, c_b, gt.s_q)
@@ -336,7 +342,7 @@ def _cmd_select(args, settings) -> int:
             except ValueError as exc:
                 raise ValueError(f"{args.coeffs}: {exc}") from None
         idx = analytic_select(scored, policy)
-    print(dataio._grasp_rows([scored[idx]]), end="")
+    print(dataio._rows_text(dataio._grasp_array([scored[idx]]), ","), end="")
     return 0
 
 

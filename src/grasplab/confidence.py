@@ -8,6 +8,7 @@ exactly 0; the score is always < 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -36,8 +37,10 @@ class ConfidenceField:
         # a saturated tanh serialized at 9 digits reads back as exactly 1.0;
         # fold it onto the open interval
         object.__setattr__(self, "values", np.minimum(v, np.nextafter(1.0, 0.0)))
-        if not self.d_th > 0.0:
-            raise ValueError("d_th must be positive")
+        if not (math.isfinite(self.d_th) and self.d_th > 0.0):
+            raise ValueError(f"d_th must be positive and finite, got {self.d_th}")
+        if not (math.isfinite(self.gripper_width) and self.gripper_width >= 0.0):
+            raise ValueError(f"gripper_width must be non-negative and finite, got {self.gripper_width}")
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -2,9 +2,11 @@
 
 Everything is plain ASCII so fixtures stay auditable and diffable. Reals
 are printed with 9 significant digits (sub-micron at meter scale) and all
-read/write pairs round-trip to 1e-8 absolute or better. Files are read as
-UTF-8. Parsers reject malformed input instead of repairing it, and every
-error (an undecodable byte included) names the file and line. All text
+read/write pairs round-trip to 1e-8 absolute or better. Writers format
+and write `_ROW_BLOCK` rows at a time through one open file, so their
+temporaries do not grow with the table. Files are read as UTF-8. Parsers
+reject malformed input instead of repairing it, and every error (an
+undecodable byte included) names the file and line. All text
 input, flags included, ends lines at '\n' (a '\r' before it is dropped),
 splits on spaces and tabs, and reads ASCII numbers (`parse_number`).
 
@@ -64,6 +66,7 @@ class ParseError(ValueError):
 
 
 _REAL = "%.9g"
+_ROW_BLOCK = 4096  # rows formatted per write; bounds a writer's text and float temporaries
 
 
 def _fmt(v: float) -> str:
@@ -78,6 +81,15 @@ def _row_template(kinds: str, sep: str = " ") -> str:
 def _rows_text(data: np.ndarray, sep: str = " ") -> str:
     """Rows of reals in `_fmt`'s format, joined by `sep`, one newline-terminated line each."""
     return (_row_template("g" * data.shape[1], sep) * len(data)) % tuple(data.ravel().tolist())
+
+
+def _write_rows(path, header: str, cols: list[np.ndarray], sep: str = " ") -> None:
+    """Write `header`, then the rows of the arrays `cols` side by side in `_rows_text`'s format,
+    `_ROW_BLOCK` rows at a time: the bytes `Path.write_text` gives for the whole text."""
+    with Path(path).open("w") as f:
+        f.write(header)
+        for lo in range(0, len(cols[0]), _ROW_BLOCK):
+            f.write(_rows_text(np.hstack([c[lo:lo + _ROW_BLOCK] for c in cols]), sep))
 
 
 def _read_lines(path) -> list[str]:
@@ -270,21 +282,21 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
             cols.append(np.round(cloud.colors * 255.0))
         header = "\n".join(["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
                             *(f"property float {p}" for p in props), "end_header", ""])
-    Path(path).write_text(header + _rows_text(np.hstack(cols)))
+    _write_rows(path, header, cols)
 
 
 # ---------------------------------------------------------------------------
 # Grasp lists
 # ---------------------------------------------------------------------------
 
-def _grasp_rows(grasps: list[ScoredGrasp]) -> str:
-    """Grasp-list CSV rows, cx,cy,cz,rx,ry,rz,theta,sq, without the header."""
+def _grasp_array(grasps: list[ScoredGrasp]) -> np.ndarray:
+    """The (G, 8) grasp-list columns cx,cy,cz,rx,ry,rz,theta,sq."""
     data = [(*sg.grasp.center.tolist(), *sg.grasp.orientation.tolist(), sg.grasp.theta, sg.s_q) for sg in grasps]
-    return _rows_text(np.array(data, float).reshape(len(grasps), 8), ",")
+    return np.array(data, float).reshape(len(grasps), 8)
 
 
 def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
-    Path(path).write_text(f"{GRASP_HEADER}\n{_grasp_rows(grasps)}")
+    _write_rows(path, f"{GRASP_HEADER}\n", [_grasp_array(grasps)], ",")
 
 
 def read_grasps(path) -> list[ScoredGrasp]:
@@ -308,7 +320,7 @@ def read_grasps(path) -> list[ScoredGrasp]:
 
 def write_confidence(path, field: ConfidenceField) -> None:
     header = f"# d_th={_fmt(field.d_th)} width={_fmt(field.gripper_width)} n={len(field)}\n"
-    Path(path).write_text(header + _rows_text(field.values[:, None]))
+    _write_rows(path, header, [field.values[:, None]])
 
 
 def read_confidence(path) -> ConfidenceField:
@@ -329,6 +341,8 @@ def read_confidence(path) -> ConfidenceField:
     d_th, width = _parse_floats(path, 1, [meta["d_th"], meta["width"]])
     if not d_th > 0.0:
         raise ParseError(path, 1, "d_th must be positive")
+    if width < 0.0:
+        raise ParseError(path, 1, "width must be non-negative")
     n = _parse_count(path, 1, meta["n"])
     # one value per line: the whole stripped line is the field
     values, linenos = _float_rows(path, [raw.strip(_BLANKS) for raw in lines[1:]], 2, 1, "\n")

@@ -1,8 +1,9 @@
 """Surface normals, Darboux frames, grasp candidate generation, and point-set queries.
 
-Normal estimation is PCA over k nearest neighbors; normals are oriented
-toward a viewpoint (default: a camera far above the scene on +Z). The
-Darboux frame at a point pairs that normal with the two principal
+Normal estimation is PCA over k nearest neighbors, run over fixed blocks
+of rows so that its temporaries do not grow with the cloud; normals are
+oriented toward a viewpoint (default: a camera far above the scene on
++Z). The Darboux frame at a point pairs that normal with the two principal
 directions of the neighborhood restricted to the tangent plane.
 Candidate generation takes the frames of all its seed points as arrays
 from one KD-tree query; only darboux_frame builds a DarbouxFrame.
@@ -23,6 +24,7 @@ import numpy as np
 from .core import Grasp, GripperParams, PointCloud, _cross, clamp_theta, ground_reference, rotate_about_axis
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
+_NORMALS_BLOCK = 4096  # rows per PCA call in estimate_normals; bounds its (rows, k, 3) neighbourhoods
 
 __all__ = [
     "EmptyRegionError",
@@ -109,7 +111,9 @@ def estimate_normals(
 
     The normal at a point is the eigenvector of the smallest eigenvalue of
     its k-nearest-neighbor covariance. Points whose neighborhood is
-    rank-deficient (< 2, e.g. collinear) are flagged invalid.
+    rank-deficient (< 2, e.g. collinear) are flagged invalid. The PCA runs
+    over blocks of `_NORMALS_BLOCK` rows, so its temporaries do not grow
+    with N.
 
     Returns (normals (N, 3), valid (N,) bool).
     """
@@ -118,7 +122,10 @@ def estimate_normals(
     n = len(cloud)
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    normals, _, valid = _pca(cloud, slice(None), k, viewpoint)
+    normals, valid = np.empty((n, 3)), np.empty(n, dtype=bool)
+    for lo in range(0, n, _NORMALS_BLOCK):
+        rows = slice(lo, lo + _NORMALS_BLOCK)
+        normals[rows], _, valid[rows] = _pca(cloud, rows, k, viewpoint)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return normals, valid
 
@@ -264,7 +271,7 @@ def ball_query(
     if keep < 1:
         raise ValueError("keep must be >= 1")
     center = np.asarray(center, dtype=float).reshape(3)
-    hits = np.asarray(sorted(cloud.tree.query_ball_point(center, radius)), dtype=int)
+    hits = np.asarray(cloud.tree.query_ball_point(center, radius, return_sorted=True), dtype=int)
     if hits.size == 0:
         raise EmptyRegionError(f"no points within {radius} m of {center}")
     idx, padded = resize_indices(hits.size, keep, seed)

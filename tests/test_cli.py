@@ -111,6 +111,34 @@ class TestPipeline:
         assert report[0] == "cfr,as_mean,as_with_collision,tcr,n_selected"
 
 
+class TestLabelsNearestCenter:
+    def test_blocks_give_the_per_point_argmin_with_lowest_index_ties(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        points = rng.uniform(-0.05, 0.05, size=(40, 3))
+        (tmp_path / "c.xyz").write_text("".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in points))
+        (tmp_path / "c.txt").write_text("# d_th=0.01 width=0 n=40\n"
+                                        + "".join(f"{v:.9g}\n" for v in rng.uniform(0.0, 0.9, 40)))
+        centers = rng.uniform(-0.05, 0.05, size=(6, 3))
+        centers = np.vstack([centers, centers[::-1]])  # every center twice: ties go to the lower index
+        body = "".join(f"{x:.9g},{y:.9g},{z:.9g},0,1,0,0,0.5\n" for x, y, z in centers)
+        (tmp_path / "g.csv").write_text("cx,cy,cz,rx,ry,rz,theta,sq\n" + body)
+        cloud = grasplab.dataio.read_point_cloud(tmp_path / "c.xyz")
+        centers = np.stack([sg.grasp.center for sg in grasplab.dataio.read_grasps(tmp_path / "g.csv")])
+        argv = ["labels", str(tmp_path / "g.csv"), "--cloud", str(tmp_path / "c.xyz"),
+                "--confidence", str(tmp_path / "c.txt"), "--k1", "25"]
+        outputs = []
+        for pairs in (1, 3 * len(centers), cli._NEAREST_PAIRS):  # one row a block, 3 rows a block, one block
+            monkeypatch.setattr(cli, "_NEAREST_PAIRS", pairs)
+            assert main(argv + ["-o", str(tmp_path / str(pairs))]) == 0
+            outputs.append((tmp_path / str(pairs) / "anchor_labels.csv").read_text())
+        assert outputs[0] == outputs[1] == outputs[2]
+        rows = [line.split(",") for line in outputs[0].splitlines()[1:]]
+        assert len(rows) == 25
+        for row in rows:
+            p = cloud.points[int(row[0])]
+            assert int(row[4]) == int(np.argmin(np.linalg.norm(centers - p, axis=1)))
+
+
 class TestEvalWorksheet:
     def test_cli_matches_hand_computed_metrics(self, tmp_path, capsys):
         # same scene as tests/test_metrics.py: one clean pinch pair, one pinch
@@ -442,6 +470,10 @@ class TestSettingRanges:
         (BASE_ARGV["normals"] + ["--subsample=--"], 1, "argument --subsample: expects an integer, got '--'"),
         (BASE_ARGV["sample"] + ["--gripper=--"], 1, "argument --gripper: expects D,W,H,T reals, got '--'"),
         (BASE_ARGV["losscheck"] + ["--set=--"], 2, "--set expects key=value, got '--'"),
+        # a gripper width may be zero but not negative
+        (BASE_ARGV["confidence"] + ["--width=-0.5"], 1, "argument --width: must be >= 0, got -0.5"),
+        (BASE_ARGV["confidence"] + ["--set", "confidence.width=-1"], 2,
+         "setting confidence.width must be >= 0, got -1.0"),
     ])
     def test_out_of_range_value_names_its_source(self, capsys, argv, code, message):
         assert main(argv) == code

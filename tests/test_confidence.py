@@ -125,6 +125,17 @@ class TestConfidenceField:
             ConfidenceField(np.array([bad, 0.5]), 0.01)
 
 
+    @pytest.mark.parametrize("d_th", [math.inf, -math.inf, math.nan, 0.0, -0.01])
+    def test_non_positive_or_non_finite_threshold_rejected(self, d_th):
+        with pytest.raises(ValueError, match="d_th must be positive and finite"):
+            ConfidenceField(np.array([0.5]), d_th)
+
+    @pytest.mark.parametrize("width", [math.inf, -math.inf, math.nan, -0.01])
+    def test_negative_or_non_finite_gripper_width_rejected(self, width):
+        with pytest.raises(ValueError, match="gripper_width must be non-negative and finite"):
+            ConfidenceField(np.array([0.5]), 0.01, width)
+
+
 class TestSelectPositivePoints:
     def test_top_two(self):
         field = ConfidenceField(np.array([0.1, 0.9, 0.5]), d_th=0.01)

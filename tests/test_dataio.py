@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, ScoredGrasp
 from grasplab.dataio import (
     GRASP_HEADER,
+    _ROW_BLOCK,
     ParseError,
     _float_rows,
+    _fmt,
     _row_template,
+    _rows_text,
     format_report,
     read_config,
     read_confidence,
@@ -388,6 +392,12 @@ class TestFuzzFindings:
         with pytest.raises(ParseError, match=r"c\.txt:1: d_th must be positive"):
             read_confidence(path)
 
+    def test_negative_width_names_header_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# d_th=0.01 width=-0.08 n=1\n0.5\n")
+        with pytest.raises(ParseError, match=r"c\.txt:1: width must be non-negative"):
+            read_confidence(path)
+
 
 class TestRowMessages:
     """Messages of the shared row parser match the per-format rules they replace."""
@@ -506,6 +516,76 @@ class TestRowWriter:
         path = tmp_path / "e.xyz"
         write_point_cloud(path, PointCloud(vals))
         assert path.read_text() == "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in vals)
+
+
+def _cloud(n, normals, colors, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 3))
+    return PointCloud(rng.uniform(-1.0, 1.0, size=(n, 3)),
+                      v / np.linalg.norm(v, axis=1, keepdims=True) if normals else None,
+                      rng.uniform(0.0, 1.0, size=(n, 3)) if colors else None)
+
+
+def _one_shot_cloud_text(suffix, cloud):
+    """A cloud file's text as one `_rows_text` call over every row."""
+    cols = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
+    header = ""
+    if suffix == ".ply":
+        props = ["x", "y", "z", "nx", "ny", "nz"][:3 * len(cols)]
+        if cloud.colors is not None:
+            props += ["red", "green", "blue"]
+            cols.append(np.round(cloud.colors * 255.0))
+        header = "\n".join(["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+                            *(f"property float {p}" for p in props), "end_header", ""])
+    return header + _rows_text(np.hstack(cols))
+
+
+class TestBlockedWriters:
+    SIZES = [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("suffix, normals, colors", [
+        (".ply", False, False), (".ply", True, False), (".ply", False, True), (".ply", True, True),
+        (".xyz", False, False), (".xyz", True, False),
+    ])
+    def test_cloud_bytes_equal_the_one_shot_text(self, tmp_path, n, suffix, normals, colors):
+        cloud = _cloud(n, normals, colors, seed=n)
+        got, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+        write_point_cloud(got, cloud)
+        want.write_text(_one_shot_cloud_text(suffix, cloud))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_confidence_bytes_equal_the_one_shot_text(self, tmp_path, n):
+        field = ConfidenceField(np.random.default_rng(n).uniform(0.0, 1.0, size=n), 0.03, 0.08)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_confidence(got, field)
+        want.write_text(f"# d_th={_fmt(0.03)} width={_fmt(0.08)} n={n}\n" + _rows_text(field.values[:, None]))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_grasp_bytes_equal_the_one_shot_text(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        r = rng.normal(size=(n, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        data = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, 3)), r,
+                                rng.uniform(-1.5, 1.5, size=n), rng.uniform(0.0, 1.0, size=n)])
+        grasps = [ScoredGrasp(Grasp(row[:3], row[3:6], row[6]), row[7]) for row in data]
+        rows = [(*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta, sg.s_q) for sg in grasps]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_grasps(got, grasps)
+        want.write_text(f"{GRASP_HEADER}\n" + _rows_text(np.array(rows, float).reshape(n, 8), ","))
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_cloud_writer_peak_memory_does_not_grow_with_the_cloud(self, tmp_path):
+        cloud = _cloud(50_000, normals=True, colors=False)
+        tracemalloc.start()
+        try:
+            write_point_cloud(tmp_path / "c.ply", cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestConfigIO:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,40 @@ class TestEstimateNormals:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             estimate_normals(PointCloud(np.zeros((2, 3))), k=3)
+
+
+class TestBlockedNormals:
+    @staticmethod
+    def one_call(cloud, k):
+        """estimate_normals as a single PCA over every row."""
+        normals, _, valid = sampling._pca(cloud, slice(None), k, sampling.DEFAULT_VIEWPOINT)
+        return normals / np.linalg.norm(normals, axis=1, keepdims=True), valid
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_bitwise_equal_to_one_pca_call(self, extra):
+        block = sampling._NORMALS_BLOCK
+        n = 2 * block + 7 if extra is None else block + extra
+        pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
+        # 24 collinear points, far from the rest, in the rows around the end of the first block
+        end = min(n, block + 12)
+        pts[end - 24:end] = [10.0, 0.0, 0.0] + np.arange(24)[:, None] * [1e-3, 2e-3, 0.0]
+        cloud = PointCloud(pts)
+        normals, valid = estimate_normals(cloud, k=16)
+        want_normals, want_valid = self.one_call(cloud, 16)
+        assert normals.tobytes() == want_normals.tobytes()
+        assert np.array_equal(valid, want_valid)
+        assert np.flatnonzero(~valid).tolist() == list(range(end - 24, end))
+
+    def test_peak_memory_does_not_grow_with_the_cloud(self):
+        cloud = PointCloud(np.random.default_rng(0).uniform(-1.0, 1.0, size=(50_000, 3)))
+        cloud.tree  # built before tracing: the tree is the cloud's, not the estimate's
+        tracemalloc.start()
+        try:
+            estimate_normals(cloud, k=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestDarbouxFrame:
@@ -255,6 +290,16 @@ class TestBallQuery:
             fresh = ball_query(PointCloud(cloud.points), center, radius=0.02, keep=32, seed=i)
             np.testing.assert_array_equal(shared[0], fresh[0])
             assert shared[1] == fresh[1]
+
+    def test_hits_are_the_ascending_indices(self):
+        cloud = tabletop_cloud(0)
+        for i, pi in enumerate(range(0, len(cloud), 53)):
+            center = cloud.points[pi]
+            hits = np.asarray(sorted(cloud.tree.query_ball_point(center, 0.02)), dtype=int)
+            idx, padded = sampling.resize_indices(hits.size, 32, i)
+            got = ball_query(cloud, center, radius=0.02, keep=32, seed=i)
+            np.testing.assert_array_equal(got[0], hits[idx])
+            assert got[1] == padded
 
     def test_results_within_radius(self, rng):
         cloud = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
