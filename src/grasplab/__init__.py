@@ -29,14 +29,11 @@ from .confidence import ConfidenceField, point_confidence, select_positive_point
 from .contact import ContactPair, antipodal_score, find_contacts, width_fit
 from .core import (
     Grasp,
-    GraspFrame,
     GripperParams,
     PointCloud,
     grasp_frame,
     grasp_frames,
-    grasp_to_world,
     vertical_score,
-    world_to_grasp,
 )
 from .losses import (
     LossResult,
@@ -60,7 +57,6 @@ from .policy import (
     DEFAULT_POLICY,
     AnalyticPolicy,
     LinearFit,
-    ScoredGrasp,
     SigmoidFit,
     analytic_select,
     fit_linear,

@@ -34,7 +34,6 @@ from .losses import _losscheck_cases, gradient_check
 from .metrics import evaluate
 from .policy import (
     DEFAULT_POLICY,
-    ScoredGrasp,
     SigmoidFit,
     analytic_select,
     fit_linear,
@@ -124,8 +123,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
     def _get_values(self, action, arg_strings):
-        # An option's own value "--" (`--k1=--`) is a value, not the end of the options. Python 3.11's
-        # argparse drops it and gives the option an empty list; pass it to the option's type instead.
+        # An option's own value "--" (`--k1=--`) is a value, not the end of the options. The argparse of
+        # Python 3.10 and 3.11 drops it and gives the option an empty list; pass it to the option's type.
         if action.option_strings and action.nargs is None and arg_strings == ["--"]:
             value = self._get_value(action, "--")
             self._check_value(action, value)
@@ -212,33 +211,28 @@ def _cmd_sample(args, settings) -> int:
         rng_seed=args.seed,
         k_neighbors=settings["sampler.k"],
     )
-    candidates = sample_candidates(cloud, args.gripper, cfg)
-    dataio.write_grasps(args.output, [ScoredGrasp(g, 0.0) for g in candidates])
+    dataio.write_grasps(args.output, sample_candidates(cloud, args.gripper, cfg))
     return 0
 
 
 def _cmd_collide(args, settings) -> int:
     cloud = _load_cloud(args)
-    scored = dataio.read_grasps(args.grasps)
-    free = {id(g) for g in filter_collision_free([sg.grasp for sg in scored], cloud, args.gripper)}
-    dataio.write_grasps(args.output, [sg for sg in scored if id(sg.grasp) in free])
+    dataio.write_grasps(args.output, filter_collision_free(dataio.read_grasps(args.grasps), cloud, args.gripper))
     return 0
 
 
 def _cmd_score(args, settings) -> int:
     cloud = _load_cloud(args, normals=True)
-    scored = dataio.read_grasps(args.grasps)
-    out = [ScoredGrasp(sg.grasp, antipodal_score(find_contacts(cloud, sg.grasp, args.gripper), sg.grasp))
-           for sg in scored]
+    out = [g.with_score(antipodal_score(find_contacts(cloud, g, args.gripper), g))
+           for g in dataio.read_grasps(args.grasps)]
     dataio.write_grasps(args.output, out)
     return 0
 
 
 def _cmd_confidence(args, settings) -> int:
     cloud = _load_cloud(args)
-    scored = dataio.read_grasps(args.grasps)
     d_th = settings["confidence.d_th"]
-    field = point_confidence(cloud, [sg.grasp for sg in scored], d_th, settings["confidence.width"])
+    field = point_confidence(cloud, dataio.read_grasps(args.grasps), d_th, settings["confidence.width"])
     if not field.values.any():
         print(f"warning: every confidence value is 0; no grasp center lies within d_th={d_th:g} m of a point",
               file=sys.stderr)
@@ -248,9 +242,12 @@ def _cmd_confidence(args, settings) -> int:
 
 def _cmd_labels(args, settings) -> int:
     cloud = dataio.read_point_cloud(args.cloud)
+    if not len(cloud):
+        raise ValueError(f"{args.cloud} has no points")
     field = dataio.read_confidence(args.confidence)
     if len(field) != len(cloud):
-        raise ValueError(f"confidence length {len(field)} does not match cloud size {len(cloud)}")
+        raise ValueError(f"confidence length {len(field)} of {args.confidence} does not match cloud size "
+                         f"{len(cloud)} of {args.cloud}")
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -265,7 +262,7 @@ def _cmd_labels(args, settings) -> int:
 
     anchor_dirs = anchors_mod.anchor_set(m)
     positives = select_positive_points(field, k1)
-    centers = np.stack([sg.grasp.center for sg in scored])
+    centers = np.stack([g.center for g in scored])
     # each positive point's nearest ground-truth center, lowest index on ties
     nearest = np.empty(len(positives), dtype=np.intp)
     step = max(1, _NEAREST_PAIRS // len(centers))
@@ -288,17 +285,17 @@ def _cmd_labels(args, settings) -> int:
     for pi, gi in zip(positives.tolist(), nearest.tolist()):
         p = cloud.points[pi]
         gt = scored[gi]
-        label = anchors_mod.assign_anchor_labels(gt.grasp, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q)
-        label = anchors_mod.complete_label(label, gt.grasp, anchor_dirs, p, c_b, gt.s_q)
+        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q)
+        label = anchors_mod.complete_label(label, gt, anchor_dirs, p, c_b, gt.s_q)
         block = label.residuals.as_array() if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
         anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
         # refine labels grade the anchor-reference pose (p, nearest anchor, 0)
         ref_idx = label.positive_index
         if ref_idx is None:
-            ref_idx = int(np.argmax(anchor_dirs.directions @ gt.grasp.orientation))
+            ref_idx = int(np.argmax(anchor_dirs.directions @ gt.orientation))
         proposal = Grasp(p, anchor_dirs.directions[ref_idx], 0.0)
-        refine = anchors_mod.assign_refine_labels(gt.grasp, proposal, **thresholds, c_b=c_b,
+        refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b,
                                                   gt_quality=gt.s_q)
         rblock = refine.residuals.as_array() if refine.residuals is not None else np.zeros(8)
         refine_rows.append(refine_row % (pi, refine.y, *rblock))
@@ -362,7 +359,9 @@ def _cmd_fit(args, settings) -> int:
 def _cmd_eval(args, settings) -> int:
     scene = _load_cloud(args, normals=True)
     scored = dataio.read_grasps(args.grasps)
-    truth = [sg.grasp for sg in dataio.read_grasps(args.gt)]
+    if not scored:
+        raise ValueError(f"{args.grasps} contains no grasps")
+    truth = dataio.read_grasps(args.gt)
     if not truth:
         raise ValueError(f"{args.gt} contains no ground-truth grasps")
     pool, top = settings["eval.pool"], settings["eval.top"]

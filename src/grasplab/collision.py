@@ -20,13 +20,13 @@ query per box proves a collision. The balls need not cover the box: the
 grasps no ball proves go through the exact test, which decides alone
 whether a grasp is free. The survivors are the exact test's.
 
-Inside this module a batch of grasp frames is two arrays, rotations
-(G, 3, 3) and origins (G, 3); _to_world places grasp-frame points by
-every frame at once. Only the one-grasp entry points (check_collision,
-closing_region_points and contact.find_contacts) build a GraspFrame, with
-grasp_frame. Verdicts are kept per cloud in _VERDICTS, a weak-key table,
-so a frame asked about twice on one cloud and gripper is decided once
-and the table is freed with its cloud.
+A batch of grasp frames is two arrays, rotations (G, 3, 3) and origins
+(G, 3), the grasps' centers; _to_world places grasp-frame points by every
+frame at once. The one-grasp entry points (check_collision,
+closing_region_points and contact.find_contacts) take a grasp's rotation
+from grasp_frame and pass it as a batch of one. Verdicts are kept per
+cloud in _VERDICTS, a weak-key table, so a frame asked about twice on one
+cloud and gripper is decided once and the table is freed with its cloud.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 
 from .core import (
     Grasp,
-    GraspFrame,
     GripperParams,
     PointCloud,
     grasp_frame,
@@ -169,7 +168,7 @@ def _box_points(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, k
     Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
     them. Yields (ascending cloud indices, their grasp-frame coordinates) per
     frame. One KD-tree query covers the culling spheres of _QUERY_BATCH
-    frames; the exact box test, on world_to_grasp's (p - o) @ R, then decides.
+    frames; the exact box test, on the grasp-frame coordinates (p - o) @ R, then decides.
     """
     box, (centers, radius) = kernel.box, kernel.spheres
     for start in range(0, len(rotations), _QUERY_BATCH):
@@ -277,9 +276,10 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
     return np.array(verdicts, dtype=bool)
 
 
-def _closing_region(cloud: PointCloud, frame: GraspFrame, s: GripperParams):
-    """(ascending cloud indices, grasp-frame coordinates) of the closing region's points, faces included."""
-    return next(_box_points(cloud, frame.rotation[None], frame.origin[None], _kernels(s)[0], strict=False))
+def _closing_region(cloud: PointCloud, rotation: np.ndarray, g: Grasp, s: GripperParams):
+    """(ascending cloud indices, grasp-frame coordinates) of the points in g's closing region, faces
+    included; `rotation` is grasp_frame(g)."""
+    return next(_box_points(cloud, rotation[None], g.center[None], _kernels(s)[0], strict=False))
 
 
 def filter_collision_free(
@@ -298,8 +298,7 @@ def filter_collision_free(
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
     """True iff any cloud point lies strictly inside a finger or the back plate."""
-    frame = grasp_frame(g)
-    return not _free_mask(cloud, frame.rotation[None], frame.origin[None], s)[0]
+    return not _free_mask(cloud, grasp_frame(g)[None], g.center[None], s)[0]
 
 
 def closing_region_points(
@@ -317,7 +316,7 @@ def closing_region_points(
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    inside, q = _closing_region(cloud, grasp_frame(g), s)
+    inside, q = _closing_region(cloud, grasp_frame(g), g, s)
     if inside.size == 0:
         raise EmptyRegionError("no points inside the gripper closing region")
     idx, padded = resize_indices(inside.size, keep, seed)

@@ -41,7 +41,7 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     """
     if cloud.normals is None:
         raise ValueError("find_contacts requires a cloud with normals")
-    inside, q = _closing_region(cloud, grasp_frame(g), s)
+    inside, q = _closing_region(cloud, grasp_frame(g), g, s)
     y = q[:, 1]
     pos = np.flatnonzero(y >= 0.0)
     neg = np.flatnonzero(y < 0.0)

@@ -3,10 +3,10 @@
 Conventions used throughout the package:
   * lengths in meters, angles in radians
   * world +Z is "up"; the operation platform lies in the world X-Y plane
-  * a grasp is (center, orientation, theta): `orientation` is the unit
-    closing axis of the jaws (the grasp frame Y axis) and `theta` in
+  * a grasp is (center, orientation, theta, s_q): `orientation` is the unit
+    closing axis of the jaws (the grasp frame Y axis), `theta` in
     [-pi/2, pi/2] is the approach angle (theta = pi/2 approaches straight
-    down along world -Z)
+    down along world -Z) and `s_q` in [0, 1] is its antipodal score
 
 Grasp frame construction:
   Y_G = orientation; X' = normalize((r_y, -r_x, 0)) lies in the ground
@@ -16,6 +16,7 @@ Grasp frame construction:
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,13 +31,10 @@ __all__ = [
     "Grasp",
     "GripperParams",
     "PointCloud",
-    "GraspFrame",
     "clamp_theta",
     "ground_reference",
     "grasp_frame",
     "grasp_frames",
-    "world_to_grasp",
-    "grasp_to_world",
     "vertical_score",
     "rotate_about_axis",
     "UNIT_TOL",
@@ -63,13 +61,21 @@ def clamp_theta(theta: float) -> float:
     return min(max(float(theta), -THETA_MAX), THETA_MAX)
 
 
+def _score(s_q) -> float:
+    s = float(s_q)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s_q {s} outside [0, 1]")
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class Grasp:
-    """A parallel-jaw grasp: center (m), unit closing axis, approach angle (rad)."""
+    """A parallel-jaw grasp: center (m), unit closing axis, approach angle (rad), antipodal score in [0, 1]."""
 
     center: np.ndarray
     orientation: np.ndarray
     theta: float
+    s_q: float = 0.0
 
     def __post_init__(self):
         c = _as_vec3(self.center, "center")
@@ -86,6 +92,14 @@ class Grasp:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "orientation", r / n)
         object.__setattr__(self, "theta", clamp_theta(t))
+        object.__setattr__(self, "s_q", _score(self.s_q))
+
+    def with_score(self, s_q: float) -> "Grasp":
+        """The same pose with score s_q. The pose arrays are shared, not normalised a second time,
+        which could move the orientation's last bits."""
+        out = copy.copy(self)
+        object.__setattr__(out, "s_q", _score(s_q))
+        return out
 
 
 @dataclass(frozen=True)
@@ -164,32 +178,6 @@ class PointCloud:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class GraspFrame:
-    """Rotation with columns (X_G, Y_G, Z_G) plus origin; maps grasp -> world."""
-
-    rotation: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        o = _as_vec3(self.origin, "origin")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "origin", o)
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.rotation[:, 0]
-
-    @property
-    def y_axis(self) -> np.ndarray:
-        return self.rotation[:, 1]
-
-    @property
-    def z_axis(self) -> np.ndarray:
-        return self.rotation[:, 2]
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b over the last axis of (3,) or (G, 3) arrays.
 
@@ -247,24 +235,13 @@ def grasp_frames(orientations: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.stack([x_axis, r, _cross(x_axis, r)], axis=2)
 
 
-def grasp_frame(g: Grasp) -> GraspFrame:
-    """The canonical frame of one grasp: the one-row case of grasp_frames."""
-    return GraspFrame(grasp_frames(g.orientation[None], [g.theta])[0], g.center)
+def grasp_frame(g: Grasp) -> np.ndarray:
+    """The (3, 3) rotation with columns (X_G, Y_G, Z_G) of one grasp: the one-row case of grasp_frames.
 
-
-def world_to_grasp(frame: GraspFrame, points: np.ndarray) -> np.ndarray:
-    """Map world coordinates into the grasp frame: R^T (p - origin).
-
-    Accepts a single (3,) point or an (N, 3) batch.
+    It maps grasp-frame coordinates q to the world as R q + center, and world points p to the grasp
+    frame as (p - center) @ R.
     """
-    p = np.asarray(points, dtype=float)
-    return (p - frame.origin) @ frame.rotation
-
-
-def grasp_to_world(frame: GraspFrame, points: np.ndarray) -> np.ndarray:
-    """Inverse of world_to_grasp: R p + origin."""
-    p = np.asarray(points, dtype=float)
-    return p @ frame.rotation.T + frame.origin
+    return grasp_frames(g.orientation[None], [g.theta])[0]
 
 
 def vertical_score(g: Grasp | float) -> float:

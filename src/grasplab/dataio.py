@@ -31,7 +31,6 @@ import numpy as np
 from .confidence import ConfidenceField
 from .core import Grasp, PointCloud
 from .metrics import EvalReport
-from .policy import ScoredGrasp
 
 GRASP_HEADER = "cx,cy,cz,rx,ry,rz,theta,sq"
 REPORT_HEADER = "cfr,as_mean,as_with_collision,tcr,n_selected"
@@ -289,26 +288,26 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 # Grasp lists
 # ---------------------------------------------------------------------------
 
-def _grasp_array(grasps: list[ScoredGrasp]) -> np.ndarray:
+def _grasp_array(grasps: list[Grasp]) -> np.ndarray:
     """The (G, 8) grasp-list columns cx,cy,cz,rx,ry,rz,theta,sq."""
-    data = [(*sg.grasp.center.tolist(), *sg.grasp.orientation.tolist(), sg.grasp.theta, sg.s_q) for sg in grasps]
+    data = [(*g.center.tolist(), *g.orientation.tolist(), g.theta, g.s_q) for g in grasps]
     return np.array(data, float).reshape(len(grasps), 8)
 
 
-def write_grasps(path, grasps: list[ScoredGrasp]) -> None:
+def write_grasps(path, grasps: list[Grasp]) -> None:
     _write_rows(path, f"{GRASP_HEADER}\n", [_grasp_array(grasps)], ",")
 
 
-def read_grasps(path) -> list[ScoredGrasp]:
+def read_grasps(path) -> list[Grasp]:
     path = Path(path)
     lines = _read_lines(path)
     if not lines or lines[0].strip(_BLANKS) != GRASP_HEADER:
         raise ParseError(path, 1, f"expected header {GRASP_HEADER!r}")
     data, linenos = _float_rows(path, lines[1:], 2, 8, ",")
-    out: list[ScoredGrasp] = []
+    out: list[Grasp] = []
     for i, v in zip(linenos, data.tolist()):
         try:
-            out.append(ScoredGrasp(Grasp(v[0:3], v[3:6], v[6]), v[7]))
+            out.append(Grasp(v[0:3], v[3:6], v[6], v[7]))
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from None
     return out

@@ -21,7 +21,6 @@ from scipy.spatial import cKDTree
 from .collision import check_collision, filter_collision_free
 from .contact import antipodal_score, find_contacts
 from .core import Grasp, GripperParams, PointCloud
-from .policy import ScoredGrasp
 
 COVERAGE_RADIUS = 0.02
 
@@ -46,12 +45,12 @@ class EvalReport:
 
 
 def select_for_eval(
-    scored: list[ScoredGrasp],
+    scored: list[Grasp],
     scene: PointCloud,
     s: GripperParams,
     pool: int = 1000,
     top: int = 100,
-) -> list[ScoredGrasp]:
+) -> list[Grasp]:
     """Top-`pool` by score, collision-filtered, then the best `top` survivors.
 
     Score ties keep input order, so the result is deterministic.
@@ -62,10 +61,8 @@ def select_for_eval(
         raise ValueError(f"pool and top must be >= 1, got pool={pool}, top={top}")
     if top > pool:
         raise ValueError("top must not exceed pool")
-    order = np.argsort([-sg.s_q for sg in scored], kind="stable")
-    pooled = [scored[i] for i in order[:pool]]
-    free = {id(g) for g in filter_collision_free([sg.grasp for sg in pooled], scene, s)}
-    return [sg for sg in pooled if id(sg.grasp) in free][:top]
+    order = np.argsort([-g.s_q for g in scored], kind="stable")
+    return filter_collision_free([scored[i] for i in order[:pool]], scene, s)[:top]
 
 
 def cfr(grasps: list[Grasp], scene: PointCloud, s: GripperParams) -> float:
@@ -114,7 +111,7 @@ def coverage_rate(
 
 
 def evaluate(
-    scored: list[ScoredGrasp],
+    scored: list[Grasp],
     scene: PointCloud,
     ground_truth: list[Grasp],
     s: GripperParams,
@@ -125,12 +122,11 @@ def evaluate(
     selected = select_for_eval(scored, scene, s, pool=pool, top=top)
     if not selected:
         raise ValueError("no collision-free grasps survive selection; nothing to evaluate")
-    grasps = [sg.grasp for sg in selected]
-    as_mean, as_wc = antipodal_metrics(grasps, scene, s)
+    as_mean, as_wc = antipodal_metrics(selected, scene, s)
     return EvalReport(
-        cfr=cfr(grasps, scene, s),
+        cfr=cfr(selected, scene, s),
         as_mean=as_mean,
         as_with_collision=as_wc,
-        tcr=coverage_rate(grasps, ground_truth, COVERAGE_RADIUS),
+        tcr=coverage_rate(selected, ground_truth, COVERAGE_RADIUS),
         n_selected=len(selected),
     )

@@ -23,7 +23,6 @@ import numpy as np
 from .core import Grasp, vertical_score
 
 __all__ = [
-    "ScoredGrasp",
     "SigmoidFit",
     "LinearFit",
     "AnalyticPolicy",
@@ -36,20 +35,6 @@ __all__ = [
     "pearson",
     "policy_from_mapping",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ScoredGrasp:
-    """A grasp with its (predicted) antipodal score."""
-
-    grasp: Grasp
-    s_q: float
-
-    def __post_init__(self):
-        s = float(self.s_q)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s_q {s} outside [0, 1]")
-        object.__setattr__(self, "s_q", s)
 
 
 @dataclass(frozen=True)
@@ -87,11 +72,11 @@ DEFAULT_POLICY = AnalyticPolicy(
 )
 
 
-def heuristic_select(grasps: list[ScoredGrasp]) -> int:
+def heuristic_select(grasps: list[Grasp]) -> int:
     """Index of the candidate maximizing s_q + vertical score; ties -> lowest."""
     if not grasps:
         raise ValueError("cannot select from an empty candidate list")
-    totals = [sg.s_q + vertical_score(sg.grasp) for sg in grasps]
+    totals = [g.s_q + vertical_score(g) for g in grasps]
     return int(np.argmax(totals))
 
 
@@ -100,11 +85,11 @@ def grasp_probability(s_q: float, s_v: float, policy: AnalyticPolicy = DEFAULT_P
     return float(policy.linear(s_q)) * float(policy.sigmoid(s_v))
 
 
-def analytic_select(grasps: list[ScoredGrasp], policy: AnalyticPolicy = DEFAULT_POLICY) -> int:
+def analytic_select(grasps: list[Grasp], policy: AnalyticPolicy = DEFAULT_POLICY) -> int:
     """Index of the candidate maximizing grasp_probability; ties -> lowest."""
     if not grasps:
         raise ValueError("cannot select from an empty candidate list")
-    probs = [grasp_probability(sg.s_q, vertical_score(sg.grasp), policy) for sg in grasps]
+    probs = [grasp_probability(g.s_q, vertical_score(g), policy) for g in grasps]
     return int(np.argmax(probs))
 
 

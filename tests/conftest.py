@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from grasplab import ConfidenceField, PointCloud
+from grasplab import ConfidenceField, PointCloud, grasp_frame
 from grasplab.dataio import ParseError
 
 
@@ -77,6 +77,16 @@ def oracle_frame(center, orientation, theta):
     y = (rx, ry, rz)
     z = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
     return x, y, z, tuple(float(v) for v in center)
+
+
+def world_to_grasp(g, points):
+    """World points (3,) or (N, 3) in the frame of grasp g: (p - center) @ R, as the collision test maps them."""
+    return (np.asarray(points, dtype=float) - g.center) @ grasp_frame(g)
+
+
+def grasp_to_world(g, points):
+    """Inverse of world_to_grasp: R q + center."""
+    return np.asarray(points, dtype=float) @ grasp_frame(g).T + g.center
 
 
 def oracle_collision(points, center, orientation, theta, depth, width, height, thickness, tol=1e-12):

@@ -16,7 +16,6 @@ from grasplab import (
     Grasp,
     GripperParams,
     PointCloud,
-    ScoredGrasp,
     anchor_set,
     antipodal_score,
     check_collision,
@@ -190,17 +189,17 @@ def test_criterion_8_sphere_end_to_end():
     scored = []
     for g in free:
         pair = find_contacts(scene, g, gripper)
-        scored.append(ScoredGrasp(g, antipodal_score(pair, g) if pair else 0.0))
+        scored.append(g.with_score(antipodal_score(pair, g) if pair else 0.0))
 
     def approach_axis_distance_to_center(g):
-        frame = grasp_frame(g)
-        d = -frame.origin  # sphere center is the world origin
-        return float(np.linalg.norm(d - (d @ frame.x_axis) * frame.x_axis))
+        x_axis = grasp_frame(g)[:, 0]
+        d = -g.center  # sphere center is the world origin
+        return float(np.linalg.norm(d - (d @ x_axis) * x_axis))
 
     axis_scores = [
-        sg.s_q for sg in scored if approach_axis_distance_to_center(sg.grasp) < 0.002
+        g.s_q for g in scored if approach_axis_distance_to_center(g) < 0.002
     ]
-    report = evaluate(scored, scene, [sg.grasp for sg in scored], gripper)
+    report = evaluate(scored, scene, scored, gripper)
 
     centered = Grasp((0, 0, 0), (0, 1, 0), math.pi / 2)
     pair = find_contacts(scene, centered, gripper)

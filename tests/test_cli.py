@@ -123,7 +123,7 @@ class TestLabelsNearestCenter:
         body = "".join(f"{x:.9g},{y:.9g},{z:.9g},0,1,0,0,0.5\n" for x, y, z in centers)
         (tmp_path / "g.csv").write_text("cx,cy,cz,rx,ry,rz,theta,sq\n" + body)
         cloud = grasplab.dataio.read_point_cloud(tmp_path / "c.xyz")
-        centers = np.stack([sg.grasp.center for sg in grasplab.dataio.read_grasps(tmp_path / "g.csv")])
+        centers = np.stack([g.center for g in grasplab.dataio.read_grasps(tmp_path / "g.csv")])
         argv = ["labels", str(tmp_path / "g.csv"), "--cloud", str(tmp_path / "c.xyz"),
                 "--confidence", str(tmp_path / "c.txt"), "--k1", "25"]
         outputs = []
@@ -658,3 +658,38 @@ class TestConfigPrecedence:
         assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps), "--dth", "0.04",
                      "--config", str(cfg), "--set", "confidence.d_th=0.005", "-o", str(out3)]) == 0
         assert "d_th=0.04" in out3.read_text().splitlines()[0]
+
+
+class TestDataErrorsNameTheirFiles:
+    GRASPS = "cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0.045,0,1,0,0,0.5\n"
+
+    def test_labels_on_a_cloud_without_points(self, tmp_path, capsys):
+        cloud = tmp_path / "empty.ply"
+        cloud.write_text("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+                         "property float z\nend_header\n")
+        (tmp_path / "c.txt").write_text("# d_th=0.01 width=0 n=0\n")
+        (tmp_path / "g.csv").write_text(self.GRASPS)
+        assert main(["labels", str(tmp_path / "g.csv"), "--cloud", str(cloud), "--confidence",
+                     str(tmp_path / "c.txt"), "-o", str(tmp_path / "labels")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"grasplab: error: {cloud} has no points\n"
+
+    def test_labels_length_mismatch_names_both_files(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        cloud, field = tmp_path / "scene.xyz", tmp_path / "c.txt"
+        field.write_text("# d_th=0.01 width=0 n=3\n0\n0.5\n1\n")
+        (tmp_path / "g.csv").write_text(self.GRASPS)
+        assert main(["labels", str(tmp_path / "g.csv"), "--cloud", str(cloud), "--confidence", str(field),
+                     "-o", str(tmp_path / "labels")]) == 2
+        assert (f"confidence length 3 of {field} does not match cloud size 400 of {cloud}"
+                in capsys.readouterr().err)
+
+    def test_eval_of_an_empty_prediction_file(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        ply = tmp_path / "scene.ply"
+        assert main(["normals", str(tmp_path / "scene.xyz"), "-o", str(ply)]) == 0
+        empty, truth = tmp_path / "empty.csv", tmp_path / "gt.csv"
+        empty.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n")
+        truth.write_text(self.GRASPS)
+        assert main(["eval", str(empty), str(ply), str(truth), "--gripper", GRIPPER]) == 2
+        assert capsys.readouterr().err == f"grasplab: error: {empty} contains no grasps\n"

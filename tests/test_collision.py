@@ -25,15 +25,13 @@ from grasplab import (
     find_contacts,
     grasp_frame,
     grasp_frames,
-    grasp_to_world,
     gripper_volume,
     sample_candidates,
-    world_to_grasp,
 )
 from grasplab import collision
 from grasplab.collision import _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _core_balls, _cull_spheres
 from grasplab.sampling import _theta_for_approach
-from conftest import oracle_collision, oracle_frame, tabletop_cloud
+from conftest import grasp_to_world, oracle_collision, oracle_frame, tabletop_cloud, world_to_grasp
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 AXIS_Y = Grasp((0, 0, 0), (0, 1, 0), 0.0)
@@ -195,16 +193,13 @@ class TestClosingRegionPoints:
             closing_region_points(cloud, AXIS_Y, GRIPPER)
 
     def test_membership_matches_brute_force(self, rng):
-        from grasplab import grasp_frame, world_to_grasp
-
         for _ in range(50):
             cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(80, 3)))
             g = _random_grasp(rng, span=0.05)
-            frame = grasp_frame(g)
             d2, w2, h2 = GRIPPER.depth / 2, GRIPPER.width / 2, GRIPPER.height / 2
             expected = set()
             for i, p in enumerate(cloud.points):
-                q = world_to_grasp(frame, p)
+                q = world_to_grasp(g, p)
                 if abs(q[0]) <= d2 + 1e-12 and abs(q[1]) <= w2 + 1e-12 and abs(q[2]) <= h2 + 1e-12:
                     expected.add(i)
             if not expected:
@@ -213,7 +208,7 @@ class TestClosingRegionPoints:
                 continue
             pts, padded = closing_region_points(cloud, g, GRIPPER, keep=16, seed=2)
             assert padded == (len(expected) < 16)
-            all_q = world_to_grasp(frame, cloud.points)
+            all_q = world_to_grasp(g, cloud.points)
             returned = {tuple(np.round(row, 12)) for row in pts}
             allowed = {tuple(np.round(all_q[i], 12)) for i in expected}
             assert returned <= allowed
@@ -233,7 +228,6 @@ def _planted(rng, g, boxes, strictly_inside):
     lies outside the boxes or within BOUNDARY_TOL of them, and points that
     land strictly inside a neighbouring obstacle box are dropped.
     """
-    frame = grasp_frame(g)
     near = []
     for box in boxes:
         for axis in range(3):
@@ -248,13 +242,13 @@ def _planted(rng, g, boxes, strictly_inside):
         near.append(corner + outward * rng.choice(FACE_OFFSETS[:2], size=3))
         if strictly_inside:
             near.append(corner - outward * rng.choice(FACE_OFFSETS[2:], size=3))
-    world = [grasp_to_world(frame, np.array(near))]
+    world = [grasp_to_world(g, np.array(near))]
     for box in boxes if strictly_inside else ():
         centers, radius = _cull_spheres(box)
         u = rng.normal(size=(len(centers), 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        world.append(grasp_to_world(frame, centers) + radius * u)
-        world.append(_near_ball_surfaces(rng, frame, box, 2))
+        world.append(grasp_to_world(g, centers) + radius * u)
+        world.append(_near_ball_surfaces(rng, g, box, 2))
     pts = np.vstack(world)
     if not strictly_inside:
         pts = pts[[not oracle_collision([p], g.center, g.orientation, g.theta, *DIMS) for p in pts.tolist()]]
@@ -264,13 +258,13 @@ def _planted(rng, g, boxes, strictly_inside):
 BALL_SCALES = np.array([1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 1e-9])  # on both sides of a ball's surface
 
 
-def _near_ball_surfaces(rng, frame, box, n):
-    """World points just inside or just outside the surfaces of n core balls of box."""
+def _near_ball_surfaces(rng, g, box, n):
+    """World points just inside or just outside the surfaces of n core balls of grasp g's box."""
     centers, radius = _core_balls(box)
     pick = rng.choice(len(centers), size=min(n, len(centers)), replace=False)
     u = rng.normal(size=(len(pick), 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return grasp_to_world(frame, centers[pick] + radius * rng.choice(BALL_SCALES, size=(len(pick), 1)) * u)
+    return grasp_to_world(g, centers[pick] + radius * rng.choice(BALL_SCALES, size=(len(pick), 1)) * u)
 
 
 def _tiled_scene(rng, boxes_of, seeds):
@@ -299,7 +293,7 @@ def _tiled_scene(rng, boxes_of, seeds):
 
 
 def _full_scan_closing(cloud, g):
-    q = world_to_grasp(grasp_frame(g), cloud.points)
+    q = world_to_grasp(g, cloud.points)
     return np.flatnonzero(gripper_volume(GRIPPER).closing.contains(q)), q
 
 
@@ -449,7 +443,7 @@ class TestCoreBallPrePass:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for g, rotation in zip(grasps, rotations):
-                assert np.array_equal(rotation, grasp_frame(g).rotation)
+                assert np.array_equal(rotation, grasp_frame(g))
                 x, y, z, _ = oracle_frame(g.center, g.orientation, g.theta)
                 np.testing.assert_allclose(rotation, np.column_stack([x, y, z]), rtol=0, atol=1e-12)
 
@@ -461,16 +455,16 @@ class TestCoreBallPrePass:
         obstacles = gripper_volume(GRIPPER).obstacles
         plants = []
         for i, g in enumerate(grasps):
-            frame, box = grasp_frame(g), obstacles[rng.integers(3)]
+            box = obstacles[rng.integers(3)]
             if i % 3 == 0:
-                plants.append(_near_ball_surfaces(rng, frame, box, 3))
+                plants.append(_near_ball_surfaces(rng, g, box, 3))
             elif i % 3 == 1:
                 # where a ball comes closest to a face: across the box's thinnest axis, either side of the face
                 centers, _ = _core_balls(box)
                 q = centers[rng.integers(len(centers))].copy()
                 axis = int(np.argmin(box.hi - box.lo))
                 q[axis] = (box.lo, box.hi)[rng.integers(2)][axis] + rng.choice([-1.0, 1.0]) * rng.choice(FACE_OFFSETS)
-                plants.append(grasp_to_world(frame, q[None]))
+                plants.append(grasp_to_world(g, q[None]))
         cloud = PointCloud(np.vstack(plants))
         kept = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
         points = cloud.points.tolist()
@@ -482,7 +476,7 @@ class TestCoreBallPrePass:
         balls, _ = _core_balls(gripper_volume(GRIPPER).finger_pos)
         deep = Grasp((0.0, 0.0, 0.0), (0, 1, 0), 0.0)
         clear = Grasp((1.0, 0.0, 0.0), (0, 1, 0), 0.0)
-        cloud = PointCloud(grasp_to_world(grasp_frame(deep), balls[:1]))
+        cloud = PointCloud(grasp_to_world(deep, balls[:1]))
         tested = []
         real = collision._box_points
 
@@ -568,7 +562,7 @@ def _near_a_face(points, grasps):
     near = np.zeros(len(points), dtype=bool)
     volume = gripper_volume(GRIPPER)
     for g in grasps:
-        q = world_to_grasp(grasp_frame(g), points)
+        q = world_to_grasp(g, points)
         for box in (volume.closing, *volume.obstacles):
             outer = np.all((q > box.lo - FACE_MARGIN) & (q < box.hi + FACE_MARGIN), axis=1)
             inner = np.all((q > box.lo + FACE_MARGIN) & (q < box.hi - FACE_MARGIN), axis=1)
@@ -580,7 +574,7 @@ def _near_a_face(points, grasps):
 
 def _moved(g, R, t):
     """g carried by the rigid motion x -> R x + t; the closing axis may flip to keep theta in range."""
-    r, theta = _theta_for_approach((R @ g.orientation)[None], (R @ grasp_frame(g).x_axis)[None])
+    r, theta = _theta_for_approach((R @ g.orientation)[None], (R @ grasp_frame(g)[:, 0])[None])
     return Grasp(R @ g.center + t, r[0], theta[0])
 
 

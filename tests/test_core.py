@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from grasplab import (
     PointCloud,
     grasp_frame,
     grasp_frames,
-    grasp_to_world,
     vertical_score,
-    world_to_grasp,
 )
+from conftest import world_to_grasp
 
 
 def _random_grasp(rng) -> Grasp:
@@ -64,25 +64,51 @@ class TestTypes:
         assert cloud.with_normals(np.eye(3)).tree is tree
 
 
+class TestScore:
+    @pytest.mark.parametrize("s_q", [-0.1, 1.5, math.nan])
+    def test_out_of_range_score_rejected(self, s_q):
+        message = re.escape(f"s_q {s_q} outside [0, 1]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Grasp((0, 0, 0), (0, 1, 0), 0.0, s_q)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Grasp((0, 0, 0), (0, 1, 0), 0.0).with_score(s_q)
+
+    def test_with_score_keeps_the_pose_bitwise(self, rng):
+        # closing axes as read_grasps reads them: 9 significant digits, normalised once
+        r = rng.normal(size=(2000, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        moved = 0
+        for axis, theta in zip(r, rng.uniform(-math.pi / 2, math.pi / 2, size=2000)):
+            g = Grasp(rng.uniform(-1, 1, size=3), [float(f"{v:.9g}") for v in axis], float(f"{theta:.9g}"), 0.5)
+            h = g.with_score(0.25)
+            assert (h.s_q, g.s_q) == (0.25, 0.5)
+            assert h.center.tobytes() == g.center.tobytes()
+            assert h.orientation.tobytes() == g.orientation.tobytes()
+            assert h.theta == g.theta
+            moved += Grasp(g.center, g.orientation, g.theta).orientation.tobytes() != g.orientation.tobytes()
+        assert moved  # a copy that normalised the axis again would have changed these
+
+
 class TestGraspFrame:
     def test_axis_example_theta_zero(self):
-        f = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), 0.0))
-        np.testing.assert_allclose(f.x_axis, [1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(f.z_axis, [0, 0, 1], atol=1e-12)
+        R = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), 0.0))
+        np.testing.assert_allclose(R[:, 0], [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(R[:, 2], [0, 0, 1], atol=1e-12)
 
     def test_axis_example_theta_half_pi(self):
-        f = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), math.pi / 2))
-        np.testing.assert_allclose(f.x_axis, [0, 0, -1], atol=1e-12)
-        np.testing.assert_allclose(f.z_axis, [1, 0, 0], atol=1e-12)
+        R = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), math.pi / 2))
+        np.testing.assert_allclose(R[:, 0], [0, 0, -1], atol=1e-12)
+        np.testing.assert_allclose(R[:, 2], [1, 0, 0], atol=1e-12)
 
     def test_origin_passthrough(self):
-        f = grasp_frame(Grasp((0.1, 0.2, 0.3), (0, 1, 0), 0.3))
-        np.testing.assert_allclose(f.origin, [0.1, 0.2, 0.3])
+        g = Grasp((0.1, 0.2, 0.3), (0, 1, 0), 0.3)
+        assert grasp_frame(g).shape == (3, 3)
+        np.testing.assert_allclose(world_to_grasp(g, [0.1, 0.2, 0.3]), [0, 0, 0], atol=1e-15)
 
     def test_degenerate_orientation_warns_and_falls_back(self):
         with pytest.warns(RuntimeWarning):
-            f = grasp_frame(Grasp((0, 0, 0), (0, 0, 1), 0.0))
-        np.testing.assert_allclose(f.x_axis, [1, 0, 0], atol=1e-12)
+            R = grasp_frame(Grasp((0, 0, 0), (0, 0, 1), 0.0))
+        np.testing.assert_allclose(R[:, 0], [1, 0, 0], atol=1e-12)
 
     def test_rotation_orthonormal_det_plus_one(self, rng):
         r = rng.normal(size=(10_000, 3))
@@ -102,24 +128,8 @@ class TestGraspFrame:
             r2 = g.orientation + delta
             r2 /= np.linalg.norm(r2)
             g2 = Grasp(g.center, r2, g.theta)
-            diff = np.abs(grasp_frame(g).rotation - grasp_frame(g2).rotation).max()
+            diff = np.abs(grasp_frame(g) - grasp_frame(g2)).max()
             assert diff <= 1e3 * np.linalg.norm(delta)
-
-
-class TestWorldToGrasp:
-    def test_origin_maps_to_zero(self):
-        f = grasp_frame(Grasp((0.4, -0.2, 0.9), (0, 1, 0), 0.7))
-        np.testing.assert_allclose(world_to_grasp(f, f.origin), [0, 0, 0], atol=1e-15)
-
-    def test_identity_frame(self):
-        f = grasp_frame(Grasp((0, 0, 0), (0, 1, 0), 0.0))
-        np.testing.assert_allclose(world_to_grasp(f, [1.0, 2.0, 3.0]), [1, 2, 3], atol=1e-15)
-
-    def test_round_trip_on_random_points(self, rng):
-        f = grasp_frame(_random_grasp(rng))
-        p = rng.uniform(-2, 2, size=(100, 3))
-        back = grasp_to_world(f, world_to_grasp(f, p))
-        assert np.abs(back - p).max() < 1e-12
 
 
 class TestVerticalScore:

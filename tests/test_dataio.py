@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, ScoredGrasp
+from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud
 from grasplab.dataio import (
     GRASP_HEADER,
     _ROW_BLOCK,
@@ -165,17 +166,17 @@ class TestGraspIO:
         for _ in range(1000):
             r = rng.normal(size=3)
             r /= np.linalg.norm(r)
-            g = Grasp(rng.uniform(-2, 2, 3), r, float(rng.uniform(-math.pi / 2, math.pi / 2)))
-            grasps.append(ScoredGrasp(g, float(rng.uniform(0, 1))))
+            theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+            grasps.append(Grasp(rng.uniform(-2, 2, 3), r, theta, float(rng.uniform(0, 1))))
         path = tmp_path / "g.csv"
         write_grasps(path, grasps)
         back = read_grasps(path)
         assert len(back) == 1000
         worst = 0.0
         for a, b in zip(grasps, back):
-            worst = max(worst, float(np.abs(a.grasp.center - b.grasp.center).max()))
-            worst = max(worst, float(np.abs(a.grasp.orientation - b.grasp.orientation).max()))
-            worst = max(worst, abs(a.grasp.theta - b.grasp.theta), abs(a.s_q - b.s_q))
+            worst = max(worst, float(np.abs(a.center - b.center).max()))
+            worst = max(worst, float(np.abs(a.orientation - b.orientation).max()))
+            worst = max(worst, abs(a.theta - b.theta), abs(a.s_q - b.s_q))
         assert worst <= 1e-8
 
     def test_bytes_match_per_field_formatting(self, tmp_path, rng):
@@ -184,12 +185,11 @@ class TestGraspIO:
             r = rng.normal(size=3)
             g = Grasp(rng.normal(scale=10.0 ** rng.integers(-8, 4), size=3), r / np.linalg.norm(r),
                       float(rng.uniform(-math.pi / 2, math.pi / 2)))
-            grasps.append(ScoredGrasp(g, float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))))
-        grasps.append(ScoredGrasp(Grasp((0, -0.0, 1e-300), (0, 0, -1), math.pi / 2), 1.0))
+            grasps.append(g.with_score(float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))))
+        grasps.append(Grasp((0, -0.0, 1e-300), (0, 0, -1), math.pi / 2, 1.0))
         path = tmp_path / "g.csv"
         write_grasps(path, grasps)
-        rows = [",".join("%.9g" % float(v) for v in [*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta,
-                                                      sg.s_q]) for sg in grasps]
+        rows = [",".join("%.9g" % float(v) for v in [*g.center, *g.orientation, g.theta, g.s_q]) for g in grasps]
         assert path.read_bytes() == ("\n".join([GRASP_HEADER, *rows]) + "\n").encode()
 
     def test_header_mismatch_rejected(self, tmp_path):
@@ -204,11 +204,27 @@ class TestGraspIO:
         with pytest.raises(ParseError, match=":2"):
             read_grasps(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("-0.1", "s_q -0.1 outside [0, 1]"), ("1.5", "s_q 1.5 outside [0, 1]"),
+        ("nan", "non-finite value: 'nan'"),  # the row parser refuses a NaN before it reaches Grasp
+    ])
+    def test_score_out_of_range_rejected_with_line(self, tmp_path, text, message):
+        path = tmp_path / "g.csv"
+        path.write_text(f"{GRASP_HEADER}\n0,0,0,0,1,0,0,0.5\n0,0,0,0,1,0,0,{text}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_grasps(path)
+
+    def test_pose_defect_is_reported_before_the_score(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(GRASP_HEADER + "\n0,0,0,0,0.9,0,0,1.5\n")
+        with pytest.raises(ParseError, match=r":2: orientation norm"):
+            read_grasps(path)
+
     def test_orientation_near_unit_renormalized(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text(GRASP_HEADER + "\n0,0,0,0,1.0000005,0,0,0.5\n")
         back = read_grasps(path)
-        assert np.linalg.norm(back[0].grasp.orientation) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(back[0].orientation) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_finite_field_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -570,8 +586,8 @@ class TestBlockedWriters:
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         data = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, 3)), r,
                                 rng.uniform(-1.5, 1.5, size=n), rng.uniform(0.0, 1.0, size=n)])
-        grasps = [ScoredGrasp(Grasp(row[:3], row[3:6], row[6]), row[7]) for row in data]
-        rows = [(*sg.grasp.center, *sg.grasp.orientation, sg.grasp.theta, sg.s_q) for sg in grasps]
+        grasps = [Grasp(row[:3], row[3:6], row[6], row[7]) for row in data]
+        rows = [(*g.center, *g.orientation, g.theta, g.s_q) for g in grasps]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_grasps(got, grasps)
         want.write_text(f"{GRASP_HEADER}\n" + _rows_text(np.array(rows, float).reshape(n, 8), ","))

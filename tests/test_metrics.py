@@ -5,11 +5,11 @@ from grasplab import (
     Grasp,
     GripperParams,
     PointCloud,
-    ScoredGrasp,
     antipodal_metrics,
     cfr,
     coverage_rate,
     evaluate,
+    filter_collision_free,
     select_for_eval,
 )
 from conftest import oracle_collision
@@ -53,18 +53,18 @@ class TestSelectForEval:
     def test_all_free_returned_in_score_order(self, rng):
         scene = PointCloud(np.zeros((0, 3)))
         scored = [
-            ScoredGrasp(Grasp(rng.uniform(-1, 1, 3), (0, 1, 0), 0.0), float(s))
+            Grasp(rng.uniform(-1, 1, 3), (0, 1, 0), 0.0, float(s))
             for s in rng.uniform(0, 1, 50)
         ]
         out = select_for_eval(scored, scene, GRIPPER, pool=1000, top=100)
         assert len(out) == 50
-        scores = [sg.s_q for sg in out]
+        scores = [g.s_q for g in out]
         assert scores == sorted(scores, reverse=True)
 
     def test_all_colliding_gives_empty(self):
         scene = worksheet_scene()
         g_collide = worksheet_grasps()[1]
-        out = select_for_eval([ScoredGrasp(g_collide, 0.9)], scene, GRIPPER)
+        out = select_for_eval([g_collide.with_score(0.9)], scene, GRIPPER)
         assert out == []
 
     def test_matches_sort_filter_oracle(self, rng):
@@ -73,19 +73,28 @@ class TestSelectForEval:
         for _ in range(80):
             r = rng.normal(size=3)
             r /= np.linalg.norm(r)
-            g = Grasp(rng.uniform(-0.08, 0.08, 3), r, float(rng.uniform(-1.5, 1.5)))
-            scored.append(ScoredGrasp(g, float(rng.uniform(0, 1))))
+            theta = float(rng.uniform(-1.5, 1.5))
+            scored.append(Grasp(rng.uniform(-0.08, 0.08, 3), r, theta, float(rng.uniform(0, 1))))
         pool, top = 40, 10
         got = select_for_eval(scored, scene, GRIPPER, pool=pool, top=top)
         order = sorted(range(80), key=lambda i: (-scored[i].s_q, i))[:pool]
         dims = (GRIPPER.depth, GRIPPER.width, GRIPPER.height, GRIPPER.thickness)
-        poses = [(sg.grasp.center, sg.grasp.orientation, sg.grasp.theta) for sg in scored]
+        poses = [(g.center, g.orientation, g.theta) for g in scored]
         expect = [i for i in order if not oracle_collision(scene.points.tolist(), *poses[i], *dims)][:top]
-        assert [id(sg) for sg in got] == [id(scored[i]) for i in expect]
+        assert [id(g) for g in got] == [id(scored[i]) for i in expect]
+
+    def test_survivors_are_the_input_objects_with_their_scores(self):
+        scene = worksheet_scene()
+        scored = [g.with_score(s) for g, s in zip(worksheet_grasps(), (0.9, 0.8, 0.7, 0.6))]
+        free = filter_collision_free(scored, scene, GRIPPER)
+        assert len(free) == 3 and all(a is b for a, b in zip(free, [scored[0], scored[2], scored[3]]))
+        selected = select_for_eval(scored[::-1], scene, GRIPPER, pool=4, top=2)
+        assert len(selected) == 2 and selected[0] is scored[0] and selected[1] is scored[2]
+        assert [g.s_q for g in selected] == [0.9, 0.7]
 
     def test_top_cannot_exceed_pool(self):
         with pytest.raises(ValueError):
-            select_for_eval([ScoredGrasp(worksheet_grasps()[0], 0.5)], worksheet_scene(), GRIPPER, pool=10, top=20)
+            select_for_eval([worksheet_grasps()[0].with_score(0.5)], worksheet_scene(), GRIPPER, pool=10, top=20)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +102,7 @@ class TestSelectForEval:
 
     @pytest.mark.parametrize("pool,top", [(0, 0), (-3, 100), (10, 0), (10, -1)])
     def test_pool_and_top_below_one_rejected(self, pool, top):
-        scored = [ScoredGrasp(worksheet_grasps()[0], 0.5)]
+        scored = [worksheet_grasps()[0].with_score(0.5)]
         with pytest.raises(ValueError, match="pool and top must be >= 1"):
             select_for_eval(scored, worksheet_scene(), GRIPPER, pool=pool, top=top)
 
@@ -189,7 +198,7 @@ class TestEvaluate:
     def test_identity_pipeline_sanity(self, rng):
         scene = worksheet_scene()
         g_good = worksheet_grasps()[0]
-        scored = [ScoredGrasp(g_good, 0.9)]
+        scored = [g_good.with_score(0.9)]
         report = evaluate(scored, scene, [g_good], GRIPPER)
         assert report.cfr == 1.0
         assert report.tcr == 1.0
@@ -198,27 +207,26 @@ class TestEvaluate:
         scene = worksheet_scene()
         g_good, g_collide, g_nothing, g_sideways = worksheet_grasps()
         scored = [
-            ScoredGrasp(g_good, 0.9),
-            ScoredGrasp(g_collide, 0.8),
-            ScoredGrasp(g_nothing, 0.7),
-            ScoredGrasp(g_sideways, 0.6),
+            g_good.with_score(0.9),
+            g_collide.with_score(0.8),
+            g_nothing.with_score(0.7),
+            g_sideways.with_score(0.6),
         ]
         gt = [g_good, Grasp((1.0, 0, 0), (0, 1, 0), 0.0)]
         report = evaluate(scored, scene, gt, GRIPPER)
         selected = select_for_eval(scored, scene, GRIPPER)
-        grasps = [sg.grasp for sg in selected]
-        as_mean, as_wc = antipodal_metrics(grasps, scene, GRIPPER)
+        as_mean, as_wc = antipodal_metrics(selected, scene, GRIPPER)
         assert report.n_selected == len(selected)
-        assert report.cfr == cfr(grasps, scene, GRIPPER)
+        assert report.cfr == cfr(selected, scene, GRIPPER)
         assert report.as_mean == as_mean
         assert report.as_with_collision == as_wc
-        assert report.tcr == coverage_rate(grasps, gt)
+        assert report.tcr == coverage_rate(selected, gt)
 
     def test_all_colliding_propagates_error(self):
         scene = worksheet_scene()
         g_collide = worksheet_grasps()[1]
         with pytest.raises(ValueError):
-            evaluate([ScoredGrasp(g_collide, 0.9)], scene, [g_collide], GRIPPER)
+            evaluate([g_collide.with_score(0.9)], scene, [g_collide], GRIPPER)
 
     def test_hand_worksheet(self):
         # pool keeps all four; the colliding grasp drops out; the survivors
@@ -226,10 +234,10 @@ class TestEvaluate:
         scene = worksheet_scene()
         g_good, g_collide, g_nothing, g_sideways = worksheet_grasps()
         scored = [
-            ScoredGrasp(g_good, 0.9),
-            ScoredGrasp(g_collide, 0.8),
-            ScoredGrasp(g_nothing, 0.7),
-            ScoredGrasp(g_sideways, 0.6),
+            g_good.with_score(0.9),
+            g_collide.with_score(0.8),
+            g_nothing.with_score(0.7),
+            g_sideways.with_score(0.6),
         ]
         gt = [g_good, Grasp((1.0, 0, 0), (0, 1, 0), 0.0)]
         report = evaluate(scored, scene, gt, GRIPPER)

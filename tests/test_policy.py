@@ -8,7 +8,6 @@ from grasplab import (
     AnalyticPolicy,
     Grasp,
     LinearFit,
-    ScoredGrasp,
     SigmoidFit,
     analytic_select,
     fit_linear,
@@ -22,7 +21,7 @@ from grasplab.policy import policy_from_mapping
 
 
 def _sg(s_q, theta):
-    return ScoredGrasp(Grasp((0, 0, 0), (0, 1, 0), theta), s_q)
+    return Grasp((0, 0, 0), (0, 1, 0), theta, s_q)
 
 
 class TestHeuristicSelect:
@@ -46,7 +45,7 @@ class TestHeuristicSelect:
             rng.uniform(0, 1, 30), rng.uniform(-math.pi / 2, math.pi / 2, 30)
         )]
         idx = heuristic_select(grasps)
-        totals = [sg.s_q + vertical_score(sg.grasp) for sg in grasps]
+        totals = [g.s_q + vertical_score(g) for g in grasps]
         assert totals[idx] == max(totals)
 
     def test_empty_rejected(self):
@@ -96,7 +95,7 @@ class TestAnalyticSelect:
             rng.uniform(0, 1, 30), rng.uniform(-math.pi / 2, math.pi / 2, 30)
         )]
         idx = analytic_select(grasps)
-        probs = [grasp_probability(sg.s_q, vertical_score(sg.grasp)) for sg in grasps]
+        probs = [grasp_probability(g.s_q, vertical_score(g)) for g in grasps]
         assert probs[idx] == max(probs)
 
 

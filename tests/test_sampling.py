@@ -197,7 +197,7 @@ class TestSampleCandidates:
         cfg = SamplerConfig(n_centers=1, n_orientation_perturbations=1, n_angle_perturbations=1, rng_seed=0)
         cands = sample_candidates(cloud, GRIPPER, cfg)
         assert len(cands) == 1
-        x_axis = grasp_frame(cands[0]).x_axis
+        x_axis = grasp_frame(cands[0])[:, 0]
         assert float(x_axis @ np.array([0, 0, 1.0])) < -0.999
 
     def test_product_count(self):
@@ -236,7 +236,7 @@ class TestSampleCandidates:
         viewpoint = np.array([0.0, 0.0, 10.0])
         cfg = SamplerConfig(n_centers=8, n_orientation_perturbations=3, n_angle_perturbations=1, rng_seed=1)
         for g in sample_candidates(cloud, GRIPPER, cfg):
-            x_axis = grasp_frame(g).x_axis
+            x_axis = grasp_frame(g)[:, 0]
             seed_point = g.center - (GRIPPER.depth / 2.0) * x_axis
             assert np.linalg.norm(seed_point) == pytest.approx(radius, abs=1e-9)
             outward = seed_point / np.linalg.norm(seed_point)
