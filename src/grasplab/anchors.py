@@ -80,9 +80,9 @@ class ResidualBlock:
     """Regression targets attached to a positive anchor or proposal.
 
     For anchor labels: res_c = (center - p_p)/c_b, res_r = r - r_anchor,
-    and theta / s_q are the directly regressed values. For refine labels
-    the same slots hold the four residuals (center residual still divided
-    by c_b).
+    and theta / s_q are the ground truth's own values. For refine labels
+    the same slots hold the four residuals gt - proposal (center residual
+    still divided by c_b).
     """
 
     res_c: np.ndarray
@@ -147,12 +147,11 @@ def assign_anchor_labels(
     anchors: AnchorSet,
     angle_pos: float = ANGLE_POS,
     angle_neg: float = ANGLE_NEG,
-    quality: float = 0.0,
 ) -> AnchorLabel:
     """Classify each anchor against a ground-truth orientation.
 
     Only the minimum-angle anchor can be positive (ties break toward the
-    lowest index); it gets res_r and the direct theta / quality targets.
+    lowest index); it gets res_r and the direct targets gt.theta, gt.s_q.
     res_c stays zero until encode_residuals supplies the positive point.
     """
     if angle_pos > angle_neg:
@@ -169,7 +168,7 @@ def assign_anchor_labels(
             res_c=np.zeros(3),
             res_r=gt.orientation - dirs[best],
             theta=gt.theta,
-            s_q=float(quality),
+            s_q=gt.s_q,
         )
         return AnchorLabel(classes, best, block)
     return AnchorLabel(classes, None, None)
@@ -180,9 +179,8 @@ def encode_residuals(
     positive_point: np.ndarray,
     anchor_dir: np.ndarray,
     c_b: float = CENTER_BALANCE,
-    quality: float = 0.0,
 ) -> ResidualBlock:
-    """Residual targets of a ground-truth grasp against (positive point, anchor)."""
+    """Residual targets of a ground-truth grasp against (positive point, anchor); s_q is gt.s_q."""
     if c_b <= 0.0:
         raise ValueError("c_b must be positive")
     p = np.asarray(positive_point, dtype=float).reshape(3)
@@ -192,7 +190,7 @@ def encode_residuals(
         res_c=(gt.center - p) / c_b,
         res_r=gt.orientation - a,
         theta=gt.theta,
-        s_q=float(quality),
+        s_q=gt.s_q,
     )
 
 
@@ -202,12 +200,11 @@ def complete_label(
     anchors: AnchorSet,
     positive_point: np.ndarray,
     c_b: float = CENTER_BALANCE,
-    quality: float = 0.0,
 ) -> AnchorLabel:
     """Fill res_c of a positive label once the positive point is known."""
     if label.positive_index is None:
         return label
-    block = encode_residuals(gt, positive_point, anchors.directions[label.positive_index], c_b, quality)
+    block = encode_residuals(gt, positive_point, anchors.directions[label.positive_index], c_b)
     return replace(label, residuals=block)
 
 
@@ -241,14 +238,13 @@ def assign_refine_labels(
     gamma1: float = REFINE_GAMMA1,
     gamma2: float = REFINE_GAMMA2,
     c_b: float = CENTER_BALANCE,
-    gt_quality: float = 0.0,
-    proposal_quality: float = 0.0,
 ) -> RefineLabel:
     """Label a proposal against the ground truth and fill residuals if positive.
 
     Positive requires all of center distance < d1, orientation angle < beta1
     and |theta difference| < gamma1; negative requires any of the loose
     bounds d2 / beta2 / gamma2 to be crossed; everything between is ignored.
+    Residuals are gt - proposal, so the quality residual is gt.s_q - proposal.s_q.
     """
     if not (d1 < d2 and beta1 < beta2 and gamma1 < gamma2):
         raise ValueError("tight thresholds must be below loose thresholds")
@@ -260,7 +256,7 @@ def assign_refine_labels(
             res_c=(gt.center - proposal.center) / c_b,
             res_r=gt.orientation - proposal.orientation,
             theta=gt.theta - proposal.theta,
-            s_q=float(gt_quality) - float(proposal_quality),
+            s_q=gt.s_q - proposal.s_q,
         )
         return RefineLabel(POSITIVE, block)
     if dc > d2 or dr >= beta2 or dt >= gamma2:

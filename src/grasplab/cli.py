@@ -187,13 +187,24 @@ def _load_cloud(args, normals: bool = False) -> PointCloud:
     return cloud
 
 
+def _require_points(args, cloud: PointCloud, need: int = 1, what: str = "") -> None:
+    """A cloud too small for a step is an error that names its file and both counts."""
+    if not len(cloud):
+        raise ValueError(f"{args.cloud} has no points")
+    if len(cloud) < need:
+        kept = " kept by --subsample" if getattr(args, "subsample", None) == len(cloud) else ""
+        raise ValueError(f"{args.cloud} has {len(cloud)} points{kept}, need at least {what}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_normals(args, settings) -> int:
     cloud = _load_cloud(args)
-    normals, valid = estimate_normals(cloud, settings["normals.k"])
+    k = settings["normals.k"]
+    _require_points(args, cloud, k, f"k={k}")
+    normals, valid = estimate_normals(cloud, k)
     n_bad = int(np.sum(~valid))
     if n_bad:
         print(f"warning: {n_bad} point(s) with degenerate neighborhoods", file=sys.stderr)
@@ -203,6 +214,7 @@ def _cmd_normals(args, settings) -> int:
 
 def _cmd_sample(args, settings) -> int:
     cloud = _load_cloud(args)
+    _require_points(args, cloud, 4, "4 for Darboux estimation")  # sample_candidates' own minimum
     cfg = SamplerConfig(
         n_centers=settings["sampler.n_centers"],
         n_orientation_perturbations=settings["sampler.n_orientations"],
@@ -232,8 +244,11 @@ def _cmd_score(args, settings) -> int:
 def _cmd_confidence(args, settings) -> int:
     cloud = _load_cloud(args)
     d_th = settings["confidence.d_th"]
-    field = point_confidence(cloud, dataio.read_grasps(args.grasps), d_th, settings["confidence.width"])
-    if not field.values.any():
+    grasps = dataio.read_grasps(args.grasps)
+    field = point_confidence(cloud, grasps, d_th, settings["confidence.width"])
+    if not grasps:
+        print(f"warning: {args.grasps} contains no grasps; every confidence value is 0", file=sys.stderr)
+    elif not field.values.any():
         print(f"warning: every confidence value is 0; no grasp center lies within d_th={d_th:g} m of a point",
               file=sys.stderr)
     dataio.write_confidence(args.output, field)
@@ -242,8 +257,7 @@ def _cmd_confidence(args, settings) -> int:
 
 def _cmd_labels(args, settings) -> int:
     cloud = dataio.read_point_cloud(args.cloud)
-    if not len(cloud):
-        raise ValueError(f"{args.cloud} has no points")
+    _require_points(args, cloud)
     field = dataio.read_confidence(args.confidence)
     if len(field) != len(cloud):
         raise ValueError(f"confidence length {len(field)} of {args.confidence} does not match cloud size "
@@ -285,8 +299,8 @@ def _cmd_labels(args, settings) -> int:
     for pi, gi in zip(positives.tolist(), nearest.tolist()):
         p = cloud.points[pi]
         gt = scored[gi]
-        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, angle_pos, angle_neg, quality=gt.s_q)
-        label = anchors_mod.complete_label(label, gt, anchor_dirs, p, c_b, gt.s_q)
+        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, angle_pos, angle_neg)
+        label = anchors_mod.complete_label(label, gt, anchor_dirs, p, c_b)
         block = label.residuals.as_array() if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
         anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
@@ -295,8 +309,7 @@ def _cmd_labels(args, settings) -> int:
         if ref_idx is None:
             ref_idx = int(np.argmax(anchor_dirs.directions @ gt.orientation))
         proposal = Grasp(p, anchor_dirs.directions[ref_idx], 0.0)
-        refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b,
-                                                  gt_quality=gt.s_q)
+        refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b)
         rblock = refine.residuals.as_array() if refine.residuals is not None else np.zeros(8)
         refine_rows.append(refine_row % (pi, refine.y, *rblock))
         if args.regions:

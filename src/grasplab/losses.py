@@ -287,7 +287,8 @@ def _random_grn_case(rng: np.random.Generator):
     labels = []
     for _ in range(n):
         gt = _random_grasp(rng)
-        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, quality=float(rng.uniform(0, 1)))
+        rng.uniform(0, 1)  # kept for the stream: complete_label always reset this quality target to 0
+        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs)
         labels.append(anchors_mod.complete_label(label, gt, anchor_dirs, rng.uniform(-0.1, 0.1, size=3)))
     probs = rng.uniform(0.05, 0.95, size=(n, m))
     res = _random_residuals(rng, labels)
@@ -308,7 +309,7 @@ def _random_rn_case(rng: np.random.Generator):
         prop_r /= np.linalg.norm(prop_r)
         proposal = Grasp(gt.center + jitter, prop_r, clamp_theta(gt.theta + float(rng.normal(scale=0.1))))
         gt_q, prop_q = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        labels.append(anchors_mod.assign_refine_labels(gt, proposal, gt_quality=gt_q, proposal_quality=prop_q))
+        labels.append(anchors_mod.assign_refine_labels(gt.with_score(gt_q), proposal.with_score(prop_q)))
     if all(lb.y == IGNORE for lb in labels):
         labels[0] = RefineLabel(anchors_mod.NEGATIVE, None)
     probs = rng.uniform(0.05, 0.95, size=n)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasplab import (
     Grasp,
@@ -11,7 +13,7 @@ from grasplab import (
     decode_proposal,
     encode_residuals,
 )
-from grasplab.anchors import ANGLE_NEG, ANGLE_POS, IGNORE, NEGATIVE, POSITIVE, AnchorSet
+from grasplab.anchors import ANGLE_NEG, ANGLE_POS, IGNORE, NEGATIVE, POSITIVE, AnchorSet, complete_label
 from conftest import oracle_anchor_coincidence
 
 
@@ -169,7 +171,7 @@ class TestRefineLabels:
     GT = Grasp((0, 0, 0), (0, 1, 0), 0.2)
 
     def test_identical_proposal_positive_zero_residuals(self):
-        label = assign_refine_labels(self.GT, self.GT, gt_quality=0.4, proposal_quality=0.4)
+        label = assign_refine_labels(self.GT.with_score(0.4), self.GT.with_score(0.4))
         assert label.y == POSITIVE
         np.testing.assert_allclose(label.residuals.as_array(), np.zeros(8), atol=1e-15)
 
@@ -212,3 +214,25 @@ class TestRefineLabels:
     def test_bad_threshold_ordering_rejected(self):
         with pytest.raises(ValueError):
             assign_refine_labels(self.GT, self.GT, d1=0.03, d2=0.02)
+
+
+class TestQualityComesFromTheGrasp:
+    def test_complete_label_keeps_the_ground_truth_quality(self):
+        anchors = anchor_set(4)
+        g = Grasp((0.01, -0.02, 0.03), _unit((1, 2, 3)), 0.3, 0.7)
+        label = complete_label(assign_anchor_labels(g, anchors), g, anchors, np.zeros(3))
+        assert label.positive_index is not None
+        assert label.residuals.as_array()[7] == 0.7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=st.tuples(*[st.floats(-10, 10)] * 3),
+        axis=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1),
+        theta=st.floats(-math.pi / 2, math.pi / 2),
+        s_q=st.floats(0, 1),
+    )
+    def test_a_scored_grasp_against_itself_is_positive_with_zero_residuals(self, center, axis, theta, s_q):
+        g = Grasp(center, _unit(axis), theta, s_q)
+        label = assign_refine_labels(g, g)
+        assert label.y == POSITIVE
+        assert np.array_equal(label.residuals.as_array(), np.zeros(8))

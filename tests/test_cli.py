@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import grasplab
 from grasplab import cli
@@ -137,6 +139,80 @@ class TestLabelsNearestCenter:
         for row in rows:
             p = cloud.points[int(row[0])]
             assert int(row[4]) == int(np.argmin(np.linalg.norm(centers - p, axis=1)))
+
+
+_ONE_PARSER = functools.cache(cli.build_parser)  # building the parser is half of a tiny labels run
+U = 2.0 ** -8  # label-input coordinates are multiples of U m, so 9-digit files and translations stay exact
+
+
+@st.composite
+def _label_inputs(draw):
+    """A tiny labels input in units of U: distinct ground-truth centers, points near them, a translation."""
+    g, n = draw(st.integers(4, 16)), draw(st.integers(20, 60))
+    # per ground truth: the step to its center's grid code, a nonzero direction in [-3, 3]^3, theta in pi/64 steps
+    code = draw(arrays(np.int64, g, elements=st.integers(0, 64 ** 3 // 16 * (7 ** 3 - 1) * 65 - 1)))
+    (step, axis), theta = np.divmod(code // 65, 7 ** 3 - 1), code % 65 - 32
+    centers = np.stack(np.unravel_index(np.cumsum(step + 1) - 1, (64, 64, 64)), axis=1) - 32  # distinct
+    axes = np.stack(np.unravel_index(axis + (axis >= 7 ** 3 // 2), (7,) * 3), 1) - 3  # skips (0, 0, 0)
+    axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+    thetas, s_q = theta * (math.pi / 64), np.arange(g) / 16
+    gts = list(zip(centers, axes, thetas.tolist(), s_q.tolist()))
+    # per point: its center, its offset of at most 6 U per axis (small codes near 0), its confidence
+    code = draw(arrays(np.int64, n, elements=st.integers(0, g * 13 ** 3 * 256 - 1)))
+    (near, offset), conf = np.divmod(code // 256, 13 ** 3), code % 256 / 256
+    zigzag = np.array([0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
+    points = centers[near] + zigzag[np.stack(np.unravel_index(offset, (13, 13, 13)), axis=1)]
+    shift = draw(arrays(np.int64, 3, elements=st.integers(-1000, 1000)))
+    return points, gts, conf, draw(st.integers(1, 8)), shift, draw(st.permutations(range(g)))
+
+
+class TestLabelFileInvariance:
+    ANCHORS = grasplab.anchor_set(4).directions
+
+    def labels(self, root, points, gts, conf, k1):
+        grasplab.dataio.write_point_cloud(root / "c.xyz", grasplab.PointCloud(points * U))
+        grasplab.dataio.write_confidence(root / "c.txt", grasplab.ConfidenceField(conf, 0.01))
+        grasplab.dataio.write_grasps(root / "g.csv", [grasplab.Grasp(c * U, r, t, q) for c, r, t, q in gts])
+        assert main(["labels", str(root / "g.csv"), "--cloud", str(root / "c.xyz"), "--confidence",
+                     str(root / "c.txt"), "--k1", str(k1), "--regions", "--set", "region.keep=8",
+                     "-o", str(root / "out")]) == 0
+        return [(root / "out" / name).read_text() for name in ("anchor_labels.csv", "refine_labels.csv",
+                                                                 "regions.csv")]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_label_inputs())
+    def test_translation_and_relabeling_change_only_positions_and_gt_index(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(cli, "build_parser", _ONE_PARSER)
+        points, gts, conf, k1, shift, perm = case
+        anchor, refine, regions = self.labels(tmp_path, points, gts, conf, k1)
+        truth = grasplab.dataio.read_grasps(tmp_path / "g.csv")
+        sq_dist = ((points[:, None] - np.stack([c for c, *_ in gts])) ** 2).sum(axis=2)  # exact, in U**2
+        cells = [line.split(",") for line in anchor.splitlines()[1:]]
+        for row, ref in zip(cells, [line.split(",") for line in refine.splitlines()[1:]], strict=True):
+            pi, gi, pos, p = int(row[0]), int(row[4]), int(row[9]), np.array(row[1:4], dtype=float)
+            assert p.tolist() == (points[pi] * U).tolist()
+            assert gi == int(np.argmin(sq_dist[pi]))  # the nearest center, lowest index on ties
+            gt, res = truth[gi], np.array(row[10:], dtype=float)
+            if pos >= 0:
+                back = grasplab.decode_proposal(res[:3], res[3:6], res[6], p, self.ANCHORS[pos])
+                np.testing.assert_allclose(back.center, gt.center, atol=1e-9)
+                np.testing.assert_allclose(back.orientation, gt.orientation, atol=1e-8)
+                assert (back.theta, res[7]) == (pytest.approx(gt.theta, abs=1e-8), gt.s_q)
+            if ref[1] == "1":  # residuals of gt against the proposal (p, the anchor, theta 0, s_q 0)
+                res = np.array(ref[2:], dtype=float)
+                a = self.ANCHORS[pos if pos >= 0 else int(np.argmax(self.ANCHORS @ gt.orientation))]
+                np.testing.assert_allclose(res[:3] * 0.1 + p, gt.center, atol=1e-9)
+                np.testing.assert_allclose(res[3:6] + a, gt.orientation, atol=1e-8)
+                assert res[6:] == pytest.approx([gt.theta, gt.s_q], abs=1e-8)
+        assume(all(np.sum(sq_dist[int(row[0])] == sq_dist[int(row[0])].min()) == 1 for row in cells))
+
+        moved_gts = [(gts[i][0] + shift, *gts[i][1:]) for i in perm]
+        moved = self.labels(tmp_path, points + shift, moved_gts, conf, k1)
+        assert moved[1:] == [refine, regions]
+        for row, mrow in zip(cells, [line.split(",") for line in moved[0].splitlines()[1:]], strict=True):
+            p, moved_p = (np.array(r[1:4], dtype=float) for r in (row, mrow))
+            assert moved_p.tolist() == (p + shift * U).tolist()
+            assert (mrow[0], perm[int(mrow[4])], mrow[5:]) == (row[0], int(row[4]), row[5:])
 
 
 class TestEvalWorksheet:
@@ -662,17 +738,50 @@ class TestConfigPrecedence:
 
 class TestDataErrorsNameTheirFiles:
     GRASPS = "cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0.045,0,1,0,0,0.5\n"
+    EMPTY_PLY = ("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+                 "property float z\nend_header\n")
+    STEPS = {"normals": [], "sample": ["--gripper", GRIPPER]}
 
     def test_labels_on_a_cloud_without_points(self, tmp_path, capsys):
         cloud = tmp_path / "empty.ply"
-        cloud.write_text("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
-                         "property float z\nend_header\n")
+        cloud.write_text(self.EMPTY_PLY)
         (tmp_path / "c.txt").write_text("# d_th=0.01 width=0 n=0\n")
         (tmp_path / "g.csv").write_text(self.GRASPS)
         assert main(["labels", str(tmp_path / "g.csv"), "--cloud", str(cloud), "--confidence",
                      str(tmp_path / "c.txt"), "-o", str(tmp_path / "labels")]) == 2
         err = capsys.readouterr().err
         assert err == f"grasplab: error: {cloud} has no points\n"
+
+    @pytest.mark.parametrize("step", ["normals", "sample"])
+    def test_a_cloud_without_points(self, tmp_path, capsys, step):
+        cloud, out = tmp_path / "empty.ply", tmp_path / "out"
+        cloud.write_text(self.EMPTY_PLY)
+        assert main([step, str(cloud), *self.STEPS[step], "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"grasplab: error: {cloud} has no points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step,extra,need", [
+        ("normals", [], "k=16"),
+        ("normals", ["--subsample", "3", "-k", "4"], "k=4"),
+        ("sample", [], "4 for Darboux estimation"),
+    ], ids=["normals", "normals-subsample", "sample"])
+    def test_too_few_points_names_the_file_and_both_counts(self, tmp_path, capsys, step, extra, need):
+        cloud, out = tmp_path / "three.xyz", tmp_path / "out"
+        cloud.write_text("0 0 0\n1 0 0\n0 1 0\n" + ("0 0 1\n" if extra else ""))
+        assert main([step, str(cloud), *self.STEPS[step], *extra, "-o", str(out)]) == 2
+        kept = " kept by --subsample" if extra else ""
+        err = capsys.readouterr().err
+        assert err == f"grasplab: error: {cloud} has 3 points{kept}, need at least {need}\n"
+        assert not out.exists()
+
+    def test_confidence_of_an_empty_grasp_list(self, tmp_path, capsys):
+        cloud, grasps, out = tmp_path / "three.xyz", tmp_path / "none.csv", tmp_path / "c.txt"
+        cloud.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        grasps.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n")
+        assert main(["confidence", str(cloud), str(grasps), "-o", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: {grasps} contains no grasps; every confidence value is 0\n"
+        assert out.read_text() == "# d_th=0.01 width=0 n=3\n0\n0\n0\n"
 
     def test_labels_length_mismatch_names_both_files(self, tmp_path, capsys):
         write_inputs(tmp_path)

@@ -24,9 +24,9 @@ ANCHORS = anchor_set(4)
 def _complete_anchor_label(rng, quality=0.5):
     r = rng.normal(size=3)
     r /= np.linalg.norm(r)
-    gt = Grasp(rng.uniform(-0.1, 0.1, 3), r, float(rng.uniform(-1.5, 1.5)))
-    label = assign_anchor_labels(gt, ANCHORS, quality=quality)
-    return complete_label(label, gt, ANCHORS, rng.uniform(-0.1, 0.1, 3), quality=quality)
+    gt = Grasp(rng.uniform(-0.1, 0.1, 3), r, float(rng.uniform(-1.5, 1.5)), quality)
+    label = assign_anchor_labels(gt, ANCHORS)
+    return complete_label(label, gt, ANCHORS, rng.uniform(-0.1, 0.1, 3))
 
 
 class TestMse:
@@ -181,10 +181,10 @@ class TestGrnLoss:
 class TestRnLoss:
     def _labels(self, rng, n=3):
         out = []
-        gt = Grasp((0, 0, 0), (0, 1, 0), 0.2)
+        gt = Grasp((0, 0, 0), (0, 1, 0), 0.2, 0.7)
         for _ in range(n):
-            prop = Grasp(rng.uniform(-0.01, 0.01, 3), (0, 1, 0), 0.2)
-            out.append(assign_refine_labels(gt, prop, gt_quality=0.7, proposal_quality=0.3))
+            prop = Grasp(rng.uniform(-0.01, 0.01, 3), (0, 1, 0), 0.2, 0.3)
+            out.append(assign_refine_labels(gt, prop))
         return out
 
     def test_no_positives_perfect_classification(self):

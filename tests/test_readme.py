@@ -1,8 +1,12 @@
 import math
 import re
+import shlex
 from pathlib import Path
 
-from grasplab import Grasp
+import numpy as np
+
+from grasplab import Grasp, PointCloud, dataio
+from grasplab.cli import main
 from conftest import tabletop_cloud
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,3 +23,27 @@ def test_library_example_runs(capsys):
     report = namespace["report"]
     assert report.n_selected >= 1
     assert capsys.readouterr().out == f"{report.cfr} {report.as_mean} {report.tcr}\n"
+
+
+def test_cli_chain_runs(tmp_path, monkeypatch):
+    """Every `grasplab` line of the CLI block exits 0. A line's optional `[...]` part
+    runs too, once an earlier line has written the file it names."""
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```$", README.read_text(), re.S | re.M).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("grasplab ")]
+    monkeypatch.chdir(tmp_path)
+    dataio.write_point_cloud("scene.xyz", PointCloud(tabletop_cloud(0).points))
+    x = np.linspace(0, 1, 50)
+    for name, y in (("reach.csv", 1 / (1 + np.exp(-10 * (x - 0.6)))), ("success.csv", 0.88 * x - 0.06)):
+        Path(name).write_text("x,y\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(x, y)))
+    dataio.write_grasps("gt.csv", [Grasp((0.0, 0.0, 0.06), (0, 1, 0), math.pi / 2)])
+    pending = []
+    for line in lines:
+        optional = re.search(r" \[(.*?)\]", line)
+        argv = shlex.split(line.replace(optional.group(0), "") if optional else line)[1:]
+        assert main(argv) == 0, line
+        if optional:
+            pending.append(argv + shlex.split(optional.group(1)))
+        for later in [later for later in pending if Path(later[-1]).exists()]:
+            assert main(later) == 0, later
+            pending.remove(later)
+    assert len(lines) == 10 and not pending
