@@ -10,7 +10,6 @@ from .anchors import (
     AnchorLabel,
     AnchorSet,
     RefineLabel,
-    ResidualBlock,
     anchor_set,
     assign_anchor_labels,
     assign_refine_labels,

@@ -44,7 +44,6 @@ __all__ = [
     "ANGLE_NEG",
     "CENTER_BALANCE",
     "AnchorSet",
-    "ResidualBlock",
     "AnchorLabel",
     "RefineLabel",
     "anchor_set",
@@ -75,28 +74,17 @@ class AnchorSet:
         return self.directions.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualBlock:
-    """Regression targets attached to a positive anchor or proposal.
+def _block(res_c: np.ndarray, res_r: np.ndarray, theta: float, s_q: float) -> np.ndarray:
+    """A residual block: the read-only (8,) regression targets res_c(3), res_r(3), theta, s_q.
 
     For anchor labels: res_c = (center - p_p)/c_b, res_r = r - r_anchor,
     and theta / s_q are the ground truth's own values. For refine labels
     the same slots hold the four residuals gt - proposal (center residual
     still divided by c_b).
     """
-
-    res_c: np.ndarray
-    res_r: np.ndarray
-    theta: float
-    s_q: float
-
-    def as_array(self) -> np.ndarray:
-        """Flatten to 8 values: res_c(3), res_r(3), theta, s_q."""
-        return np.concatenate([
-            np.asarray(self.res_c, dtype=float).reshape(3),
-            np.asarray(self.res_r, dtype=float).reshape(3),
-            [float(self.theta), float(self.s_q)],
-        ])
+    block = np.concatenate([res_c, res_r, [theta, s_q]])
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,13 +93,13 @@ class AnchorLabel:
 
     classes: np.ndarray                 # (M,) in {POSITIVE, NEGATIVE, IGNORE}
     positive_index: int | None
-    residuals: ResidualBlock | None
+    residuals: np.ndarray | None        # (8,) residual block
 
 
 @dataclass(frozen=True, eq=False)
 class RefineLabel:
     y: int                              # POSITIVE, NEGATIVE or IGNORE
-    residuals: ResidualBlock | None
+    residuals: np.ndarray | None        # (8,) residual block
 
 
 _TETRAHEDRON = np.array(
@@ -164,13 +152,7 @@ def assign_anchor_labels(
     best = int(np.argmin(angles))
     if angles[best] < angle_pos:
         classes[best] = POSITIVE
-        block = ResidualBlock(
-            res_c=np.zeros(3),
-            res_r=gt.orientation - dirs[best],
-            theta=gt.theta,
-            s_q=gt.s_q,
-        )
-        return AnchorLabel(classes, best, block)
+        return AnchorLabel(classes, best, _block(np.zeros(3), gt.orientation - dirs[best], gt.theta, gt.s_q))
     return AnchorLabel(classes, None, None)
 
 
@@ -179,19 +161,14 @@ def encode_residuals(
     positive_point: np.ndarray,
     anchor_dir: np.ndarray,
     c_b: float = CENTER_BALANCE,
-) -> ResidualBlock:
-    """Residual targets of a ground-truth grasp against (positive point, anchor); s_q is gt.s_q."""
+) -> np.ndarray:
+    """Residual block of a ground-truth grasp against (positive point, anchor); s_q is gt.s_q."""
     if c_b <= 0.0:
         raise ValueError("c_b must be positive")
     p = np.asarray(positive_point, dtype=float).reshape(3)
     a = np.asarray(anchor_dir, dtype=float).reshape(3)
     a = a / np.linalg.norm(a)
-    return ResidualBlock(
-        res_c=(gt.center - p) / c_b,
-        res_r=gt.orientation - a,
-        theta=gt.theta,
-        s_q=gt.s_q,
-    )
+    return _block((gt.center - p) / c_b, gt.orientation - a, gt.theta, gt.s_q)
 
 
 def complete_label(
@@ -209,23 +186,21 @@ def complete_label(
 
 
 def decode_proposal(
-    res_c: np.ndarray,
-    res_r: np.ndarray,
-    theta: float,
+    block: np.ndarray,
     positive_point: np.ndarray,
     anchor_dir: np.ndarray,
     c_b: float = CENTER_BALANCE,
 ) -> Grasp:
-    """Invert the residual coding: center = res_c * c_b + p_p,
-    orientation = normalize(res_r + anchor), theta clamped to its range."""
+    """Invert encode_residuals: center = res_c * c_b + p_p,
+    orientation = normalize(res_r + anchor), theta clamped to its range; s_q is not read."""
+    block = np.asarray(block, dtype=float).reshape(8)
     p = np.asarray(positive_point, dtype=float).reshape(3)
     a = np.asarray(anchor_dir, dtype=float).reshape(3)
-    r = np.asarray(res_r, dtype=float).reshape(3) + a / np.linalg.norm(a)
+    r = block[3:6] + a / np.linalg.norm(a)
     norm = float(np.linalg.norm(r))
     if norm < 1e-9:
         raise ValueError("res_r + anchor_dir is degenerate (near zero vector)")
-    center = np.asarray(res_c, dtype=float).reshape(3) * c_b + p
-    return Grasp(center, r / norm, clamp_theta(theta))
+    return Grasp(block[:3] * c_b + p, r / norm, clamp_theta(block[6]))
 
 
 def assign_refine_labels(
@@ -252,12 +227,8 @@ def assign_refine_labels(
     dr = _angle(gt.orientation, proposal.orientation)
     dt = abs(gt.theta - proposal.theta)
     if dc < d1 and dr < beta1 and dt < gamma1:
-        block = ResidualBlock(
-            res_c=(gt.center - proposal.center) / c_b,
-            res_r=gt.orientation - proposal.orientation,
-            theta=gt.theta - proposal.theta,
-            s_q=gt.s_q - proposal.s_q,
-        )
+        block = _block((gt.center - proposal.center) / c_b, gt.orientation - proposal.orientation,
+                       gt.theta - proposal.theta, gt.s_q - proposal.s_q)
         return RefineLabel(POSITIVE, block)
     if dc > d2 or dr >= beta2 or dt >= gamma2:
         return RefineLabel(NEGATIVE, None)

@@ -15,6 +15,7 @@ override the file, and an explicit subcommand flag wins over all of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -111,6 +112,12 @@ SETTINGS = {
     "losscheck.tol": Setting(1e-5),
 }
 DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
+# per subcommand, settings whose values must keep an order: (lower key, upper key, whether they may be equal)
+_ORDERED = {
+    "labels": [("anchors.angle_pos", "anchors.angle_neg", True)]
+    + [(f"refine.{name}1", f"refine.{name}2", False) for name in ("d", "beta", "gamma")],
+    "eval": [("eval.top", "eval.pool", True)],
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,6 +179,14 @@ def _settings(args) -> dict:
             raise ValueError(f"{where}setting {key} {exc}") from None
     merged.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     return merged
+
+
+def _check_order(command: str, settings: dict) -> None:
+    """A pair of command's settings out of its _ORDERED order is an error naming both keys and values."""
+    for low, high, equal in _ORDERED.get(command, ()):
+        if settings[low] > settings[high] or (settings[low] == settings[high] and not equal):
+            rule = "must not exceed" if equal else "must be below"
+            raise ValueError(f"setting {low}={settings[low]} {rule} {high}={settings[high]}")
 
 
 def _load_cloud(args, normals: bool = False) -> PointCloud:
@@ -243,6 +258,7 @@ def _cmd_score(args, settings) -> int:
 
 def _cmd_confidence(args, settings) -> int:
     cloud = _load_cloud(args)
+    _require_points(args, cloud)
     d_th = settings["confidence.d_th"]
     grasps = dataio.read_grasps(args.grasps)
     field = point_confidence(cloud, grasps, d_th, settings["confidence.width"])
@@ -301,7 +317,7 @@ def _cmd_labels(args, settings) -> int:
         gt = scored[gi]
         label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, angle_pos, angle_neg)
         label = anchors_mod.complete_label(label, gt, anchor_dirs, p, c_b)
-        block = label.residuals.as_array() if label.residuals is not None else np.zeros(8)
+        block = label.residuals if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
         anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
         # refine labels grade the anchor-reference pose (p, nearest anchor, 0)
@@ -310,7 +326,7 @@ def _cmd_labels(args, settings) -> int:
             ref_idx = int(np.argmax(anchor_dirs.directions @ gt.orientation))
         proposal = Grasp(p, anchor_dirs.directions[ref_idx], 0.0)
         refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b)
-        rblock = refine.residuals.as_array() if refine.residuals is not None else np.zeros(8)
+        rblock = refine.residuals if refine.residuals is not None else np.zeros(8)
         refine_rows.append(refine_row % (pi, refine.y, *rblock))
         if args.regions:
             idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=keep, seed=args.seed)
@@ -335,6 +351,10 @@ def _cmd_losscheck(args, settings) -> int:
 
 
 def _cmd_select(args, settings) -> int:
+    if args.policy == "heuristic" and args.coeffs:
+        print("grasplab select: error: argument --coeffs: applies only to --policy analytic, "
+              "not to --policy heuristic", file=sys.stderr)
+        return 1
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -400,6 +420,7 @@ def _setting_flags(p: argparse.ArgumentParser, *prefixes: str) -> None:
                            help=setting.help)
 
 
+@functools.cache  # one parser per process: main is also called in-process, once per step
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=Setting(0, 0).parse, default=0, help="seed for all randomized steps")
@@ -467,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", parents=[common], help="pick the best grasp from a list")
     p.add_argument("grasps")
     p.add_argument("--policy", choices=("heuristic", "analytic"), default="analytic")
-    p.add_argument("--coeffs", help="key=value file with a, b, slope, intercept")
+    p.add_argument("--coeffs", help="key=value file with a, b, slope, intercept (--policy analytic only)")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("fit", parents=[common], help="fit policy coefficients from x,y samples")
@@ -497,7 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, _settings(args))
+        settings = _settings(args)
+        _check_order(args.command, settings)  # before any input is read
+        return args.func(args, settings)
     except (ValueError, OSError) as exc:
         print(f"grasplab: error: {exc}", file=sys.stderr)
         return 2

@@ -156,7 +156,7 @@ def grn_loss(
             cls_total += term.value
             grad_probs[i, j] = term.gradient
         if label.residuals is not None:
-            vals, grads = _smooth_l1_terms(res[i] - label.residuals.as_array())
+            vals, grads = _smooth_l1_terms(res[i] - label.residuals)
             reg_total += float(np.sum(vals))
             grad_res[i] = grads
     value = (lambda_cls / k1) * cls_total + lambda_u * reg_total
@@ -201,7 +201,7 @@ def rn_loss(
         cls_total += term.value
         grad_probs[i] = term.gradient
         if label.y == POSITIVE:
-            vals, grads = _smooth_l1_terms(res[i] - label.residuals.as_array())
+            vals, grads = _smooth_l1_terms(res[i] - label.residuals)
             reg_total += float(np.sum(vals))
             grad_res[i] = grads
     value = (lambda_rcls / n_cls) * cls_total
@@ -273,7 +273,7 @@ def _random_residuals(rng: np.random.Generator, labels) -> np.ndarray:
     res = rng.uniform(-0.8, 0.8, size=(len(labels), 8))
     for i, lb in enumerate(labels):
         if lb.residuals is not None:
-            target = lb.residuals.as_array()
+            target = lb.residuals
             diff = res[i] - target
             diff = np.where(np.abs(np.abs(diff) - 1.0) < 1e-3, diff + 0.01, diff)
             res[i] = target + diff

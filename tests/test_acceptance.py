@@ -103,7 +103,7 @@ def test_criterion_4_encode_decode_round_trip():
         p_p = rng.uniform(-1, 1, 3)
         a = anchors.directions[int(rng.integers(0, 4))]
         block = encode_residuals(gt, p_p, a)
-        back = decode_proposal(block.res_c, block.res_r, block.theta, p_p, a)
+        back = decode_proposal(block, p_p, a)
         worst_c = max(worst_c, float(np.abs(back.center - gt.center).max()))
         worst_r = max(worst_r, float(np.abs(back.orientation - gt.orientation).max()))
     ok = worst_c < 1e-12 and worst_r < 1e-9

@@ -72,8 +72,8 @@ class TestAssignAnchorLabels:
         label = assign_anchor_labels(gt, anchors)
         assert label.positive_index == 2
         assert label.classes[2] == POSITIVE
-        np.testing.assert_allclose(label.residuals.res_r, np.zeros(3), atol=1e-12)
-        assert label.residuals.theta == pytest.approx(0.1)
+        np.testing.assert_allclose(label.residuals[3:6], np.zeros(3), atol=1e-12)
+        assert label.residuals[6] == pytest.approx(0.1)
 
     def test_orientation_100_degrees_from_only_anchor_gets_no_positive(self):
         anchors = anchor_set(1)  # single anchor at +Z
@@ -129,16 +129,16 @@ class TestEncodeDecode:
         anchors = anchor_set(4)
         gt = Grasp((0.3, 0.2, 0.1), anchors.directions[1], 0.5)
         block = encode_residuals(gt, gt.center, anchors.directions[1])
-        np.testing.assert_allclose(block.res_c, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(block.res_r, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(block[:3], np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(block[3:6], np.zeros(3), atol=1e-15)
 
     def test_center_scaling_example(self):
         gt = Grasp((0.01, 0.0, -0.02), (0, 1, 0), 0.0)
         block = encode_residuals(gt, np.zeros(3), (0, 1, 0), c_b=0.1)
-        np.testing.assert_allclose(block.res_c, [0.1, 0.0, -0.2], atol=1e-12)
+        np.testing.assert_allclose(block[:3], [0.1, 0.0, -0.2], atol=1e-12)
 
     def test_zero_residuals_decode_to_anchor_pose(self):
-        g = decode_proposal(np.zeros(3), np.zeros(3), 0.0, (0.1, 0.2, 0.3), (0, 0, 1))
+        g = decode_proposal(np.zeros(8), (0.1, 0.2, 0.3), (0, 0, 1))
         np.testing.assert_allclose(g.center, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(g.orientation, [0, 0, 1.0])
 
@@ -151,7 +151,7 @@ class TestEncodeDecode:
             p = rng.uniform(-1, 1, 3)
             a = anchors.directions[int(rng.integers(0, 4))]
             block = encode_residuals(gt, p, a)
-            back = decode_proposal(block.res_c, block.res_r, block.theta, p, a)
+            back = decode_proposal(block, p, a)
             worst_c = max(worst_c, float(np.abs(back.center - gt.center).max()))
             worst_r = max(worst_r, float(np.abs(back.orientation - gt.orientation).max()))
             assert back.theta == gt.theta
@@ -160,10 +160,10 @@ class TestEncodeDecode:
 
     def test_degenerate_decode_rejected(self):
         with pytest.raises(ValueError):
-            decode_proposal(np.zeros(3), (0, 0, -1.0), 0.0, np.zeros(3), (0, 0, 1.0))
+            decode_proposal([0, 0, 0, 0, 0, -1.0, 0, 0], np.zeros(3), (0, 0, 1.0))
 
     def test_decode_clamps_theta(self):
-        g = decode_proposal(np.zeros(3), np.zeros(3), 9.0, np.zeros(3), (0, 0, 1))
+        g = decode_proposal([0, 0, 0, 0, 0, 0, 9.0, 0], np.zeros(3), (0, 0, 1))
         assert g.theta == pytest.approx(math.pi / 2)
 
 
@@ -173,7 +173,7 @@ class TestRefineLabels:
     def test_identical_proposal_positive_zero_residuals(self):
         label = assign_refine_labels(self.GT.with_score(0.4), self.GT.with_score(0.4))
         assert label.y == POSITIVE
-        np.testing.assert_allclose(label.residuals.as_array(), np.zeros(8), atol=1e-15)
+        np.testing.assert_allclose(label.residuals, np.zeros(8), atol=1e-15)
 
     def test_center_offset_beyond_d2_negative(self):
         prop = Grasp((0.05, 0, 0), (0, 1, 0), 0.2)
@@ -186,7 +186,7 @@ class TestRefineLabels:
     def test_residual_center_uses_balance_constant(self):
         prop = Grasp((0.005, 0, 0), (0, 1, 0), 0.2)
         label = assign_refine_labels(self.GT, prop, c_b=0.1)
-        np.testing.assert_allclose(label.residuals.res_c, [-0.05, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(label.residuals[:3], [-0.05, 0, 0], atol=1e-12)
 
     def test_partition_exhaustive_and_exclusive(self, rng):
         for _ in range(500):
@@ -222,7 +222,7 @@ class TestQualityComesFromTheGrasp:
         g = Grasp((0.01, -0.02, 0.03), _unit((1, 2, 3)), 0.3, 0.7)
         label = complete_label(assign_anchor_labels(g, anchors), g, anchors, np.zeros(3))
         assert label.positive_index is not None
-        assert label.residuals.as_array()[7] == 0.7
+        assert label.residuals[7] == 0.7
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -235,4 +235,4 @@ class TestQualityComesFromTheGrasp:
         g = Grasp(center, _unit(axis), theta, s_q)
         label = assign_refine_labels(g, g)
         assert label.y == POSITIVE
-        assert np.array_equal(label.residuals.as_array(), np.zeros(8))
+        assert np.array_equal(label.residuals, np.zeros(8))

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import math
 import os
@@ -141,7 +140,6 @@ class TestLabelsNearestCenter:
             assert int(row[4]) == int(np.argmin(np.linalg.norm(centers - p, axis=1)))
 
 
-_ONE_PARSER = functools.cache(cli.build_parser)  # building the parser is half of a tiny labels run
 U = 2.0 ** -8  # label-input coordinates are multiples of U m, so 9-digit files and translations stay exact
 
 
@@ -169,20 +167,19 @@ def _label_inputs(draw):
 class TestLabelFileInvariance:
     ANCHORS = grasplab.anchor_set(4).directions
 
-    def labels(self, root, points, gts, conf, k1):
+    def labels(self, root, points, gts, conf, k1, regions=True):
         grasplab.dataio.write_point_cloud(root / "c.xyz", grasplab.PointCloud(points * U))
         grasplab.dataio.write_confidence(root / "c.txt", grasplab.ConfidenceField(conf, 0.01))
         grasplab.dataio.write_grasps(root / "g.csv", [grasplab.Grasp(c * U, r, t, q) for c, r, t, q in gts])
-        assert main(["labels", str(root / "g.csv"), "--cloud", str(root / "c.xyz"), "--confidence",
-                     str(root / "c.txt"), "--k1", str(k1), "--regions", "--set", "region.keep=8",
-                     "-o", str(root / "out")]) == 0
-        return [(root / "out" / name).read_text() for name in ("anchor_labels.csv", "refine_labels.csv",
-                                                                 "regions.csv")]
+        argv = ["labels", str(root / "g.csv"), "--cloud", str(root / "c.xyz"), "--confidence",
+                str(root / "c.txt"), "--k1", str(k1), "-o", str(root / "out")]
+        assert main(argv + (["--regions", "--set", "region.keep=8"] if regions else [])) == 0
+        names = ("anchor_labels.csv", "refine_labels.csv") + (("regions.csv",) if regions else ())
+        return [(root / "out" / name).read_text() for name in names]
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_label_inputs())
-    def test_translation_and_relabeling_change_only_positions_and_gt_index(self, tmp_path, monkeypatch, case):
-        monkeypatch.setattr(cli, "build_parser", _ONE_PARSER)
+    def test_translation_and_relabeling_change_only_positions_and_gt_index(self, tmp_path, case):
         points, gts, conf, k1, shift, perm = case
         anchor, refine, regions = self.labels(tmp_path, points, gts, conf, k1)
         truth = grasplab.dataio.read_grasps(tmp_path / "g.csv")
@@ -194,7 +191,7 @@ class TestLabelFileInvariance:
             assert gi == int(np.argmin(sq_dist[pi]))  # the nearest center, lowest index on ties
             gt, res = truth[gi], np.array(row[10:], dtype=float)
             if pos >= 0:
-                back = grasplab.decode_proposal(res[:3], res[3:6], res[6], p, self.ANCHORS[pos])
+                back = grasplab.decode_proposal(res, p, self.ANCHORS[pos])
                 np.testing.assert_allclose(back.center, gt.center, atol=1e-9)
                 np.testing.assert_allclose(back.orientation, gt.orientation, atol=1e-8)
                 assert (back.theta, res[7]) == (pytest.approx(gt.theta, abs=1e-8), gt.s_q)
@@ -213,6 +210,23 @@ class TestLabelFileInvariance:
             p, moved_p = (np.array(r[1:4], dtype=float) for r in (row, mrow))
             assert moved_p.tolist() == (p + shift * U).tolist()
             assert (mrow[0], perm[int(mrow[4])], mrow[5:]) == (row[0], int(row[4]), row[5:])
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_label_inputs(), st.integers(0, 2**32 - 1))
+    def test_permuting_the_cloud_changes_only_point_indices(self, tmp_path, case, seed):
+        # distinct confidences rank the positive points alike in both orders; regions are left out, since
+        # ball_query keeps the first hits in index order and so may keep other points after a permutation
+        points, gts, conf, k1, _, _ = case
+        conf = np.argsort(np.argsort(conf, kind="stable")) / 256  # distinct, in the order ties broke before
+        perm = np.random.default_rng(seed).permutation(len(points))  # row j of the permuted cloud is row perm[j]
+        before = self.labels(tmp_path, points, gts, conf, k1, regions=False)
+        after = self.labels(tmp_path, points[perm], gts, conf[perm], k1, regions=False)
+        new_index = np.argsort(perm)
+        for table, moved in zip(before, after, strict=True):
+            rows, moved_rows = ([line.split(",", 1) for line in t.splitlines()] for t in (table, moved))
+            assert moved_rows[0] == rows[0]
+            assert [(int(i), rest) for i, rest in moved_rows[1:]] == [(new_index[int(i)], rest)
+                                                                       for i, rest in rows[1:]]
 
 
 class TestEvalWorksheet:
@@ -328,6 +342,13 @@ class TestSelectCoeffs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"grasplab: error: {coeffs}: {message}" in captured.err
+
+    def test_coeffs_with_the_heuristic_policy_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"  # never read: reading it would be a data error (exit 2)
+        assert main(["select", self._grasps(tmp_path), "--policy", "heuristic", "--coeffs", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--coeffs" in captured.err and "--policy heuristic" in captured.err
 
 
 class TestExitCodes:
@@ -752,13 +773,22 @@ class TestDataErrorsNameTheirFiles:
         err = capsys.readouterr().err
         assert err == f"grasplab: error: {cloud} has no points\n"
 
-    @pytest.mark.parametrize("step", ["normals", "sample"])
+    @pytest.mark.parametrize("step", ["normals", "sample", "confidence"])
     def test_a_cloud_without_points(self, tmp_path, capsys, step):
-        cloud, out = tmp_path / "empty.ply", tmp_path / "out"
+        cloud, grasps, out = tmp_path / "empty.ply", tmp_path / "g.csv", tmp_path / "out"
         cloud.write_text(self.EMPTY_PLY)
-        assert main([step, str(cloud), *self.STEPS[step], "-o", str(out)]) == 2
+        grasps.write_text(self.GRASPS)
+        extra = [str(grasps)] if step == "confidence" else self.STEPS[step]
+        assert main([step, str(cloud), *extra, "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"grasplab: error: {cloud} has no points\n"
         assert not out.exists()
+
+    def test_collide_keeps_every_grasp_of_a_cloud_without_points(self, tmp_path, capsys):
+        cloud, grasps, out = tmp_path / "empty.ply", tmp_path / "g.csv", tmp_path / "free.csv"
+        cloud.write_text(self.EMPTY_PLY)
+        grasps.write_text(self.GRASPS)
+        assert main(["collide", str(cloud), str(grasps), "--gripper", GRIPPER, "-o", str(out)]) == 0
+        assert out.read_text() == self.GRASPS
 
     @pytest.mark.parametrize("step,extra,need", [
         ("normals", [], "k=16"),
@@ -802,3 +832,64 @@ class TestDataErrorsNameTheirFiles:
         truth.write_text(self.GRASPS)
         assert main(["eval", str(empty), str(ply), str(truth), "--gripper", GRIPPER]) == 2
         assert capsys.readouterr().err == f"grasplab: error: {empty} contains no grasps\n"
+
+
+class TestOrderedSettings:
+    EVAL = ["eval", "p.csv", "scene.ply", "gt.csv", "--gripper", GRIPPER]
+    LABELS = ["labels", "g.csv", "--cloud", "c.xyz", "--confidence", "c.txt"]
+
+    @staticmethod
+    def run(tmp_path, argv):
+        # no input file exists, so a command that read one before checking its settings would fail otherwise
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".ply", ".xyz", ".txt")) else a for a in argv]
+        return main(argv + ["-o", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("argv,message", [
+        (EVAL + ["--pool", "5", "--top", "10"], "setting eval.top=10 must not exceed eval.pool=5"),
+        (EVAL + ["--set", "eval.pool=3", "--top", "4"], "setting eval.top=4 must not exceed eval.pool=3"),
+        (LABELS + ["--set", "anchors.angle_pos=3"],
+         f"setting anchors.angle_pos=3.0 must not exceed anchors.angle_neg={2 * math.pi / 3}"),
+        (LABELS + ["--set", "refine.d1=0.03"], "setting refine.d1=0.03 must be below refine.d2=0.02"),
+        (LABELS + ["--set", "refine.beta2=0.5"],
+         f"setting refine.beta1={math.pi / 4} must be below refine.beta2=0.5"),
+        (LABELS + ["--set", "refine.gamma1=1", "--set", "refine.gamma2=1"],
+         "setting refine.gamma1=1.0 must be below refine.gamma2=1.0"),
+    ], ids=["eval-flags", "eval-set", "angle", "d", "beta", "gamma-equal"])
+    def test_a_pair_out_of_order_fails_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        assert self.run(tmp_path, argv) == 2
+        assert capsys.readouterr().err == f"grasplab: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [EVAL + ["--pool", "5", "--top", "5"],
+                                      LABELS + ["--set", "anchors.angle_pos=2", "--set", "anchors.angle_neg=2"]],
+                             ids=["eval", "labels"])
+    def test_equal_values_pass_where_allowed(self, tmp_path, capsys, argv):
+        assert self.run(tmp_path, argv) == 2
+        assert "No such file" in capsys.readouterr().err  # the settings passed; the first input is missing
+
+
+class TestOneParser:
+    def test_a_reused_parser_gives_each_command_its_own_result(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("sampler.n_angles = 2\n")
+        sample = ["sample", str(tmp_path / "scene.xyz"), "--gripper", GRIPPER]
+        commands = [["sample", "--centers", "0"],  # a usage error
+                    sample + ["--set", "sampler.n_centers=3", "--config", str(cfg)],
+                    sample]
+
+        def run(argv, out):
+            code = main(argv + ["-o", str(out)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+        alone = []
+        for i, argv in enumerate(commands):
+            cli.build_parser.cache_clear()
+            alone.append(run(argv, tmp_path / f"alone{i}.csv"))
+        cli.build_parser.cache_clear()
+        in_turn = [run(argv, tmp_path / f"turn{i}.csv") for i, argv in enumerate(commands)]
+        assert cli.build_parser() is cli.build_parser()
+        assert in_turn == alone
+        assert [result[0] for result in alone] == [1, 0, 0]
+        assert alone[1][3] != alone[2][3]

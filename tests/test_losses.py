@@ -113,7 +113,7 @@ class TestGrnLoss:
             probs[0, label.positive_index] = 1.0 - 1e-12
         res = np.zeros((1, 8))
         if label.residuals is not None:
-            res[0] = label.residuals.as_array()
+            res[0] = label.residuals
         return probs, res
 
     def test_perfect_prediction_near_zero(self, rng):
@@ -131,7 +131,7 @@ class TestGrnLoss:
     def test_classification_term_scales_with_k1(self, rng):
         label = _complete_anchor_label(rng)
         probs = np.full((1, 4), 0.4)
-        res = label.residuals.as_array()[None, :]
+        res = label.residuals[None, :]
         a = grn_loss(probs, res, [label], k1=1).value
         b = grn_loss(probs, res, [label], k1=4).value
         # regression term is exactly zero here, so the whole loss is the
@@ -155,7 +155,7 @@ class TestGrnLoss:
         if ignored.size == 0:
             pytest.skip("no ignored anchor in this draw")
         probs = rng.uniform(0.2, 0.8, size=(1, 4))
-        res = label.residuals.as_array()[None, :]
+        res = label.residuals[None, :]
         out = grn_loss(probs, res, [label])
         for j in ignored:
             assert out.gradients[j] == 0.0
@@ -196,7 +196,7 @@ class TestRnLoss:
         labels = self._labels(rng, n=1)
         assert labels[0].y == 1
         probs = np.array([1.0 - 1e-12])
-        res = labels[0].residuals.as_array()[None, :].copy()
+        res = labels[0].residuals[None, :].copy()
         res[0, 6] += 2.0
         assert rn_loss(probs, res, labels).value == pytest.approx(1.5, abs=1e-6)
 
@@ -239,7 +239,7 @@ class TestRnLoss:
         reg_sum = 0.0
         for i, lb in enumerate(labels):
             if lb.y == 1:
-                diff = res[i] - lb.residuals.as_array()
+                diff = res[i] - lb.residuals
                 reg_sum += float(
                     np.sum(np.where(np.abs(diff) < 1, 0.5 * diff**2, np.abs(diff) - 0.5))
                 )
