@@ -92,8 +92,9 @@ class AnchorLabel:
     """Per-anchor classes plus the positive anchor's residual block."""
 
     classes: np.ndarray                 # (M,) in {POSITIVE, NEGATIVE, IGNORE}
-    positive_index: int | None
+    positive_index: int | None          # nearest, when it is close enough to be positive
     residuals: np.ndarray | None        # (8,) residual block
+    nearest: int                        # the minimum-angle anchor, lowest index on ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +153,8 @@ def assign_anchor_labels(
     best = int(np.argmin(angles))
     if angles[best] < angle_pos:
         classes[best] = POSITIVE
-        return AnchorLabel(classes, best, _block(np.zeros(3), gt.orientation - dirs[best], gt.theta, gt.s_q))
-    return AnchorLabel(classes, None, None)
+        return AnchorLabel(classes, best, _block(np.zeros(3), gt.orientation - dirs[best], gt.theta, gt.s_q), best)
+    return AnchorLabel(classes, None, None, best)
 
 
 def encode_residuals(

@@ -92,7 +92,6 @@ SETTINGS = {
                                    flag="--angle-range"),
     "sampler.k": Setting(SamplerConfig.k_neighbors, 4, flag="--knn", help="Darboux neighborhood size"),
     "confidence.d_th": Setting(0.01, 0, open_low=True, flag="--dth", help="distance threshold (m)"),
-    "confidence.width": Setting(0.0, 0, flag="--width", help="gripper width metadata (m)"),
     "region.radius": Setting(0.02, 0, open_low=True),
     "region.keep": Setting(256, 1),
     "labels.k1": Setting(768, 1, flag="--k1", help="number of positive points"),
@@ -193,12 +192,6 @@ def _load_cloud(args, normals: bool = False) -> PointCloud:
     cloud = dataio.read_point_cloud(args.cloud)
     if normals and cloud.normals is None:
         raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
-    n = getattr(args, "subsample", None)
-    if n is not None and n < len(cloud):
-        rng = np.random.default_rng(args.seed)
-        idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
-        arrays = (cloud.points, cloud.normals, cloud.colors)
-        cloud = PointCloud(*(None if a is None else a[idx] for a in arrays))
     return cloud
 
 
@@ -217,6 +210,10 @@ def _require_points(args, cloud: PointCloud, need: int = 1, what: str = "") -> N
 
 def _cmd_normals(args, settings) -> int:
     cloud = _load_cloud(args)
+    if args.subsample is not None and args.subsample < len(cloud):  # only here: later files index these points
+        rng = np.random.default_rng(args.seed)
+        idx = np.sort(rng.choice(len(cloud), size=args.subsample, replace=False))
+        cloud = PointCloud(*(None if a is None else a[idx] for a in (cloud.points, cloud.normals, cloud.colors)))
     k = settings["normals.k"]
     _require_points(args, cloud, k, f"k={k}")
     normals, valid = estimate_normals(cloud, k)
@@ -250,6 +247,7 @@ def _cmd_collide(args, settings) -> int:
 
 def _cmd_score(args, settings) -> int:
     cloud = _load_cloud(args, normals=True)
+    _require_points(args, cloud)
     out = [g.with_score(antipodal_score(find_contacts(cloud, g, args.gripper), g))
            for g in dataio.read_grasps(args.grasps)]
     dataio.write_grasps(args.output, out)
@@ -261,7 +259,7 @@ def _cmd_confidence(args, settings) -> int:
     _require_points(args, cloud)
     d_th = settings["confidence.d_th"]
     grasps = dataio.read_grasps(args.grasps)
-    field = point_confidence(cloud, grasps, d_th, settings["confidence.width"])
+    field = point_confidence(cloud, grasps, d_th)
     if not grasps:
         print(f"warning: {args.grasps} contains no grasps; every confidence value is 0", file=sys.stderr)
     elif not field.values.any():
@@ -272,7 +270,7 @@ def _cmd_confidence(args, settings) -> int:
 
 
 def _cmd_labels(args, settings) -> int:
-    cloud = dataio.read_point_cloud(args.cloud)
+    cloud = _load_cloud(args)
     _require_points(args, cloud)
     field = dataio.read_confidence(args.confidence)
     if len(field) != len(cloud):
@@ -321,10 +319,7 @@ def _cmd_labels(args, settings) -> int:
         pos_idx = -1 if label.positive_index is None else label.positive_index
         anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
         # refine labels grade the anchor-reference pose (p, nearest anchor, 0)
-        ref_idx = label.positive_index
-        if ref_idx is None:
-            ref_idx = int(np.argmax(anchor_dirs.directions @ gt.orientation))
-        proposal = Grasp(p, anchor_dirs.directions[ref_idx], 0.0)
+        proposal = Grasp(p, anchor_dirs.directions[label.nearest], 0.0)
         refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b)
         rblock = refine.residuals if refine.residuals is not None else np.zeros(8)
         refine_rows.append(refine_row % (pi, refine.y, *rblock))
@@ -391,6 +386,7 @@ def _cmd_fit(args, settings) -> int:
 
 def _cmd_eval(args, settings) -> int:
     scene = _load_cloud(args, normals=True)
+    _require_points(args, scene)
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -427,43 +423,41 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a default setting")
     common.add_argument("--config", help="key=value settings file")
 
-    cloud_opts = argparse.ArgumentParser(add_help=False)
-    cloud_opts.add_argument("--subsample", type=Setting(1, 1).parse,  # a count of at least 1, as the settings
-                            help="randomly keep this many input points (seeded)")
-
     gripper_opts = argparse.ArgumentParser(add_help=False)
     gripper_opts.add_argument("--gripper", required=True, type=_parse_gripper, metavar="D,W,H,T")
 
     parser = _Parser(prog="grasplab", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normals", parents=[common, cloud_opts], help="estimate and attach surface normals")
+    p = sub.add_parser("normals", parents=[common], help="estimate and attach surface normals")
     p.add_argument("cloud")
+    p.add_argument("--subsample", type=Setting(1, 1).parse,  # a count of at least 1, as the settings
+                   help="randomly keep this many input points (seeded)")
     _setting_flags(p, "normals.")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_normals)
 
-    p = sub.add_parser("sample", parents=[common, cloud_opts, gripper_opts], help="generate grasp candidates")
+    p = sub.add_parser("sample", parents=[common, gripper_opts], help="generate grasp candidates")
     p.add_argument("cloud")
     _setting_flags(p, "sampler.")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("collide", parents=[common, cloud_opts, gripper_opts],
+    p = sub.add_parser("collide", parents=[common, gripper_opts],
                        help="drop candidates colliding with a scene")
     p.add_argument("cloud")
     p.add_argument("grasps")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_collide)
 
-    p = sub.add_parser("score", parents=[common, cloud_opts, gripper_opts],
+    p = sub.add_parser("score", parents=[common, gripper_opts],
                        help="fill antipodal scores from contacts")
     p.add_argument("cloud")
     p.add_argument("grasps")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("confidence", parents=[common, cloud_opts], help="per-point grasp confidence field")
+    p = sub.add_parser("confidence", parents=[common], help="per-point grasp confidence field")
     p.add_argument("cloud")
     p.add_argument("grasps")
     _setting_flags(p, "confidence.")
@@ -499,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("eval", parents=[common, cloud_opts, gripper_opts],
+    p = sub.add_parser("eval", parents=[common, gripper_opts],
                        help="evaluation report for a grasp set")
     p.add_argument("grasps")
     p.add_argument("cloud", help="scene cloud with normals")

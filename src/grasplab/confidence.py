@@ -50,7 +50,6 @@ def point_confidence(
     cloud: PointCloud,
     grasps: list[Grasp],
     d_th: float = 0.01,
-    gripper_width: float = 0.0,
 ) -> ConfidenceField:
     """tanh of summed hat-kernel contributions from grasp centers within d_th.
 
@@ -61,7 +60,7 @@ def point_confidence(
         raise ValueError("d_th must be positive")
     n = len(cloud)
     if n == 0 or not grasps:
-        return ConfidenceField(np.zeros(n), d_th, gripper_width)
+        return ConfidenceField(np.zeros(n), d_th)
     centers = np.stack([g.center for g in grasps])
     neighbors = cKDTree(centers).query_ball_point(cloud.points, d_th)
     counts = np.fromiter(map(len, neighbors), np.intp, n)
@@ -77,7 +76,7 @@ def point_confidence(
             idx = flat[starts[sel, None] + np.arange(k)]
             d = np.linalg.norm(centers[idx] - cloud.points[sel, None], axis=2)
             sums[sel] = np.sum(1.0 - d / d_th, axis=1)
-    return ConfidenceField(np.tanh(sums), d_th, gripper_width)
+    return ConfidenceField(np.tanh(sums), d_th)
 
 
 def select_positive_points(field: ConfidenceField, k1: int) -> np.ndarray:

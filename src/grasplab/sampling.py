@@ -138,17 +138,13 @@ def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.
     normals, eigvecs, valid = _pca(cloud, index, k, viewpoint)
     if not valid.all():
         raise ValueError(f"degenerate neighborhood at point {int(index[np.argmin(valid)])} (rank < 2)")
-    majors, minors = np.empty_like(normals), np.empty_like(normals)
-    for j, (normal, vecs) in enumerate(zip(normals, eigvecs)):
-        # tangent directions: remaining eigenvectors, larger eigenvalue first. Per vector: a batched
-        # np.linalg.norm differs from the one-vector norm in the last bit
-        major, minor = vecs[:, 2], vecs[:, 1]
-        major = major - (major @ normal) * normal
-        major /= np.linalg.norm(major)
-        minor = minor - (minor @ normal) * normal - (minor @ major) * major
-        minor /= np.linalg.norm(minor)
-        majors[j], minors[j] = major, minor
-    return cloud.points[index], normals, majors, minors
+    # tangent directions: remaining eigenvectors, larger eigenvalue first, Gram-Schmidt against the normal
+    major, minor = eigvecs[:, :, 2], eigvecs[:, :, 1]
+    major = major - np.vecdot(major, normals)[:, None] * normals
+    major /= np.sqrt(np.vecdot(major, major))[:, None]
+    minor = minor - np.vecdot(minor, normals)[:, None] * normals - np.vecdot(minor, major)[:, None] * major
+    minor /= np.sqrt(np.vecdot(minor, minor))[:, None]
+    return cloud.points[index], normals, major, minor
 
 
 def darboux_frame(

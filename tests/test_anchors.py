@@ -109,6 +109,26 @@ class TestAssignAnchorLabels:
         assert ANGLE_POS == pytest.approx(5 * math.pi / 12)
         assert ANGLE_NEG == pytest.approx(2 * math.pi / 3)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nearest_anchor_is_the_largest_cosine(self, rng, m):
+        # below m = 4 the nearest anchor can be too far to be positive; it is still the refine proposal's
+        anchors = anchor_set(m)
+        for _ in range(300):
+            r = _unit(rng.normal(size=3))
+            label = assign_anchor_labels(Grasp((0, 0, 0), r, 0.0), anchors)
+            assert label.nearest == int(np.argmax(anchors.directions @ r))
+            assert label.positive_index in (None, label.nearest)
+
+    @pytest.mark.parametrize("directions,r,nearest,positive", [
+        ([[0, 0, 1]], [1, 0, 0], 0, None),
+        ([[1, 0, 0], [0, 1, 0]], [1, 1, 0], 0, 0),
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [1, 1, 0], 1, 1),
+        ([[1, 0, 0], [-1, 0, 0], [0, 0, 1]], [0, 1, 0], 0, None),
+    ], ids=["m1-far", "m2-tie", "m3-tie", "m3-tie-far"])
+    def test_nearest_anchor_ties_toward_the_lowest_index(self, directions, r, nearest, positive):
+        label = assign_anchor_labels(Grasp((0, 0, 0), _unit(r), 0.0), AnchorSet(np.array(directions, float)))
+        assert (label.nearest, label.positive_index) == (nearest, positive)
+
     def test_min_angle_anchor_is_threshold_free(self, rng):
         anchors = anchor_set(4)
         for _ in range(100):

@@ -281,6 +281,18 @@ class TestSubsample:
         assert a.read_bytes() == b.read_bytes()
         assert "element vertex 50" in a.read_text().splitlines()[2]
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "c.ply", "--gripper", GRIPPER, "-o", "o.csv"],
+        ["collide", "c.ply", "g.csv", "--gripper", GRIPPER, "-o", "o.csv"],
+        ["score", "c.ply", "g.csv", "--gripper", GRIPPER, "-o", "o.csv"],
+        ["confidence", "c.ply", "g.csv", "-o", "c.txt"],
+        ["eval", "g.csv", "c.ply", "gt.csv", "--gripper", GRIPPER],
+    ], ids=lambda argv: argv[0])
+    def test_only_normals_thins_a_cloud(self, capsys, argv):
+        # a later step that thinned its own copy would index other points than the files it is given
+        assert main(argv + ["--subsample", "5"]) == 1
+        assert "unrecognized arguments: --subsample 5" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_single_row_file_prints_that_row(self, tmp_path, capsys):
@@ -505,7 +517,7 @@ class TestSettingTypes:
         grasps.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0.045,0,1,0,0,0\n")
         out = tmp_path / "c.txt"
         assert main(["confidence", str(tmp_path / "scene.xyz"), str(grasps),
-                     "--set", "confidence.d_th=1", "--set", "confidence.width=0", "-o", str(out)]) == 0
+                     "--set", "confidence.d_th=1", "-o", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "# d_th=1 width=0 n=400"
 
 
@@ -556,7 +568,8 @@ class TestSettingRanges:
         (BASE_ARGV["confidence"] + ["--dth", "0"], 1, "argument --dth: must be > 0, got 0.0"),
         (BASE_ARGV["confidence"] + ["--set", "confidence.d_th=nan"], 2,
          "setting confidence.d_th must be finite, got nan"),
-        (BASE_ARGV["confidence"] + ["--width=-inf"], 1, "argument --width: must be finite, got -inf"),
+        # the confidence header's width is no setting, so no flag sets it
+        (BASE_ARGV["confidence"] + ["--width", "0"], 1, "unrecognized arguments: --width 0"),
         (BASE_ARGV["losscheck"] + ["--set", "losscheck.tol=nan"], 2, "setting losscheck.tol must be finite"),
         # every subcommand checks every setting it is given
         (BASE_ARGV["losscheck"] + ["--set", "region.keep=0"], 2, "setting region.keep must be >= 1, got 0"),
@@ -567,10 +580,6 @@ class TestSettingRanges:
         (BASE_ARGV["normals"] + ["--subsample=--"], 1, "argument --subsample: expects an integer, got '--'"),
         (BASE_ARGV["sample"] + ["--gripper=--"], 1, "argument --gripper: expects D,W,H,T reals, got '--'"),
         (BASE_ARGV["losscheck"] + ["--set=--"], 2, "--set expects key=value, got '--'"),
-        # a gripper width may be zero but not negative
-        (BASE_ARGV["confidence"] + ["--width=-0.5"], 1, "argument --width: must be >= 0, got -0.5"),
-        (BASE_ARGV["confidence"] + ["--set", "confidence.width=-1"], 2,
-         "setting confidence.width must be >= 0, got -1.0"),
     ])
     def test_out_of_range_value_names_its_source(self, capsys, argv, code, message):
         assert main(argv) == code
@@ -657,10 +666,10 @@ class TestIntegerRange:
 
 
 class TestSettingRouting:
-    def test_flags_are_the_documented_thirteen(self):
+    def test_flags_are_the_documented_twelve(self):
         assert sorted(cli.SETTINGS[key].flag for key in FLAGGED) == sorted([
             "-k", "--centers", "--orientations", "--angles", "--angle-range", "--knn", "--dth",
-            "--width", "--k1", "--anchors", "--trials", "--pool", "--top"])
+            "--k1", "--anchors", "--trials", "--pool", "--top"])
 
     @pytest.mark.parametrize("key", FLAGGED)
     def test_flag_is_accepted_by_its_subcommand_only(self, key):
@@ -701,7 +710,7 @@ class TestSettingRouting:
 class TestSettingsDocs:
     PINNED = {
         "normals.k": 16, "sampler.n_centers": 10, "sampler.n_orientations": 4, "sampler.n_angles": 3,
-        "sampler.angle_range": math.pi / 6, "sampler.k": 16, "confidence.d_th": 0.01, "confidence.width": 0.0,
+        "sampler.angle_range": math.pi / 6, "sampler.k": 16, "confidence.d_th": 0.01,
         "region.radius": 0.02, "region.keep": 256, "labels.k1": 768, "anchors.m": 4, "anchors.c_b": 0.1,
         "anchors.angle_pos": 5 * math.pi / 12, "anchors.angle_neg": 2 * math.pi / 3, "refine.d1": 0.015,
         "refine.d2": 0.020, "refine.beta1": math.pi / 4, "refine.beta2": math.pi / 3,
@@ -761,6 +770,8 @@ class TestDataErrorsNameTheirFiles:
     GRASPS = "cx,cy,cz,rx,ry,rz,theta,sq\n0,0,0.045,0,1,0,0,0.5\n"
     EMPTY_PLY = ("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
                  "property float z\nend_header\n")
+    EMPTY_PLY_NORMALS = EMPTY_PLY.replace("end_header", "property float nx\nproperty float ny\n"
+                                                        "property float nz\nend_header")
     STEPS = {"normals": [], "sample": ["--gripper", GRIPPER]}
 
     def test_labels_on_a_cloud_without_points(self, tmp_path, capsys):
@@ -773,14 +784,16 @@ class TestDataErrorsNameTheirFiles:
         err = capsys.readouterr().err
         assert err == f"grasplab: error: {cloud} has no points\n"
 
-    @pytest.mark.parametrize("step", ["normals", "sample", "confidence"])
+    @pytest.mark.parametrize("step", ["normals", "sample", "confidence", "score", "eval"])
     def test_a_cloud_without_points(self, tmp_path, capsys, step):
         cloud, grasps, out = tmp_path / "empty.ply", tmp_path / "g.csv", tmp_path / "out"
-        cloud.write_text(self.EMPTY_PLY)
+        # score and eval read normals, so their cloud carries them and reaches the point count
+        cloud.write_text(self.EMPTY_PLY_NORMALS if step in ("score", "eval") else self.EMPTY_PLY)
         grasps.write_text(self.GRASPS)
-        extra = [str(grasps)] if step == "confidence" else self.STEPS[step]
-        assert main([step, str(cloud), *extra, "-o", str(out)]) == 2
-        assert capsys.readouterr().err == f"grasplab: error: {cloud} has no points\n"
+        args = {"normals": [cloud], "sample": [cloud, "--gripper", GRIPPER], "confidence": [cloud, grasps],
+                "score": [cloud, grasps, "--gripper", GRIPPER], "eval": [grasps, cloud, grasps, "--gripper", GRIPPER]}
+        assert main([step, *map(str, args[step]), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"grasplab: error: {cloud} has no points\n")
         assert not out.exists()
 
     def test_collide_keeps_every_grasp_of_a_cloud_without_points(self, tmp_path, capsys):

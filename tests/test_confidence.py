@@ -70,8 +70,8 @@ class TestPointConfidence:
         cloud = PointCloud(np.zeros((1, 3)))
         narrow = [Grasp((0.004, 0, 0), (0, 1, 0), 0.2)]
         wide = [Grasp((0.004, 0, 0), (1, 0, 0), -0.4)]
-        a = point_confidence(cloud, narrow, gripper_width=0.06)
-        b = point_confidence(cloud, wide, gripper_width=0.12)
+        a = point_confidence(cloud, narrow)
+        b = point_confidence(cloud, wide)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_invalid_threshold(self):

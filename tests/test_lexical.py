@@ -5,6 +5,7 @@ number (row fields, header counts, the confidence header, config values, --set, 
 --gripper fields and policy coefficients) accepts exactly the tokens they accept.
 """
 
+import argparse
 import contextlib
 import io
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grasplab import dataio
+from grasplab import cli, dataio
 from grasplab.cli import main
 from grasplab.dataio import ParseError, read_confidence, read_point_cloud
 from conftest import random_sphere_cloud, with_radial_normals
@@ -196,7 +197,7 @@ TOKENS = NUMBER_TOKENS + ["1 0 0\v", "\u0660.06,0.1,0.02,0.005", "element\x1fver
                           GRIPPER, "0.06,0.1,0.02", "0.06,0.1,nan,0.005", "heuristic", "analytic", "linear"]
 SET_ITEMS = ["normals.k=\u0663", "normals.k=0_3", "normals.k=3", "region.keep=50", "region.radius=0.05",
              "losscheck.tol=nan", "anchors.m=50", "anchors.c_b=1e-300", "labels.k1=3", "refine.d1=-1", "bogus=1",
-             "sampler.angle_range=1.5707963267948966", "confidence.width=1e308", "eval.top=50",
+             "sampler.angle_range=1.5707963267948966", "confidence.d_th=1e308", "eval.top=50",
              "sampler.n_centers=99999999999999999999999", "region.keep=9223372036854775808"]
 SMALL = st.integers(-1, 5).map(str)
 HUGE = st.one_of(st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1)).map(str)  # beyond int64
@@ -207,16 +208,16 @@ COMMON = ["--seed", "--set", "--config"]
 COMMANDS = {  # the subcommand's arguments ('@' a slot), and its other options
     "normals": (["@cloud", "-o", "@out"], ["--subsample", "-k"]),
     "sample": (["@cloud", "--gripper", "@gripper", "-o", "@out"],
-               ["--subsample", "--centers", "--orientations", "--angles", "--angle-range", "--knn"]),
-    "collide": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], ["--subsample"]),
-    "score": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], ["--subsample"]),
-    "confidence": (["@cloud", "@grasps", "-o", "@out"], ["--subsample", "--dth", "--width"]),
+               ["--centers", "--orientations", "--angles", "--angle-range", "--knn"]),
+    "collide": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], []),
+    "score": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], []),
+    "confidence": (["@cloud", "@grasps", "-o", "@out"], ["--dth"]),
     "labels": (["@grasps", "--cloud", "@cloud", "--confidence", "@conf", "-o", "@out"],
                ["--k1", "--anchors", "--regions"]),
     "losscheck": (["--trials", "@trials"], ["--h", "--trials"]),
     "select": (["@grasps"], ["--policy", "--coeffs"]),
     "fit": (["@xy", "--mode", "@mode", "-o", "@out"], ["--init-a", "--init-b"]),
-    "eval": (["@grasps", "@cloud", "@grasps", "--gripper", "@gripper"], ["--subsample", "--pool", "--top", "-o"]),
+    "eval": (["@grasps", "@cloud", "@grasps", "--gripper", "@gripper"], ["--pool", "--top", "-o"]),
 }
 ALL_OPTIONS = sorted(set(COMMON).union(*(options for _, options in COMMANDS.values())))
 # valid files of each kind, then malformed ones of that kind; any slot may also get any other file
@@ -281,6 +282,18 @@ def command_lines(draw, files, outputs):
 
 
 class TestCommandLineFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_the_option_table_is_the_parser(self, command):
+        """The fuzz draws each of the subcommand's options, and no option the subcommand does not take."""
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(COMMANDS)
+        template, options = COMMANDS[command]
+        action_of = {alias: action for action in subparsers.choices[command]._actions if action.dest != "help"
+                     for alias in action.option_strings}
+        named = {*COMMON, *options, *(part for part in template if part.startswith("-"))}
+        assert named <= action_of.keys(), sorted(named - action_of.keys())
+        assert {action_of[alias] for alias in named} == set(action_of.values())
+
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_command_line_ends_in_a_known_exit_code(self, fuzz_files, data):

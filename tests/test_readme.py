@@ -25,9 +25,9 @@ def test_library_example_runs(capsys):
     assert capsys.readouterr().out == f"{report.cfr} {report.as_mean} {report.tcr}\n"
 
 
-def test_cli_chain_runs(tmp_path, monkeypatch):
-    """Every `grasplab` line of the CLI block exits 0. A line's optional `[...]` part
-    runs too, once an earlier line has written the file it names."""
+def run_cli_chain(tmp_path, monkeypatch, normals_options=()):
+    """Run every `grasplab` line of the CLI block, each to exit 0, the normals line with normals_options
+    appended. A line's optional `[...]` part runs too, once an earlier line has written the file it names."""
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```$", README.read_text(), re.S | re.M).group(1)
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("grasplab ")]
     monkeypatch.chdir(tmp_path)
@@ -40,6 +40,8 @@ def test_cli_chain_runs(tmp_path, monkeypatch):
     for line in lines:
         optional = re.search(r" \[(.*?)\]", line)
         argv = shlex.split(line.replace(optional.group(0), "") if optional else line)[1:]
+        if argv[0] == "normals":
+            argv += normals_options
         assert main(argv) == 0, line
         if optional:
             pending.append(argv + shlex.split(optional.group(1)))
@@ -47,3 +49,15 @@ def test_cli_chain_runs(tmp_path, monkeypatch):
             assert main(later) == 0, later
             pending.remove(later)
     assert len(lines) == 10 and not pending
+
+
+def test_cli_chain_runs(tmp_path, monkeypatch):
+    run_cli_chain(tmp_path, monkeypatch)
+
+
+def test_cli_chain_runs_on_a_thinned_scene(tmp_path, monkeypatch):
+    """normals thins the scene once; every later step, labels included, reads that one file."""
+    run_cli_chain(tmp_path, monkeypatch, ["--subsample", "500"])
+    assert len(dataio.read_point_cloud("scene.ply")) == 500
+    assert len(dataio.read_confidence("conf.txt")) == 500
+    assert len((tmp_path / "labels" / "anchor_labels.csv").read_text().splitlines()) == 1 + 500
