@@ -32,6 +32,7 @@ from .core import (
     PointCloud,
     grasp_frame,
     grasp_frames,
+    grasps_from_arrays,
     vertical_score,
 )
 from .losses import (

@@ -30,7 +30,7 @@ from . import dataio
 from .collision import filter_collision_free
 from .confidence import point_confidence, select_positive_points
 from .contact import antipodal_score, find_contacts
-from .core import Grasp, GripperParams, PointCloud
+from .core import GripperParams, PointCloud, grasps_from_arrays
 from .losses import _losscheck_cases, gradient_check
 from .metrics import evaluate
 from .policy import (
@@ -190,8 +190,10 @@ def _check_order(command: str, settings: dict) -> None:
 
 def _load_cloud(args, normals: bool = False) -> PointCloud:
     cloud = dataio.read_point_cloud(args.cloud)
-    if normals and cloud.normals is None:
-        raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
+    if normals:  # an empty cloud is reported as such: 'grasplab normals' cannot mend it
+        _require_points(args, cloud)
+        if cloud.normals is None:
+            raise ValueError(f"{args.cloud} has no normals; run 'grasplab normals' first")
     return cloud
 
 
@@ -247,7 +249,6 @@ def _cmd_collide(args, settings) -> int:
 
 def _cmd_score(args, settings) -> int:
     cloud = _load_cloud(args, normals=True)
-    _require_points(args, cloud)
     out = [g.with_score(antipodal_score(find_contacts(cloud, g, args.gripper), g))
            for g in dataio.read_grasps(args.grasps)]
     dataio.write_grasps(args.output, out)
@@ -310,22 +311,25 @@ def _cmd_labels(args, settings) -> int:
     refine_rows = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq\n"]
     region_rows = ["point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"]
 
+    nearest_anchor = []
     for pi, gi in zip(positives.tolist(), nearest.tolist()):
         p = cloud.points[pi]
-        gt = scored[gi]
-        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs, angle_pos, angle_neg)
-        label = anchors_mod.complete_label(label, gt, anchor_dirs, p, c_b)
+        label = anchors_mod.assign_anchor_labels(scored[gi], anchor_dirs, angle_pos, angle_neg)
+        label = anchors_mod.complete_label(label, scored[gi], anchor_dirs, p, c_b)
+        nearest_anchor.append(label.nearest)
         block = label.residuals if label.residuals is not None else np.zeros(8)
         pos_idx = -1 if label.positive_index is None else label.positive_index
         anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
-        # refine labels grade the anchor-reference pose (p, nearest anchor, 0)
-        proposal = Grasp(p, anchor_dirs.directions[label.nearest], 0.0)
-        refine = anchors_mod.assign_refine_labels(gt, proposal, **thresholds, c_b=c_b)
-        rblock = refine.residuals if refine.residuals is not None else np.zeros(8)
-        refine_rows.append(refine_row % (pi, refine.y, *rblock))
         if args.regions:
             idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=keep, seed=args.seed)
             region_rows.append(region_row % (pi, padded, *idx))
+    # refine labels grade the anchor-reference poses (p, nearest anchor, 0), built as one table
+    proposals = grasps_from_arrays(cloud.points[positives], anchor_dirs.directions[nearest_anchor],
+                                   np.zeros(len(positives)))
+    for pi, gi, proposal in zip(positives.tolist(), nearest.tolist(), proposals):
+        refine = anchors_mod.assign_refine_labels(scored[gi], proposal, **thresholds, c_b=c_b)
+        rblock = refine.residuals if refine.residuals is not None else np.zeros(8)
+        refine_rows.append(refine_row % (pi, refine.y, *rblock))
 
     (out_dir / "anchor_labels.csv").write_text("".join(anchor_rows))
     (out_dir / "refine_labels.csv").write_text("".join(refine_rows))
@@ -386,7 +390,6 @@ def _cmd_fit(args, settings) -> int:
 
 def _cmd_eval(args, settings) -> int:
     scene = _load_cloud(args, normals=True)
-    _require_points(args, scene)
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")

@@ -29,12 +29,14 @@ THETA_MAX = math.pi / 2
 
 __all__ = [
     "Grasp",
+    "GraspRowError",
     "GripperParams",
     "PointCloud",
     "clamp_theta",
     "ground_reference",
     "grasp_frame",
     "grasp_frames",
+    "grasps_from_arrays",
     "vertical_score",
     "rotate_about_axis",
     "UNIT_TOL",
@@ -42,12 +44,10 @@ __all__ = [
 ]
 
 
-def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3)
-    # math.isfinite on three Python floats is several times cheaper than np.isfinite and np.all
-    if not all(map(math.isfinite, a.tolist())):
-        raise ValueError(f"{name} has non-finite components: {a}")
-    return a
+def clamp_theta(theta):
+    """theta clamped to the approach-angle range [-pi/2, pi/2]: a float, or an array for an array."""
+    out = np.minimum(np.maximum(theta, -THETA_MAX), THETA_MAX)
+    return out if out.ndim else float(out)
 
 
 def _frozen_copy(a) -> np.ndarray:
@@ -56,21 +56,30 @@ def _frozen_copy(a) -> np.ndarray:
     return out
 
 
-def clamp_theta(theta: float) -> float:
-    """theta clamped to the approach-angle range [-pi/2, pi/2]."""
-    return min(max(float(theta), -THETA_MAX), THETA_MAX)
+class GraspRowError(ValueError):
+    """A grasp table's first rejected row: `row` is its index and the message is Grasp's own."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
-def _score(s_q) -> float:
-    s = float(s_q)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s_q {s} outside [0, 1]")
-    return s
+def _score_rule(s: np.ndarray):
+    return (0.0 <= s) & (s <= 1.0), lambda i: f"s_q {float(s[i])} outside [0, 1]"
+
+
+def _raise_first(rules) -> None:
+    """Raise at the first row a (rows passed, message of row i) rule rejects, the earliest rule's message."""
+    passed = np.logical_and.reduce([ok for ok, _ in rules])
+    if not passed.all():
+        i = int(np.argmin(passed))
+        raise GraspRowError(i, next(message for ok, message in rules if not ok[i])(i))
 
 
 @dataclass(frozen=True, eq=False)
 class Grasp:
-    """A parallel-jaw grasp: center (m), unit closing axis, approach angle (rad), antipodal score in [0, 1]."""
+    """A parallel-jaw grasp: center (m), unit closing axis, approach angle (rad), antipodal score in [0, 1].
+    It is the one-row case of `grasps_from_arrays`, which owns the checks and the normalisation."""
 
     center: np.ndarray
     orientation: np.ndarray
@@ -78,28 +87,41 @@ class Grasp:
     s_q: float = 0.0
 
     def __post_init__(self):
-        c = _as_vec3(self.center, "center")
-        r = _as_vec3(self.orientation, "orientation")
-        n = float(np.linalg.norm(r))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise ValueError(f"orientation norm {n:.9f} not within {UNIT_TOL} of 1")
-        t = float(self.theta)
-        if not math.isfinite(t):
-            raise ValueError("theta is not finite")
-        # tolerance covers 9-significant-digit serialization of +-pi/2
-        if abs(t) > THETA_MAX + UNIT_TOL:
-            raise ValueError(f"theta {t} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "orientation", r / n)
-        object.__setattr__(self, "theta", clamp_theta(t))
-        object.__setattr__(self, "s_q", _score(self.s_q))
+        self.__dict__.update(vars(grasps_from_arrays(self.center, self.orientation, [float(self.theta)],
+                                                     float(self.s_q))[0]))
 
     def with_score(self, s_q: float) -> "Grasp":
         """The same pose with score s_q. The pose arrays are shared, not normalised a second time,
         which could move the orientation's last bits."""
+        _raise_first([_score_rule(np.array([float(s_q)]))])
         out = copy.copy(self)
-        object.__setattr__(out, "s_q", _score(s_q))
+        object.__setattr__(out, "s_q", float(s_q))
         return out
+
+
+def grasps_from_arrays(centers, orientations, thetas, s_q=0.0) -> list[Grasp]:
+    """G grasps from (G, 3) centers and closing axes, (G,) approach angles and (G,) scores or one for all.
+    Grasp's checks and normalisation run over the whole table at once; the first rejected row raises
+    GraspRowError with its index and Grasp's message. Each grasp owns its rows of fresh arrays."""
+    t = np.array(thetas, dtype=float).reshape(-1)
+    c = np.array(centers, dtype=float).reshape(len(t), 3)
+    r = np.asarray(orientations, dtype=float).reshape(len(t), 3)
+    s = np.full(t.shape, s_q, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing axis length is rejected below
+        n = np.sqrt(np.vecdot(r, r))
+    _raise_first([  # in this order
+        (np.isfinite(c).all(axis=1), lambda i: f"center has non-finite components: {c[i]}"),
+        (np.isfinite(r).all(axis=1), lambda i: f"orientation has non-finite components: {r[i]}"),
+        (np.abs(n - 1.0) <= UNIT_TOL, lambda i: f"orientation norm {n[i]:.9f} not within {UNIT_TOL} of 1"),
+        (np.isfinite(t), lambda i: "theta is not finite"),
+        # tolerance covers 9-significant-digit serialization of +-pi/2
+        (np.abs(t) <= THETA_MAX + UNIT_TOL, lambda i: f"theta {float(t[i])} outside [-pi/2, pi/2]"),
+        _score_rule(s),
+    ])
+    out = [object.__new__(Grasp) for _ in range(len(t))]  # the rows are checked: no __post_init__ per row
+    for g, *row in zip(out, c, r / n[:, None], clamp_theta(t).tolist(), s.tolist()):
+        g.__dict__.update(zip(("center", "orientation", "theta", "s_q"), row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,9 +270,8 @@ def vertical_score(g: Grasp | float) -> float:
     """Verticality of a grasp in [0, 1]: 0.5 + theta / pi.
 
     1 means approaching straight down (theta = pi/2), 0 means parallel to
-    the platform plane (theta = -pi/2). Accepts a Grasp or a bare theta.
+    the platform plane (theta = -pi/2). Accepts a Grasp or a bare theta,
+    which is checked and clamped as a Grasp's theta is.
     """
-    theta = g.theta if isinstance(g, Grasp) else float(g)
-    if abs(theta) > THETA_MAX + 1e-12:
-        raise ValueError(f"theta {theta} outside [-pi/2, pi/2]")
+    theta = (g if isinstance(g, Grasp) else Grasp(np.zeros(3), (0.0, 1.0, 0.0), g)).theta
     return 0.5 + theta / math.pi

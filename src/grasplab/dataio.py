@@ -13,7 +13,8 @@ splits on spaces and tabs, and reads ASCII numbers (`parse_number`).
 Formats:
   * point clouds: an ASCII PLY subset (x y z [nx ny nz] [red green blue])
     or bare XYZ text with 3 or 6 columns and '#' comments
-  * grasp lists: CSV with the exact header cx,cy,cz,rx,ry,rz,theta,sq
+  * grasp lists: CSV with the exact header cx,cy,cz,rx,ry,rz,theta,sq; the
+    rows are checked as one table by `core.grasps_from_arrays`
   * confidence fields: '# d_th=<v> width=<v> n=<N>' then one value per line
   * config: 'key = value' lines with '#' comments and dotted key names
   * fit samples: CSV with the exact header x,y
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .confidence import ConfidenceField
-from .core import Grasp, PointCloud
+from .core import Grasp, GraspRowError, PointCloud, grasps_from_arrays
 from .metrics import EvalReport
 
 GRASP_HEADER = "cx,cy,cz,rx,ry,rz,theta,sq"
@@ -290,8 +291,8 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 
 def _grasp_array(grasps: list[Grasp]) -> np.ndarray:
     """The (G, 8) grasp-list columns cx,cy,cz,rx,ry,rz,theta,sq."""
-    data = [(*g.center.tolist(), *g.orientation.tolist(), g.theta, g.s_q) for g in grasps]
-    return np.array(data, float).reshape(len(grasps), 8)
+    return np.column_stack([np.reshape([getattr(g, name) for g in grasps], (len(grasps), width))
+                            for name, width in (("center", 3), ("orientation", 3), ("theta", 1), ("s_q", 1))])
 
 
 def write_grasps(path, grasps: list[Grasp]) -> None:
@@ -304,13 +305,10 @@ def read_grasps(path) -> list[Grasp]:
     if not lines or lines[0].strip(_BLANKS) != GRASP_HEADER:
         raise ParseError(path, 1, f"expected header {GRASP_HEADER!r}")
     data, linenos = _float_rows(path, lines[1:], 2, 8, ",")
-    out: list[Grasp] = []
-    for i, v in zip(linenos, data.tolist()):
-        try:
-            out.append(Grasp(v[0:3], v[3:6], v[6], v[7]))
-        except ValueError as exc:
-            raise ParseError(path, i, str(exc)) from None
-    return out
+    try:
+        return grasps_from_arrays(data[:, 0:3], data[:, 3:6], data[:, 6], data[:, 7])
+    except GraspRowError as exc:
+        raise ParseError(path, linenos[exc.row], str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

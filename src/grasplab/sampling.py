@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grasp, GripperParams, PointCloud, _cross, clamp_theta, ground_reference, rotate_about_axis
+from .core import (Grasp, GripperParams, PointCloud, _cross, clamp_theta, grasps_from_arrays, ground_reference,
+                   rotate_about_axis)
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 _NORMALS_BLOCK = 4096  # rows per PCA call in estimate_normals; bounds its (rows, k, 3) neighbourhoods
@@ -195,7 +196,7 @@ def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[
         theta[flip] = _approach_angles(r[flip], approach[flip])
     if np.any(np.abs(theta) > math.pi / 2 + 1e-12):
         raise RuntimeError("no valid approach angle found")  # unreachable for approach perpendicular to r
-    return r, np.array([clamp_theta(t) for t in theta])
+    return r, clamp_theta(theta)
 
 
 def sample_candidates(
@@ -240,8 +241,8 @@ def sample_candidates(
     r = rotate_about_axis(np.repeat(majors, n_spin, axis=0), approach, np.tile(spins, len(points)))
     r /= np.sqrt(np.vecdot(r, r))[:, None]
     r, theta0 = _theta_for_approach(r, approach)
-    return [Grasp(center, axis, clamp_theta(t + float(d)))
-            for center, axis, t in zip(np.repeat(grasp_centers, n_spin, axis=0), r, theta0) for d in offsets]
+    return grasps_from_arrays(np.repeat(grasp_centers, n_spin * len(offsets), axis=0),
+                              np.repeat(r, len(offsets), axis=0), clamp_theta((theta0[:, None] + offsets).ravel()))
 
 
 # ---------------------------------------------------------------------------

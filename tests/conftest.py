@@ -11,6 +11,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from grasplab import ConfidenceField, PointCloud, grasp_frame
+from grasplab.core import THETA_MAX, UNIT_TOL
 from grasplab.dataio import ParseError
 
 
@@ -168,6 +169,33 @@ def oracle_float_rows(path, lines, first_lineno, ncols, sep):
         if len(fields) != ncols:
             raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
     return np.array(out, dtype=float).reshape(len(linenos), ncols), linenos
+
+
+def oracle_grasp(center, orientation, theta, s_q=0.0):
+    """A grasp's checks and normalisation for one row in scalar Python, rule after rule.
+
+    Returns (center, orientation, theta, s_q) as a Grasp holds them, or raises the ValueError of the
+    first rule the row breaks. The norm goes through np.linalg.norm, not the library's np.vecdot.
+    """
+    c = np.asarray(center, dtype=float).reshape(3)
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError(f"center has non-finite components: {c}")
+    r = np.asarray(orientation, dtype=float).reshape(3)
+    if not all(map(math.isfinite, r.tolist())):
+        raise ValueError(f"orientation has non-finite components: {r}")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(r))
+    if abs(n - 1.0) > UNIT_TOL:
+        raise ValueError(f"orientation norm {n:.9f} not within {UNIT_TOL} of 1")
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ValueError("theta is not finite")
+    if abs(t) > THETA_MAX + UNIT_TOL:
+        raise ValueError(f"theta {t} outside [-pi/2, pi/2]")
+    s = float(s_q)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s_q {s} outside [0, 1]")
+    return c, r / n, min(max(t, -THETA_MAX), THETA_MAX), s
 
 
 def oracle_anchor_coincidence(directions):

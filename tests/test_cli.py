@@ -796,6 +796,19 @@ class TestDataErrorsNameTheirFiles:
         assert capsys.readouterr() == ("", f"grasplab: error: {cloud} has no points\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["score", "eval"])
+    def test_a_cloud_without_points_or_normals(self, tmp_path, capsys, step):
+        # the point count comes first: 'grasplab normals' cannot mend an empty cloud, so its advice is not given
+        cloud, grasps, out = tmp_path / "empty.ply", tmp_path / "g.csv", tmp_path / "out"
+        cloud.write_text(self.EMPTY_PLY)
+        grasps.write_text(self.GRASPS)
+        args = {"score": [cloud, grasps, "--gripper", GRIPPER], "eval": [grasps, cloud, grasps, "--gripper", GRIPPER]}
+        assert main([step, *map(str, args[step]), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"grasplab: error: {cloud} has no points\n")
+        assert not out.exists()
+        assert main(["normals", str(cloud), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"grasplab: error: {cloud} has no points\n")
+
     def test_collide_keeps_every_grasp_of_a_cloud_without_points(self, tmp_path, capsys):
         cloud, grasps, out = tmp_path / "empty.ply", tmp_path / "g.csv", tmp_path / "free.csv"
         cloud.write_text(self.EMPTY_PLY)

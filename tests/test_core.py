@@ -3,17 +3,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grasplab.core import clamp_theta
+from grasplab.core import THETA_MAX, UNIT_TOL, GraspRowError, clamp_theta
 from grasplab import (
     Grasp,
     GripperParams,
     PointCloud,
     grasp_frame,
     grasp_frames,
+    grasps_from_arrays,
     vertical_score,
 )
-from conftest import world_to_grasp
+from conftest import oracle_grasp, world_to_grasp
 
 
 def _random_grasp(rng) -> Grasp:
@@ -164,3 +167,91 @@ class TestClampTheta:
     def test_grasp_clamps_serialized_endpoints(self):
         assert Grasp((0, 0, 0), (0, 1, 0), 1.57079633).theta == math.pi / 2
         assert Grasp((0, 0, 0), (0, 1, 0), -1.57079633).theta == -math.pi / 2
+
+    def test_an_array_is_clamped_as_its_elements_are(self):
+        thetas = np.array([-math.inf, -3.0, -math.pi / 2 - 1e-9, -0.0, 0.0, 1.2, math.pi / 2 + 1e-9, 1e300])
+        got = clamp_theta(thetas)
+        assert got.tobytes() == np.array([clamp_theta(float(t)) for t in thetas]).tobytes()
+
+
+def _ulps(x: float) -> list[float]:
+    """x and the doubles one ulp below and above it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+_THETA_EDGE = THETA_MAX + UNIT_TOL
+_NORMS = [*_ulps(1.0 + UNIT_TOL), *_ulps(1.0 - UNIT_TOL), 1.0, 0.0, 1e200]  # 1e200 squared overflows
+
+
+@st.composite
+def _axis(draw):
+    """A closing axis of exactly the drawn norm along a signed world axis, -0.0 in the other slots, or a
+    normalised random direction."""
+    if draw(st.booleans()):
+        v = np.array(draw(st.tuples(*[st.floats(-1, 1)] * 3)))
+        return tuple(v / np.linalg.norm(v)) if np.linalg.norm(v) > 0.1 else (0.0, 1.0, 0.0)
+    r = [draw(st.sampled_from([0.0, -0.0]))] * 3
+    r[draw(st.integers(0, 2))] = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(_NORMS))
+    return tuple(r)
+
+
+_COORD = st.sampled_from([0.0, -0.0, 1e-300]) | st.floats(-10, 10)
+_ROW = st.tuples(
+    # about one center in four has a non-finite z
+    st.tuples(_COORD, _COORD, _COORD | _COORD | _COORD | st.sampled_from([math.nan, -math.inf])),
+    _axis(),
+    st.sampled_from([*_ulps(_THETA_EDGE), *(-t for t in _ulps(_THETA_EDGE)), 0.0, -0.0, THETA_MAX, math.nan])
+    | st.floats(-THETA_MAX, THETA_MAX),
+    st.sampled_from([*_ulps(0.0), *_ulps(1.0), -0.0]) | st.floats(0, 1),
+)
+
+
+def _assert_bitwise(g: Grasp, want) -> None:
+    center, orientation, theta, s_q = want
+    assert g.center.tobytes() == center.tobytes() and g.orientation.tobytes() == orientation.tobytes()
+    assert type(g.theta) is float and type(g.s_q) is float
+    assert np.float64(g.theta).tobytes() == np.float64(theta).tobytes()
+    assert np.float64(g.s_q).tobytes() == np.float64(s_q).tobytes()
+
+
+class TestGraspTable:
+    """grasps_from_arrays against Grasp(...) and the scalar oracle, on rows at every rule's edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ROW, min_size=1, max_size=6))
+    def test_table_row_and_oracle_agree(self, rows):
+        want = []
+        for row in rows:
+            try:
+                want.append(oracle_grasp(*row))
+            except ValueError as exc:
+                want.append(str(exc))
+        for row, w in zip(rows, want):
+            if isinstance(w, str):
+                with pytest.raises(ValueError) as info:
+                    Grasp(*row)
+                assert str(info.value) == w
+            else:
+                _assert_bitwise(Grasp(*row), w)
+        cols = [np.array([row[j] for row in rows]) for j in range(4)]
+        first = next((i for i, w in enumerate(want) if isinstance(w, str)), len(rows))
+        if first < len(rows):
+            with pytest.raises(GraspRowError) as info:
+                grasps_from_arrays(*cols)
+            assert (info.value.row, str(info.value)) == (first, want[first])
+        accepted = grasps_from_arrays(*(col[:first] for col in cols))
+        assert len(accepted) == first
+        for g, w in zip(accepted, want):
+            _assert_bitwise(g, w)
+
+    def test_grasps_own_their_rows(self, rng):
+        centers, thetas = rng.normal(size=(5, 3)), np.zeros(5)
+        axes = np.tile([0.0, 1.0, 0.0], (5, 1))
+        grasps = grasps_from_arrays(centers, axes, thetas, 0.5)
+        arrays = [a for g in grasps for a in (g.center, g.orientation)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        assert not any(np.shares_memory(a, b) for a in arrays for b in (centers, axes))
+        assert [g.s_q for g in grasps] == [0.5] * 5
+
+    def test_an_empty_table_gives_no_grasps(self):
+        assert grasps_from_arrays(np.zeros((0, 3)), np.zeros((0, 3)), []) == []

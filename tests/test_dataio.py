@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud
+from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, grasps_from_arrays
 from grasplab.dataio import (
     GRASP_HEADER,
     _ROW_BLOCK,
@@ -27,7 +27,7 @@ from grasplab.dataio import (
     write_grasps,
     write_point_cloud,
 )
-from conftest import oracle_float_rows
+from conftest import oracle_float_rows, oracle_grasp
 
 
 class TestPointCloudIO:
@@ -219,6 +219,39 @@ class TestGraspIO:
         path.write_text(GRASP_HEADER + "\n0,0,0,0,0.9,0,0,1.5\n")
         with pytest.raises(ParseError, match=r":2: orientation norm"):
             read_grasps(path)
+
+    @pytest.mark.parametrize("rows,bad", [
+        (["0,0,0,0,1,0,0,1.5", "0,0,0,0,0.9,0,0,0.5"], ((0, 0, 0), (0, 1, 0), 0.0, 1.5)),
+        (["0,0,0,0,0.9,0,0,0.5", "0,0,0,0,1,0,0,1.5"], ((0, 0, 0), (0, 0.9, 0), 0.0, 0.5)),
+        (["0,0,0,0,0.9,0,2,1.5", "0,0,0,0,1,0,0,1.5"], ((0, 0, 0), (0, 0.9, 0), 2.0, 1.5)),
+    ], ids=["score-then-axis", "axis-then-score", "axis-theta-and-score-on-one-row"])
+    def test_the_first_bad_row_is_reported_with_grasps_message(self, tmp_path, rows, bad):
+        path = tmp_path / "g.csv"
+        path.write_text("\n".join([GRASP_HEADER, "0,0,0,0,1,0,0,0.5", *rows, "0,0,0,0,1,0,0,0.5"]) + "\n")
+        with pytest.raises(ValueError) as want:
+            Grasp(*bad)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:3: {want.value}')}$"):
+            read_grasps(path)
+
+    def test_a_2400_row_table_reads_as_per_row_construction(self, tmp_path, rng):
+        n = 2400
+        r = rng.normal(size=(n, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        thetas = rng.choice([-math.pi / 2, -0.0, math.pi / 2], size=n, p=[0.05, 0.05, 0.9])
+        thetas[thetas == math.pi / 2] = rng.uniform(-math.pi / 2, math.pi / 2, size=int(np.sum(thetas == math.pi / 2)))
+        scores = rng.choice([0.0, 1.0, 0.5], size=n)
+        scores[scores == 0.5] = rng.uniform(0, 1, size=int(np.sum(scores == 0.5)))
+        path = tmp_path / "g.csv"
+        write_grasps(path, grasps_from_arrays(rng.uniform(-1, 1, (n, 3)), r, thetas, scores))
+        back = read_grasps(path)
+        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        assert len(back) == len(rows) == n
+        for g, v in zip(back, rows):
+            for want in (Grasp(v[0:3], v[3:6], v[6], v[7]), oracle_grasp(v[0:3], v[3:6], v[6], v[7])):
+                c, o, t, s = (want.center, want.orientation, want.theta, want.s_q) if isinstance(want, Grasp) else want
+                assert g.center.tobytes() == c.tobytes() and g.orientation.tobytes() == o.tobytes()
+                assert np.float64(g.theta).tobytes() == np.float64(t).tobytes()
+                assert np.float64(g.s_q).tobytes() == np.float64(s).tobytes()
 
     def test_orientation_near_unit_renormalized(self, tmp_path):
         path = tmp_path / "g.csv"
