@@ -379,10 +379,9 @@ def _cmd_fit(args, settings) -> int:
     xs, ys = dataio.read_xy(args.data)
     if args.mode == "linear":
         fit = fit_linear(xs, ys)
-        text = f"slope = {fit.slope:.9g}\nintercept = {fit.intercept:.9g}\n"
     else:
         fit = fit_sigmoid(xs, ys, init=SigmoidFit(a=args.init_a, b=args.init_b))
-        text = f"a = {fit.a:.9g}\nb = {fit.b:.9g}\n"
+    text = "".join(f"{key} = {value:.9g}\n" for key, value in vars(fit).items())
     Path(args.output).write_text(text)
     print(text, end="")
     return 0
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", parents=[common], help="pick the best grasp from a list")
     p.add_argument("grasps")
     p.add_argument("--policy", choices=("heuristic", "analytic"), default="analytic")
-    p.add_argument("--coeffs", help="key=value file with a, b, slope, intercept (--policy analytic only)")
+    p.add_argument("--coeffs", help="key = value file of analytic coefficients (--policy analytic only)")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("fit", parents=[common], help="fit policy coefficients from x,y samples")

@@ -22,6 +22,7 @@ Formats:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from contextlib import suppress
@@ -34,7 +35,7 @@ from .core import Grasp, GraspRowError, PointCloud, grasps_from_arrays
 from .metrics import EvalReport
 
 GRASP_HEADER = "cx,cy,cz,rx,ry,rz,theta,sq"
-REPORT_HEADER = "cfr,as_mean,as_with_collision,tcr,n_selected"
+REPORT_HEADER = ",".join(field.name for field in dataclasses.fields(EvalReport))
 
 __all__ = [
     "ParseError",
@@ -404,16 +405,14 @@ def read_xy(path) -> tuple[np.ndarray, np.ndarray]:
 # Evaluation reports
 # ---------------------------------------------------------------------------
 
+def _report_fields(report: EvalReport) -> dict[str, str]:
+    """Each report field's text: reals in `_fmt`'s format, the count as an integer."""
+    return {key: "%d" % value if isinstance(value, int) else _fmt(value) for key, value in vars(report).items()}
+
+
 def format_report(report: EvalReport) -> str:
-    return (
-        f"cfr = {_fmt(report.cfr)}\n"
-        f"as_mean = {_fmt(report.as_mean)}\n"
-        f"as_with_collision = {_fmt(report.as_with_collision)}\n"
-        f"tcr = {_fmt(report.tcr)}\n"
-        f"n_selected = {report.n_selected}\n"
-    )
+    return "".join(f"{key} = {text}\n" for key, text in _report_fields(report).items())
 
 
 def report_csv(report: EvalReport) -> str:
-    reals = ",".join(map(_fmt, [report.cfr, report.as_mean, report.as_with_collision, report.tcr]))
-    return f"{REPORT_HEADER}\n{reals},{report.n_selected}\n"
+    return f"{REPORT_HEADER}\n{','.join(_report_fields(report).values())}\n"

@@ -919,3 +919,18 @@ class TestOneParser:
         assert in_turn == alone
         assert [result[0] for result in alone] == [1, 0, 0]
         assert alone[1][3] != alone[2][3]
+
+
+class TestLeanStart:
+    def test_import_leaves_scipy_optimize_to_fit(self, tmp_path):
+        """`import grasplab.cli` does not import scipy.optimize; `fit` imports it when it runs."""
+        data = tmp_path / "reach.csv"
+        data.write_text("x,y\n0,0.1\n0.25,0.2\n0.5,0.5\n0.75,0.8\n1,0.9\n")
+        code = ("import sys; import grasplab.cli as cli; assert 'scipy.optimize' not in sys.modules; "
+                "code = cli.main(sys.argv[1:]); assert 'scipy.optimize' in sys.modules; sys.exit(code)")
+        src = str(Path(grasplab.__file__).resolve().parents[1])
+        argv = [sys.executable, "-c", code, "fit", str(data), "--mode", "sigmoid", "-o", str(tmp_path / "c.txt")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (tmp_path / "c.txt").read_text()
+        assert list(grasplab.dataio.read_config(tmp_path / "c.txt")) == ["a", "b"]

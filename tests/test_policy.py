@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from grasplab import (
     pearson,
     vertical_score,
 )
+from grasplab.cli import main
 from grasplab.policy import policy_from_mapping
 
 
@@ -145,6 +147,81 @@ class TestFitSigmoid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_sigmoid([0.0, 1.0], [0.0, 1.0])
+
+
+def _round9(values):
+    """The values as a 9-digit `x,y` file carries them."""
+    return np.array([float(f"{v:.9g}") for v in values])
+
+
+class TestFitIsTheLeastSquaresOptimum:
+    @staticmethod
+    def _has_finite_optimum(x, y, truth):
+        """Whether truth's squared residual lies below the family's limits at infinity: a rising or falling step
+        (the point at its threshold free to take any value) and a constant. Then the least-squares optimum is
+        finite; a Bernoulli draw that a step fits as well as any sigmoid has its infimum at a = +-inf."""
+        order = np.argsort(x)
+        x, y = x[order], y[order]
+        zero, one = y ** 2, (1.0 - y) ** 2
+        rising = np.cumsum(zero) - zero + one.sum() - np.cumsum(one)
+        falling = np.cumsum(one) - one + zero.sum() - np.cumsum(zero)
+        limit = min(rising.min(), falling.min(), np.sum((y - y.mean()) ** 2))
+        return np.sum((y - truth(x)) ** 2) < limit
+
+    def _noisy_sample(self, rng, bernoulli):
+        """20-400 points of a random rising sigmoid: Bernoulli outcomes, or Gaussian noise (sigma 0.05) clipped
+        to [0, 1]. A draw without a finite optimum is drawn again."""
+        while True:
+            n = int(rng.integers(20, 401))
+            x = _round9(rng.uniform(0.0, 1.0, n))
+            truth = SigmoidFit(rng.uniform(6.0, 14.0), rng.uniform(0.4, 0.8))
+            if bernoulli:
+                y = (rng.random(n) < truth(x)).astype(float)
+            else:
+                y = _round9(np.clip(truth(x) + rng.normal(0.0, 0.05, n), 0.0, 1.0))
+            if self._has_finite_optimum(x, y, truth):
+                return x, y
+
+    def test_a_gauss_newton_step_does_not_move_the_fit(self):
+        rng = np.random.default_rng(18)
+        for case in range(60):
+            x, y = self._noisy_sample(rng, bernoulli=case % 2 == 0)
+            fit = fit_sigmoid(x, y)
+            s = fit(x)
+            ds = s * (1.0 - s)
+            jac = np.column_stack([-ds * (x - fit.b), ds * fit.a])  # d (y - s) / d (a, b)
+            step = np.linalg.lstsq(jac, s - y, rcond=None)[0]
+            assert np.all(np.abs(step) <= 1e-7 * np.abs([fit.a, fit.b])), (case, fit, step)
+
+    @pytest.mark.parametrize("a,b,n,init,text", [
+        (10.0, 0.6, 50, [], "a = 10\nb = 0.6\n"),  # the README's reach.csv
+        (10.1244, 0.6103, 50, [], "a = 10.1244\nb = 0.6103\n"),
+        (8.0, 0.5, 41, [], "a = 8\nb = 0.5\n"),
+        (6.0, 0.4, 30, ["--init-a", "6", "--init-b", "0.4"], "a = 6\nb = 0.4\n"),
+    ])
+    def test_noiseless_samples_keep_their_fit_text(self, tmp_path, capsys, a, b, n, init, text):
+        x = np.linspace(0.0, 1.0, n)
+        data = tmp_path / "reach.csv"
+        data.write_text("x,y\n" + "".join(f"{u:.9g},{v:.9g}\n" for u, v in zip(x, SigmoidFit(a, b)(x))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(data), "--mode", "sigmoid", "-o", str(tmp_path / "c.txt"), *init]) == 0
+        assert (tmp_path / "c.txt").read_text() == capsys.readouterr().out == text
+
+
+class TestFitSigmoidDegenerateSamples:
+    X = np.linspace(0.0, 1.0, 20)
+
+    def test_constant_sample_warns(self):
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            fit = fit_sigmoid(self.X, np.full(20, 0.3))
+        assert math.isfinite(fit.a) and math.isfinite(fit.b)
+
+    @pytest.mark.parametrize("y", [np.zeros(20), (X > 0.5).astype(float)], ids=["all-zero", "step"])
+    @pytest.mark.filterwarnings("ignore:fit_sigmoid did not converge:RuntimeWarning")
+    def test_fit_is_finite(self, y):
+        fit = fit_sigmoid(self.X, y)
+        assert math.isfinite(fit.a) and math.isfinite(fit.b)
 
 
 class TestPearson:
