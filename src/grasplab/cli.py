@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 import time
+import warnings
 from contextlib import suppress
 from pathlib import Path
 from typing import NamedTuple
@@ -380,7 +381,11 @@ def _cmd_fit(args, settings) -> int:
     if args.mode == "linear":
         fit = fit_linear(xs, ys)
     else:
-        fit = fit_sigmoid(xs, ys, init=SigmoidFit(a=args.init_a, b=args.init_b))
+        with warnings.catch_warnings(record=True) as caught:  # reported as `warning: ...`, not Python's form
+            warnings.simplefilter("always")
+            fit = fit_sigmoid(xs, ys, init=SigmoidFit(a=args.init_a, b=args.init_b))
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
     text = "".join(f"{key} = {value:.9g}\n" for key, value in vars(fit).items())
     Path(args.output).write_text(text)
     print(text, end="")

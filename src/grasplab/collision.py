@@ -15,10 +15,11 @@ The collision filter settles most colliding grasps before that kernel. A
 grid of "core" balls sits inside each obstacle box, every ball at least
 BOUNDARY_TOL + _BALL_SLACK from each face. A scene point within a ball's
 radius of its center is strictly inside the box under the exact test,
-whatever the rounding of the frame transform, so one nearest-neighbour
-query per box proves a collision. The balls need not cover the box: the
-grasps no ball proves go through the exact test, which decides alone
-whether a grasp is free. The survivors are the exact test's.
+whatever the rounding of the frame transform, so one ball proves a
+collision and a grasp proved colliding skips the box's later rounds of
+balls. The balls need not cover the box: the grasps no ball proves go
+through the exact test, which decides alone whether a grasp is free. The
+survivors are the exact test's.
 
 A batch of grasp frames is two arrays, rotations (G, 3, 3) and origins
 (G, 3), the grasps' centers; _to_world places grasp-frame points by every
@@ -55,6 +56,7 @@ _QUERY_BATCH = 16     # grasps per KD-tree query; bounds the index lists held at
 _BALL_SLACK = 1e-9    # core-ball margin beyond BOUNDARY_TOL, for rounding in the frame transform
 _MAX_BALLS = 128      # core balls per box; any subset of them proves no less
 _BALL_BLOCK = 1024    # grasps per core-ball query; bounds the ball centers held at once
+_BALL_ROUND = 8       # core balls per query round; a grasp proved colliding skips the later rounds
 _KEY_BYTES = 12 * 8   # a verdict-table key: a frame's 9 rotation and 3 origin float64s
 
 # cloud -> gripper -> grasp-frame bytes -> free; weak keys, so a cloud's verdicts are freed with it
@@ -166,9 +168,9 @@ def _box_points(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, k
     """Cloud points inside one gripper box, for each grasp frame (rotation, origin) in turn.
 
     Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
-    them. Yields (ascending cloud indices, their grasp-frame coordinates) per
-    frame. One KD-tree query covers the culling spheres of _QUERY_BATCH
-    frames; the exact box test, on the grasp-frame coordinates (p - o) @ R, then decides.
+    them. Yields (ascending cloud indices of the points in the culling spheres,
+    their grasp-frame coordinates (p - o) @ R, the exact box test's mask) per
+    frame. One KD-tree query covers the culling spheres of _QUERY_BATCH frames.
     """
     box, (centers, radius) = kernel.box, kernel.spheres
     for start in range(0, len(rotations), _QUERY_BATCH):
@@ -180,8 +182,7 @@ def _box_points(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, k
             # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
             idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
             q = (cloud.points[idx] - origin) @ rotation
-            inside = box.contains(q, strict)
-            yield idx[inside], q[inside]
+            yield idx, q, box.contains(q, strict)
 
 
 def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
@@ -207,7 +208,12 @@ def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
         n[big] = np.maximum(1.0, np.floor(n[big] / over ** (1.0 / big.sum())))
     axes = [box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a])) for a in range(3)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return centers, radius
+    # farthest-point order, so each round of _BALL_ROUND balls spreads over the box
+    order, gap = [0], np.linalg.norm(centers - centers[0], axis=1)
+    while len(order) < len(centers):
+        order.append(int(np.argmax(gap)))
+        gap = np.minimum(gap, np.linalg.norm(centers - centers[order[-1]], axis=1))
+    return centers[order], radius
 
 
 @functools.lru_cache(maxsize=16)
@@ -225,15 +231,19 @@ def _kernels(s: GripperParams) -> tuple[_Kernel, tuple[_Kernel, _Kernel, _Kernel
 
 def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, centers: np.ndarray,
                radius: float) -> np.ndarray:
-    """(G,) bool: some cloud point lies in a core ball (grasp-frame centers), so the grasp collides."""
+    """(G,) bool: some cloud point lies in a core ball (grasp-frame centers), so the grasp collides.
+    The balls go _BALL_ROUND a query, in _core_balls' order; a grasp one round hits skips the rest."""
     hit = np.zeros(len(rotations), dtype=bool)
-    if not len(centers):
-        return hit
     for start in range(0, len(rotations), _BALL_BLOCK):
-        block = slice(start, start + _BALL_BLOCK)
-        world = _to_world(centers, rotations[block], origins[block])
-        d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=radius)
-        hit[block] = np.isfinite(d).reshape(-1, len(centers)).any(axis=1)
+        todo = np.arange(start, min(start + _BALL_BLOCK, len(rotations)))
+        for first in range(0, len(centers), _BALL_ROUND):
+            world = _to_world(centers[first:first + _BALL_ROUND], rotations[todo], origins[todo])
+            d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=radius)
+            found = np.isfinite(d).reshape(len(todo), -1).any(axis=1)
+            hit[todo[found]] = True
+            todo = todo[~found]
+            if not todo.size:
+                break
     return hit
 
 
@@ -253,7 +263,7 @@ def _decide(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: Gr
     for kernel in obstacles:
         todo = np.flatnonzero(free)
         found = _box_points(cloud, rotations[todo], origins[todo], kernel, strict=True)
-        free[todo] = [idx.size == 0 for idx, _ in found]
+        free[todo] = [not inside.any() for _, _, inside in found]
     return free
 
 
@@ -277,8 +287,8 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
 
 
 def _closing_region(cloud: PointCloud, rotation: np.ndarray, g: Grasp, s: GripperParams):
-    """(ascending cloud indices, grasp-frame coordinates) of the points in g's closing region, faces
-    included; `rotation` is grasp_frame(g)."""
+    """(ascending candidate cloud indices, grasp-frame coordinates, mask of those in g's closing region,
+    faces included), as _box_points yields them; `rotation` is grasp_frame(g)."""
     return next(_box_points(cloud, rotation[None], g.center[None], _kernels(s)[0], strict=False))
 
 
@@ -288,12 +298,17 @@ def filter_collision_free(
     s: GripperParams,
 ) -> list[Grasp]:
     """Order-preserving subsequence of candidates with no cloud point strictly
-    inside a finger or the back plate. All frames are built in one batch."""
+    inside a finger or the back plate. All frames are built in one batch, and
+    each grasp returned keeps its row as the frame grasp_frame would build."""
     if not candidates:
         return []
     rotations = grasp_frames(np.stack([g.orientation for g in candidates]), [g.theta for g in candidates])
+    rotations.flags.writeable = False
     free = _free_mask(scene_cloud, rotations, np.stack([g.center for g in candidates]), s)
-    return [g for g, ok in zip(candidates, free) if ok]
+    out = list(itertools.compress(candidates, free))
+    for g, rotation in zip(out, itertools.compress(rotations, free)):
+        object.__setattr__(g, "_frame", rotation)  # grasp_frames rows are bitwise the same in any batch
+    return out
 
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:
@@ -316,8 +331,8 @@ def closing_region_points(
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    inside, q = _closing_region(cloud, grasp_frame(g), g, s)
-    if inside.size == 0:
+    _, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
+    if not inside.any():
         raise EmptyRegionError("no points inside the gripper closing region")
-    idx, padded = resize_indices(inside.size, keep, seed)
-    return q[idx], padded
+    idx, padded = resize_indices(int(inside.sum()), keep, seed)
+    return q[inside][idx], padded

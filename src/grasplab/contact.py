@@ -41,15 +41,16 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     """
     if cloud.normals is None:
         raise ValueError("find_contacts requires a cloud with normals")
-    inside, q = _closing_region(cloud, grasp_frame(g), g, s)
+    idx, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
     y = q[:, 1]
-    pos = np.flatnonzero(y >= 0.0)
-    neg = np.flatnonzero(y < 0.0)
-    if pos.size == 0 or neg.size == 0:
+    pos = inside & (y >= 0.0)
+    neg = inside & (y < 0.0)
+    if not (pos.any() and neg.any()):
         return None
-    a = pos[np.argmax(y[pos])]
-    b = neg[np.argmin(y[neg])]
-    i, j = inside[a], inside[b]
+    # the masked candidates cannot win; argmax and argmin take the first extreme, the lowest cloud index
+    a = np.argmax(np.where(pos, y, -np.inf))
+    b = np.argmin(np.where(neg, y, np.inf))
+    i, j = idx[a], idx[b]
     return ContactPair(
         ci=cloud.points[i].copy(),
         cj=cloud.points[j].copy(),

@@ -79,20 +79,22 @@ def _raise_first(rules) -> None:
 @dataclass(frozen=True, eq=False)
 class Grasp:
     """A parallel-jaw grasp: center (m), unit closing axis, approach angle (rad), antipodal score in [0, 1].
-    It is the one-row case of `grasps_from_arrays`, which owns the checks and the normalisation."""
+    It is the one-row case of `grasps_from_arrays`, which owns the checks and the normalisation. The pose
+    arrays are read-only, so the frame that `grasp_frame` keeps in `_frame` never goes stale."""
 
     center: np.ndarray
     orientation: np.ndarray
     theta: float
     s_q: float = 0.0
+    _frame: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.__dict__.update(vars(grasps_from_arrays(self.center, self.orientation, [float(self.theta)],
                                                      float(self.s_q))[0]))
 
     def with_score(self, s_q: float) -> "Grasp":
-        """The same pose with score s_q. The pose arrays are shared, not normalised a second time,
-        which could move the orientation's last bits."""
+        """The same pose with score s_q. The pose arrays and the frame are shared, not normalised a
+        second time, which could move the orientation's last bits."""
         _raise_first([_score_rule(np.array([float(s_q)]))])
         out = copy.copy(self)
         object.__setattr__(out, "s_q", float(s_q))
@@ -102,7 +104,7 @@ class Grasp:
 def grasps_from_arrays(centers, orientations, thetas, s_q=0.0) -> list[Grasp]:
     """G grasps from (G, 3) centers and closing axes, (G,) approach angles and (G,) scores or one for all.
     Grasp's checks and normalisation run over the whole table at once; the first rejected row raises
-    GraspRowError with its index and Grasp's message. Each grasp owns its rows of fresh arrays."""
+    GraspRowError with its index and Grasp's message. Each grasp owns its rows of fresh, read-only arrays."""
     t = np.array(thetas, dtype=float).reshape(-1)
     c = np.array(centers, dtype=float).reshape(len(t), 3)
     r = np.asarray(orientations, dtype=float).reshape(len(t), 3)
@@ -119,7 +121,7 @@ def grasps_from_arrays(centers, orientations, thetas, s_q=0.0) -> list[Grasp]:
         _score_rule(s),
     ])
     out = [object.__new__(Grasp) for _ in range(len(t))]  # the rows are checked: no __post_init__ per row
-    for g, *row in zip(out, c, r / n[:, None], clamp_theta(t).tolist(), s.tolist()):
+    for g, *row in zip(out, _frozen_copy(c), _frozen_copy(r / n[:, None]), clamp_theta(t).tolist(), s.tolist()):
         g.__dict__.update(zip(("center", "orientation", "theta", "s_q"), row))
     return out
 
@@ -261,9 +263,11 @@ def grasp_frame(g: Grasp) -> np.ndarray:
     """The (3, 3) rotation with columns (X_G, Y_G, Z_G) of one grasp: the one-row case of grasp_frames.
 
     It maps grasp-frame coordinates q to the world as R q + center, and world points p to the grasp
-    frame as (p - center) @ R.
+    frame as (p - center) @ R. It is built on the first call and kept on the grasp, read-only.
     """
-    return grasp_frames(g.orientation[None], [g.theta])[0]
+    if g._frame is None:
+        object.__setattr__(g, "_frame", _frozen_copy(grasp_frames(g.orientation[None], [g.theta])[0]))
+    return g._frame
 
 
 def vertical_score(g: Grasp | float) -> float:

@@ -108,6 +108,29 @@ def oracle_collision(points, center, orientation, theta, depth, width, height, t
     return False
 
 
+def oracle_contacts(points, center, orientation, theta, depth, width, height, tol=1e-12):
+    """First-touch jaw pair by a naive scan (python floats only): (i, j, y_i, y_j), or None.
+
+    A point is in the closing region when each grasp-frame coordinate lies within its half-extent
+    plus tol, faces included. The +Y jaw takes the largest y >= 0 and the -Y jaw the smallest y < 0;
+    on a tie the lower point index wins. None when either side of y = 0 is empty.
+    """
+    x, y, z, o = oracle_frame(center, orientation, theta)
+    half = (depth / 2.0, width / 2.0, height / 2.0)
+    pos = neg = None
+    for i, p in enumerate(points):
+        dp = (p[0] - o[0], p[1] - o[1], p[2] - o[2])
+        q = tuple(dp[0] * a[0] + dp[1] * a[1] + dp[2] * a[2] for a in (x, y, z))
+        if not all(-half[k] - tol <= q[k] <= half[k] + tol for k in range(3)):
+            continue
+        if q[1] >= 0.0:
+            if pos is None or q[1] > pos[1]:
+                pos = (i, q[1])
+        elif neg is None or q[1] < neg[1]:
+            neg = (i, q[1])
+    return None if pos is None or neg is None else (pos[0], neg[0], pos[1], neg[1])
+
+
 def oracle_point_confidence(cloud: PointCloud, centers, d_th: float) -> ConfidenceField:
     """The per-point loop: one norm and one sum over each point's centers within d_th, then tanh."""
     centers = np.asarray(centers, dtype=float)

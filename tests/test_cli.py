@@ -485,6 +485,21 @@ class TestConfidenceWarning:
         assert self.run(tmp_path, capsys, "0,0,0.045") == ""
 
 
+class TestFitWarning:
+    def test_non_converging_fit_warns_in_the_cli_form(self, tmp_path):
+        """A constant sample does not converge: one `warning:` line on stderr, no Python source location."""
+        data = tmp_path / "flat.csv"
+        data.write_text("x,y\n0,0.3\n0.5,0.3\n1,0.3\n")
+        src = str(Path(grasplab.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "grasplab.cli", "fit", str(data), "--mode", "sigmoid",
+                "-o", str(tmp_path / "c.txt")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: fit_sigmoid did not converge; returning best fit found\n"
+        assert ".py" not in proc.stderr
+        assert list(grasplab.dataio.read_config(tmp_path / "c.txt")) == ["a", "b"]
+
+
 class TestSettingTypes:
     @pytest.mark.parametrize("item,kind", [
         ("losscheck.trials=abc", "an integer"),

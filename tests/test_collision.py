@@ -4,6 +4,7 @@ import math
 import warnings
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from grasplab import (
     sample_candidates,
 )
 from grasplab import collision
-from grasplab.collision import _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _core_balls, _cull_spheres
+from grasplab.collision import _BALL_ROUND, _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _core_balls, _cull_spheres
 from grasplab.sampling import _theta_for_approach
 from conftest import grasp_to_world, oracle_collision, oracle_frame, tabletop_cloud, world_to_grasp
 
@@ -494,6 +495,58 @@ class TestCoreBallPrePass:
         inside = PointCloud(np.array([[0.0, 0.04 + 5e-10, 0.0]]))
         assert filter_collision_free([AXIS_Y], inside, thin) == []
         assert filter_collision_free([AXIS_Y], PointCloud(np.array([[0.0, 0.04 + 2e-9, 0.0]])), thin) == [AXIS_Y]
+
+
+# obstacle boxes with 24/24/40, 65/65/115, 15/15/24 and 4/4/10 core balls: full rounds, partial last rounds
+# and boxes with fewer balls than one round
+ROUND_GRIPPERS = [GRIPPER, GripperParams(0.06, 0.1, 0.02, 0.005), GripperParams(0.05, 0.07, 0.03, 0.012),
+                  GripperParams(0.04, 0.06, 0.03, 0.02)]
+
+
+def _round_scene(rng, n, colliding):
+    """n random grasps and a cloud around them: dense enough that most collide, or sparse enough that most
+    are free."""
+    span, n_points = (0.06, 300) if colliding else (0.15, 40)
+    return [_random_grasp(rng, span=span) for _ in range(n)], rng.uniform(-span, span, size=(n_points, 3))
+
+
+def _assert_oracle_verdicts(grasps, points, s):
+    """filter_collision_free over the batch and check_collision grasp by grasp, on clouds with no verdicts
+    yet, both give oracle_collision's verdicts; returns the number of colliding grasps."""
+    kept = {id(g) for g in filter_collision_free(grasps, PointCloud(points), s)}
+    checked = PointCloud(points)
+    dims = (s.depth, s.width, s.height, s.thickness)
+    hits = 0
+    for g in grasps:
+        expected = oracle_collision(points.tolist(), g.center, g.orientation, g.theta, *dims)
+        assert (id(g) not in kept) == expected
+        assert check_collision(checked, g, s) == expected
+        hits += expected
+    return hits
+
+
+class TestBallRounds:
+    """A grasp proved colliding by one round of core balls skips the later rounds: verdicts stay the oracle's."""
+
+    def test_grippers_cover_partial_rounds(self):
+        counts = [len(kernel.balls[0]) for s in ROUND_GRIPPERS for kernel in collision._kernels(s)[1]]
+        assert any(c % _BALL_ROUND for c in counts) and any(c < _BALL_ROUND for c in counts)
+        assert any(c > _BALL_ROUND and c % _BALL_ROUND == 0 for c in counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), colliding=st.booleans(),
+           s=st.sampled_from(ROUND_GRIPPERS), block=st.sampled_from([1, 3, 7, collision._BALL_BLOCK]))
+    def test_verdicts_match_the_oracle(self, seed, n, colliding, s, block):
+        # a small _BALL_BLOCK splits even a short batch into blocks, each with its own rounds
+        with mock.patch.object(collision, "_BALL_BLOCK", block):
+            _assert_oracle_verdicts(*_round_scene(np.random.default_rng(seed), n, colliding), s)
+
+    @pytest.mark.parametrize("colliding", [False, True], ids=["mostly-free", "mostly-colliding"])
+    def test_a_batch_across_ball_blocks_matches_the_oracle(self, colliding):
+        n = collision._BALL_BLOCK + 76
+        grasps, points = _round_scene(np.random.default_rng(7), n, colliding)
+        hits = _assert_oracle_verdicts(grasps, points, GRIPPER)
+        assert (hits > n / 2) == colliding and 0 < hits < n
 
 
 class TestVerdictTable:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasplab import (
     ContactPair,
@@ -12,7 +15,7 @@ from grasplab import (
     find_contacts,
     width_fit,
 )
-from conftest import grid_sphere_cloud, with_radial_normals
+from conftest import grid_sphere_cloud, oracle_contacts, with_radial_normals
 
 GRIPPER = GripperParams(0.06, 0.06, 0.04, 0.01)
 PINCH = Grasp((0, 0, 0), (0, 1, 0), 0.0)
@@ -51,6 +54,54 @@ class TestFindContacts:
         gripper = GripperParams(2.4, 2.4, 0.6, 0.2)
         pair = find_contacts(cloud, Grasp((0, 0, 0), (0, 1, 0), 0.0), gripper)
         assert np.linalg.norm(pair.ci + pair.cj) <= 1e-3 * radius
+
+
+GRID = 2.0 ** -8
+# half-extents of 6, 8 and 4 grid steps, so grid points land exactly on the closing region's faces
+GRID_GRIPPER = GripperParams(12 * GRID, 16 * GRID, 8 * GRID, 0.01)
+AXES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+class TestContactOracle:
+    """find_contacts picks the oracle's pair: faces included, the lowest index on a tie."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), grid=st.booleans())
+    def test_find_contacts_matches_the_oracle(self, seed, n, grid):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # an axis-aligned closing axis keeps grasp-frame y exact on the 2^-8 grid, so y ties are real
+            # ties; repeated rows tie in every coordinate
+            center = rng.integers(-4, 5, size=3) * GRID
+            base = rng.integers(-9, 10, size=(rng.integers(1, n + 1), 3)) * GRID + center
+            points = base[rng.integers(0, len(base), size=n)]
+            orientation = AXES[rng.integers(len(AXES))]
+            theta = float(rng.choice([0.0, math.pi / 2, -math.pi / 2, rng.uniform(-1.5, 1.5)]))
+        else:
+            center = rng.uniform(-0.1, 0.1, size=3)
+            points = center + rng.uniform(-9 * GRID, 9 * GRID, size=(n, 3))
+            orientation = rng.normal(size=3)
+            orientation /= np.linalg.norm(orientation)
+            theta = rng.uniform(-math.pi / 2, math.pi / 2)
+        normals = rng.normal(size=(n, 3))  # one per index, so the pair names the indices it took
+        cloud = PointCloud(points, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+        g = Grasp(center, orientation, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a closing axis along world Z warns
+            pair = find_contacts(cloud, g, GRID_GRIPPER)
+        s = GRID_GRIPPER
+        ref = oracle_contacts(cloud.points.tolist(), g.center, g.orientation, g.theta, s.depth, s.width, s.height)
+        assert (pair is None) == (ref is None)
+        if ref is None:
+            return
+        i, j, y_i, y_j = ref
+        for got, want in ((pair.ci, cloud.points[i]), (pair.cj, cloud.points[j]),
+                          (pair.ni, cloud.normals[i]), (pair.nj, cloud.normals[j])):
+            np.testing.assert_array_equal(got, want)
+        if grid:
+            assert (pair.y_i, pair.y_j) == (y_i, y_j)
+        else:
+            assert (pair.y_i, pair.y_j) == pytest.approx((y_i, y_j), abs=1e-12)
 
 
 class TestAntipodalScore:

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -11,6 +12,7 @@ from grasplab import (
     Grasp,
     GripperParams,
     PointCloud,
+    filter_collision_free,
     grasp_frame,
     grasp_frames,
     grasps_from_arrays,
@@ -133,6 +135,48 @@ class TestGraspFrame:
             g2 = Grasp(g.center, r2, g.theta)
             diff = np.abs(grasp_frame(g) - grasp_frame(g2)).max()
             assert diff <= 1e3 * np.linalg.norm(delta)
+
+
+class TestFrameCache:
+    """A grasp keeps its frame once built; its read-only pose keeps that frame valid."""
+
+    def test_cached_frame_is_the_batch_row_and_read_only(self, rng):
+        grasps = [_random_grasp(rng) for _ in range(50)]
+        rotations = grasp_frames(np.stack([g.orientation for g in grasps]), [g.theta for g in grasps])
+        for g, rotation in zip(grasps, rotations):
+            frame = grasp_frame(g)
+            assert frame.tobytes() == rotation.tobytes()
+            assert grasp_frame(g) is frame
+            with pytest.raises(ValueError):
+                frame[0, 0] = 1.0
+
+    def test_pose_arrays_are_read_only(self, rng):
+        table = grasps_from_arrays(rng.normal(size=(3, 3)), np.tile([0.0, 1.0, 0.0], (3, 1)), np.zeros(3))
+        for g in [Grasp((0.1, 0.2, 0.3), (0, 1, 0), 0.3), *table]:
+            for arr in (g.center, g.orientation):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+                with pytest.raises(ValueError):
+                    arr += 1.0
+
+    def test_with_score_keeps_the_pose_and_its_frame(self, rng):
+        g = _random_grasp(rng)
+        frame = grasp_frame(g)
+        h = g.with_score(0.75)
+        assert h.center is g.center and h.orientation is g.orientation and h.theta == g.theta
+        assert grasp_frame(h) is frame
+
+    def test_filter_stores_the_frame_of_a_fresh_copy(self, rng):
+        cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(200, 3)))
+        grasps = [Grasp(rng.uniform(-0.08, 0.08, size=3), g.orientation, g.theta)
+                  for g in (_random_grasp(rng) for _ in range(60))]
+        kept = filter_collision_free(grasps, cloud, GripperParams(0.06, 0.08, 0.04, 0.01))
+        assert 0 < len(kept) < len(grasps)
+        for g in kept:
+            assert g._frame is not None and not g._frame.flags.writeable
+            fresh = copy.copy(g)  # the same pose bits, without the stored frame
+            object.__setattr__(fresh, "_frame", None)
+            assert grasp_frame(fresh).tobytes() == g._frame.tobytes()
 
 
 class TestVerticalScore:
