@@ -66,11 +66,9 @@ from .policy import (
     pearson,
 )
 from .sampling import (
-    DarbouxFrame,
     EmptyRegionError,
     SamplerConfig,
     ball_query,
-    darboux_frame,
     estimate_normals,
     sample_candidates,
 )

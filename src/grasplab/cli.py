@@ -1,10 +1,13 @@
 """Command-line driver composing the library into end-to-end pipelines.
 
 Subcommands: normals, sample, collide, score, confidence, labels,
-losscheck, select, fit, eval. Every run is deterministic given --seed and
-its inputs; re-running writes byte-identical files.
+losscheck, select, fit, eval. Every run is deterministic given its inputs
+and, on the four subcommands that draw random numbers (normals, sample,
+labels, losscheck), --seed; re-running writes byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 failed check.
+Warnings leave through `main` alone, as one `warning: <message>` line per
+distinct message on stderr, with a count when it was raised more than once.
 
 Tunable constants live in a flat settings map. SETTINGS declares each one
 once: its default, its allowed range and the subcommand flag that also sets
@@ -20,6 +23,7 @@ import math
 import sys
 import time
 import warnings
+from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 from typing import NamedTuple
@@ -222,7 +226,7 @@ def _cmd_normals(args, settings) -> int:
     normals, valid = estimate_normals(cloud, k)
     n_bad = int(np.sum(~valid))
     if n_bad:
-        print(f"warning: {n_bad} point(s) with degenerate neighborhoods", file=sys.stderr)
+        warnings.warn(f"{n_bad} point(s) with degenerate neighborhoods", RuntimeWarning)
     dataio.write_point_cloud(args.output, cloud.with_normals(normals))
     return 0
 
@@ -263,10 +267,10 @@ def _cmd_confidence(args, settings) -> int:
     grasps = dataio.read_grasps(args.grasps)
     field = point_confidence(cloud, grasps, d_th)
     if not grasps:
-        print(f"warning: {args.grasps} contains no grasps; every confidence value is 0", file=sys.stderr)
+        warnings.warn(f"{args.grasps} contains no grasps; every confidence value is 0", RuntimeWarning)
     elif not field.values.any():
-        print(f"warning: every confidence value is 0; no grasp center lies within d_th={d_th:g} m of a point",
-              file=sys.stderr)
+        warnings.warn(f"every confidence value is 0; no grasp center lies within d_th={d_th:g} m of a point",
+                      RuntimeWarning)
     dataio.write_confidence(args.output, field)
     return 0
 
@@ -283,7 +287,7 @@ def _cmd_labels(args, settings) -> int:
         raise ValueError(f"{args.grasps} contains no grasps")
     k1 = settings["labels.k1"]
     if k1 > len(cloud):
-        print(f"warning: k1={k1} exceeds cloud size; using {len(cloud)}", file=sys.stderr)
+        warnings.warn(f"k1={k1} exceeds cloud size; using {len(cloud)}", RuntimeWarning)
         k1 = len(cloud)
     m, c_b, keep = settings["anchors.m"], settings["anchors.c_b"], settings["region.keep"]
     angle_pos = settings["anchors.angle_pos"]
@@ -303,39 +307,35 @@ def _cmd_labels(args, settings) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # one %-template per table: point index, then integer ('d') and real ('g') fields
-    anchor_row = dataio._row_template("dgggd" + "d" * (m + 1) + "g" * 8, ",")
-    refine_row = dataio._row_template("dd" + "g" * 8, ",")
-    region_row = dataio._row_template("dd" + "d" * keep, ",")
-    anchor_rows = ["point_index,px,py,pz,gt_index," + "".join(f"o{j}," for j in range(m))
-                   + "pos_anchor,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,theta,sq\n"]
-    refine_rows = ["point_index,y,res_cx,res_cy,res_cz,res_rx,res_ry,res_rz,res_theta,res_sq\n"]
-    region_rows = ["point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"]
-
-    nearest_anchor = []
-    for pi, gi in zip(positives.tolist(), nearest.tolist()):
+    # a label without a positive anchor, or a refine label that is not positive, keeps -1 and zero residuals
+    n = len(positives)
+    classes, nearest_anchor, positive_anchor, anchor_res = (np.empty((n, m), int), np.empty(n, int),
+                                                            np.full(n, -1), np.zeros((n, 8)))
+    regions, padded = np.empty((n, keep if args.regions else 0), int), np.empty(n, int)
+    for row, (pi, gi) in enumerate(zip(positives.tolist(), nearest.tolist())):
         p = cloud.points[pi]
         label = anchors_mod.assign_anchor_labels(scored[gi], anchor_dirs, angle_pos, angle_neg)
         label = anchors_mod.complete_label(label, scored[gi], anchor_dirs, p, c_b)
-        nearest_anchor.append(label.nearest)
-        block = label.residuals if label.residuals is not None else np.zeros(8)
-        pos_idx = -1 if label.positive_index is None else label.positive_index
-        anchor_rows.append(anchor_row % (pi, *p, gi, *label.classes, pos_idx, *block))
+        classes[row], nearest_anchor[row] = label.classes, label.nearest
+        if label.positive_index is not None:
+            positive_anchor[row], anchor_res[row] = label.positive_index, label.residuals
         if args.regions:
-            idx, padded = ball_query(cloud, p, radius=settings["region.radius"], keep=keep, seed=args.seed)
-            region_rows.append(region_row % (pi, padded, *idx))
+            regions[row], padded[row] = ball_query(cloud, p, radius=settings["region.radius"], keep=keep,
+                                                   seed=args.seed)
     # refine labels grade the anchor-reference poses (p, nearest anchor, 0), built as one table
-    proposals = grasps_from_arrays(cloud.points[positives], anchor_dirs.directions[nearest_anchor],
-                                   np.zeros(len(positives)))
-    for pi, gi, proposal in zip(positives.tolist(), nearest.tolist(), proposals):
+    proposals = grasps_from_arrays(cloud.points[positives], anchor_dirs.directions[nearest_anchor], np.zeros(n))
+    y, refine_res = np.empty(n, int), np.zeros((n, 8))
+    for row, (gi, proposal) in enumerate(zip(nearest.tolist(), proposals)):
         refine = anchors_mod.assign_refine_labels(scored[gi], proposal, **thresholds, c_b=c_b)
-        rblock = refine.residuals if refine.residuals is not None else np.zeros(8)
-        refine_rows.append(refine_row % (pi, refine.y, *rblock))
+        y[row] = refine.y
+        if refine.residuals is not None:
+            refine_res[row] = refine.residuals
 
-    (out_dir / "anchor_labels.csv").write_text("".join(anchor_rows))
-    (out_dir / "refine_labels.csv").write_text("".join(refine_rows))
+    dataio.write_anchor_labels(out_dir / "anchor_labels.csv", positives, cloud.points[positives], nearest,
+                               classes, positive_anchor, anchor_res)
+    dataio.write_refine_labels(out_dir / "refine_labels.csv", positives, y, refine_res)
     if args.regions:
-        (out_dir / "regions.csv").write_text("".join(region_rows))
+        dataio.write_regions(out_dir / "regions.csv", positives, padded, regions)
     return 0
 
 
@@ -372,7 +372,7 @@ def _cmd_select(args, settings) -> int:
             except ValueError as exc:
                 raise ValueError(f"{args.coeffs}: {exc}") from None
         idx = analytic_select(scored, policy)
-    print(dataio._rows_text(dataio._grasp_array([scored[idx]]), ","), end="")
+    print(dataio.format_grasp(scored[idx]), end="")
     return 0
 
 
@@ -381,14 +381,9 @@ def _cmd_fit(args, settings) -> int:
     if args.mode == "linear":
         fit = fit_linear(xs, ys)
     else:
-        with warnings.catch_warnings(record=True) as caught:  # reported as `warning: ...`, not Python's form
-            warnings.simplefilter("always")
-            fit = fit_sigmoid(xs, ys, init=SigmoidFit(a=args.init_a, b=args.init_b))
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-    text = "".join(f"{key} = {value:.9g}\n" for key, value in vars(fit).items())
-    Path(args.output).write_text(text)
-    print(text, end="")
+        fit = fit_sigmoid(xs, ys, init=SigmoidFit(a=args.init_a, b=args.init_b))
+    dataio.write_config(args.output, vars(fit))
+    print(dataio.format_config(vars(fit)), end="")
     return 0
 
 
@@ -407,7 +402,7 @@ def _cmd_eval(args, settings) -> int:
     print(dataio.format_report(report), end="")
     print(f"elapsed_s = {elapsed:.3f}", file=sys.stderr)
     if args.output:
-        Path(args.output).write_text(dataio.report_csv(report))
+        dataio.write_report(args.output, report)
     return 0
 
 
@@ -426,9 +421,11 @@ def _setting_flags(p: argparse.ArgumentParser, *prefixes: str) -> None:
 @functools.cache  # one parser per process: main is also called in-process, once per step
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=Setting(0, 0).parse, default=0, help="seed for all randomized steps")
     common.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a default setting")
     common.add_argument("--config", help="key=value settings file")
+
+    seed_opts = argparse.ArgumentParser(add_help=False)  # only the subcommands that draw random numbers
+    seed_opts.add_argument("--seed", type=Setting(0, 0).parse, default=0, help="seed of the random draws")
 
     gripper_opts = argparse.ArgumentParser(add_help=False)
     gripper_opts.add_argument("--gripper", required=True, type=_parse_gripper, metavar="D,W,H,T")
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="grasplab", description=__doc__.partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normals", parents=[common], help="estimate and attach surface normals")
+    p = sub.add_parser("normals", parents=[common, seed_opts], help="estimate and attach surface normals")
     p.add_argument("cloud")
     p.add_argument("--subsample", type=Setting(1, 1).parse,  # a count of at least 1, as the settings
                    help="randomly keep this many input points (seeded)")
@@ -444,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_normals)
 
-    p = sub.add_parser("sample", parents=[common, gripper_opts], help="generate grasp candidates")
+    p = sub.add_parser("sample", parents=[common, seed_opts, gripper_opts], help="generate grasp candidates")
     p.add_argument("cloud")
     _setting_flags(p, "sampler.")
     p.add_argument("-o", "--output", required=True)
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_confidence)
 
-    p = sub.add_parser("labels", parents=[common], help="anchor and refine label files")
+    p = sub.add_parser("labels", parents=[common, seed_opts], help="anchor and refine label files")
     p.add_argument("grasps")
     p.add_argument("--cloud", required=True, help="point cloud the confidence field aligns with")
     p.add_argument("--confidence", required=True, help="confidence field file")
@@ -480,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_labels)
 
-    p = sub.add_parser("losscheck", parents=[common], help="finite-difference gradient checks")
+    p = sub.add_parser("losscheck", parents=[common, seed_opts], help="finite-difference gradient checks")
     p.add_argument("--h", type=Setting(1e-6, 0, open_low=True).parse, default=1e-6,
                    help="central-difference step")
     _setting_flags(p, "losscheck.")
@@ -518,17 +515,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        settings = _settings(args)
-        _check_order(args.command, settings)  # before any input is read
-        return args.func(args, settings)
-    except (ValueError, OSError) as exc:
-        print(f"grasplab: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a count that fits int64 can still ask for more memory than there is
-        detail = f" ({exc})" if str(exc) else ""
-        print(f"grasplab: error: {args.command}: out of memory{detail}", file=sys.stderr)
-        return 2
+    error = None
+    # every RuntimeWarning is recorded and counted; other categories keep their filters (an 'error' one raises)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            settings = _settings(args)
+            _check_order(args.command, settings)  # before any input is read
+            code = args.func(args, settings)
+        except (ValueError, OSError) as exc:
+            code, error = 2, str(exc)
+        except MemoryError as exc:  # a count that fits int64 can still ask for more memory than there is
+            code, error = 2, f"{args.command}: out of memory" + (f" ({exc})" if str(exc) else "")
+    for message, count in Counter(str(w.message) for w in caught).items():
+        print(f"warning: {message}" + (f" ({count} times)" if count > 1 else ""), file=sys.stderr)
+    if error is not None:
+        print(f"grasplab: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -239,8 +239,7 @@ def ground_reference(r: np.ndarray, warn: bool = False) -> np.ndarray:
     flat = (np.abs(r[..., 0]) < 1e-9) & (np.abs(r[..., 1]) < 1e-9)
     if np.any(flat):
         if warn:
-            warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning,
-                          stacklevel=3)
+            warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning)
         x_ref[flat] = (1.0, 0.0, 0.0)
     return x_ref / np.sqrt(np.vecdot(x_ref, x_ref))[..., None]
 

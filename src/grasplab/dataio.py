@@ -18,6 +18,7 @@ Formats:
   * confidence fields: '# d_th=<v> width=<v> n=<N>' then one value per line
   * config: 'key = value' lines with '#' comments and dotted key names
   * fit samples: CSV with the exact header x,y
+  * written only: label tables (CSV, a row per positive point) and reports
 """
 
 from __future__ import annotations
@@ -52,8 +53,15 @@ __all__ = [
     "ConfigText",
     "read_config",
     "read_xy",
+    "format_grasp",
+    "format_config",
+    "write_config",
+    "write_anchor_labels",
+    "write_refine_labels",
+    "write_regions",
     "format_report",
     "report_csv",
+    "write_report",
 ]
 
 
@@ -79,18 +87,21 @@ def _row_template(kinds: str, sep: str = " ") -> str:
     return sep.join(_REAL if kind == "g" else "%d" for kind in kinds) + "\n"
 
 
-def _rows_text(data: np.ndarray, sep: str = " ") -> str:
-    """Rows of reals in `_fmt`'s format, joined by `sep`, one newline-terminated line each."""
-    return (_row_template("g" * data.shape[1], sep) * len(data)) % tuple(data.ravel().tolist())
+def _rows_text(data: np.ndarray, sep: str = " ", kinds: str | None = None) -> str:
+    """Rows of `data`, joined by `sep`, one newline-terminated line each, in `_row_template(kinds)`'s format;
+    every field is a real when kinds is None."""
+    return (_row_template(kinds or "g" * data.shape[1], sep) * len(data)) % tuple(data.ravel().tolist())
 
 
 def _write_rows(path, header: str, cols: list[np.ndarray], sep: str = " ") -> None:
-    """Write `header`, then the rows of the arrays `cols` side by side in `_rows_text`'s format,
-    `_ROW_BLOCK` rows at a time: the bytes `Path.write_text` gives for the whole text."""
+    """Write `header`, then the rows of the arrays `cols` (a 1-d array is one column) side by side in
+    `_rows_text`'s format, `_ROW_BLOCK` rows at a time: the bytes `Path.write_text` gives for the whole text.
+    An integer or bool array's fields are integers (a float64 must carry them exactly), any other's reals."""
+    kinds = "".join(("d" if c.dtype.kind in "biu" else "g") * (c.shape[1] if c.ndim == 2 else 1) for c in cols)
     with Path(path).open("w") as f:
         f.write(header)
         for lo in range(0, len(cols[0]), _ROW_BLOCK):
-            f.write(_rows_text(np.hstack([c[lo:lo + _ROW_BLOCK] for c in cols]), sep))
+            f.write(_rows_text(np.column_stack([c[lo:lo + _ROW_BLOCK] for c in cols]), sep, kinds))
 
 
 def _read_lines(path) -> list[str]:
@@ -300,6 +311,11 @@ def write_grasps(path, grasps: list[Grasp]) -> None:
     _write_rows(path, f"{GRASP_HEADER}\n", [_grasp_array(grasps)], ",")
 
 
+def format_grasp(grasp: Grasp) -> str:
+    """One grasp as its grasp-list row, newline-terminated."""
+    return _rows_text(_grasp_array([grasp]), ",")
+
+
 def read_grasps(path) -> list[Grasp]:
     path = Path(path)
     lines = _read_lines(path)
@@ -365,6 +381,20 @@ class ConfigText(str):
         return out
 
 
+def _text(value) -> str:
+    """A value's text: an int as an integer, a real in `_fmt`'s format."""
+    return "%d" % value if isinstance(value, int) else _fmt(value)
+
+
+def format_config(values: dict) -> str:
+    """'key = value' lines, one per item, that `read_config` reads back."""
+    return "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
+
+
+def write_config(path, values: dict) -> None:
+    Path(path).write_text(format_config(values))
+
+
 def read_config(path) -> dict[str, ConfigText]:
     """Flat 'key = value' map of text, with '#' comments; keys may be dotted. Duplicate keys are an
     error; unknown keys, and parsing the values, are the consumer's problem. Each value carries its
@@ -402,17 +432,43 @@ def read_xy(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Label tables: one row per positive point, led by its cloud index
+# ---------------------------------------------------------------------------
+
+_RESIDUALS = "res_cx,res_cy,res_cz,res_rx,res_ry,res_rz"
+
+
+def write_anchor_labels(path, point_index, points, gt_index, classes, positive_anchor, residuals) -> None:
+    """Per point: its coordinates (n, 3), nearest ground-truth index, the class of each of the M anchors
+    (n, M), the positive anchor (-1 for none) and the residual block (n, 8)."""
+    anchors = "".join(f"o{j}," for j in range(classes.shape[1]))
+    _write_rows(path, f"point_index,px,py,pz,gt_index,{anchors}pos_anchor,{_RESIDUALS},theta,sq\n",
+                [point_index, points, gt_index, classes, positive_anchor, residuals], ",")
+
+
+def write_refine_labels(path, point_index, y, residuals) -> None:
+    """Per point: the refinement class y and the residual block (n, 8)."""
+    _write_rows(path, f"point_index,y,{_RESIDUALS},res_theta,res_sq\n", [point_index, y, residuals], ",")
+
+
+def write_regions(path, point_index, padded, indices) -> None:
+    """Per point: whether its region was padded, and the region's cloud indices (n, keep)."""
+    header = "point_index,padded" + "".join(f",i{j}" for j in range(indices.shape[1])) + "\n"
+    _write_rows(path, header, [point_index, padded, indices], ",")
+
+
+# ---------------------------------------------------------------------------
 # Evaluation reports
 # ---------------------------------------------------------------------------
 
-def _report_fields(report: EvalReport) -> dict[str, str]:
-    """Each report field's text: reals in `_fmt`'s format, the count as an integer."""
-    return {key: "%d" % value if isinstance(value, int) else _fmt(value) for key, value in vars(report).items()}
-
-
 def format_report(report: EvalReport) -> str:
-    return "".join(f"{key} = {text}\n" for key, text in _report_fields(report).items())
+    return format_config(vars(report))
 
 
 def report_csv(report: EvalReport) -> str:
-    return f"{REPORT_HEADER}\n{','.join(_report_fields(report).values())}\n"
+    return f"{REPORT_HEADER}\n{','.join(map(_text, vars(report).values()))}\n"
+
+
+def write_report(path, report: EvalReport) -> None:
+    """The report as `report_csv`'s header and row."""
+    Path(path).write_text(report_csv(report))

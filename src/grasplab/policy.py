@@ -107,9 +107,24 @@ def fit_linear(xs, ys) -> LinearFit:
     return LinearFit(slope=slope, intercept=ym - slope * xm)
 
 
+def _limit_rss(x: np.ndarray, y: np.ndarray) -> float:
+    """The least residual sum of squares at the sigmoid family's limits: a constant in [0, 1] (a -> 0), or a
+    rising or falling 0 -> 1 step (|a| -> inf) whose samples at the threshold x share one free value."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    first = np.r_[True, x[1:] != x[:-1]]  # each distinct x's first sample
+    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+    mean = np.clip(np.add.reduceat(y, starts) / np.diff(np.r_[starts, y.size]), 0.0, 1.0)
+    free, zero, one = (np.add.reduceat(v, starts) for v in ((y - mean[group]) ** 2, y * y, (1.0 - y) ** 2))
+    rising = np.cumsum(zero) - zero + one.sum() - np.cumsum(one)  # 0 below the threshold, 1 above it
+    falling = np.cumsum(one) - one + zero.sum() - np.cumsum(zero)
+    return min(np.sum((y - np.clip(y.mean(), 0.0, 1.0)) ** 2), np.min(free + np.minimum(rising, falling)))
+
+
 def fit_sigmoid(xs, ys, init: SigmoidFit = SigmoidFit(a=1.0, b=0.5)) -> SigmoidFit:
     """Least-squares unit-height sigmoid by MINPACK's Levenberg-Marquardt from init, run to machine precision
-    (ftol = xtol = gtol = 4 eps); a run that stops short emits a RuntimeWarning and returns its best fit."""
+    (ftol = xtol = gtol = 4 eps). A run that stops short emits a RuntimeWarning and returns its best fit; so
+    does a converged run that a constant or a step (`_limit_rss`) fits as well, whose optimum is at infinity."""
     # imported here: scipy.optimize would add about 0.09 s to every `import grasplab.cli`
     from scipy.optimize import least_squares
     x = np.asarray(xs, dtype=float).reshape(-1)
@@ -128,6 +143,9 @@ def fit_sigmoid(xs, ys, init: SigmoidFit = SigmoidFit(a=1.0, b=0.5)) -> SigmoidF
                            ftol=tol, xtol=tol, gtol=tol, x_scale="jac")
     if not result.success:
         warnings.warn("fit_sigmoid did not converge; returning best fit found", RuntimeWarning)
+    elif float(result.fun @ result.fun) >= _limit_rss(x, y):
+        warnings.warn("fit_sigmoid: a constant or a step fits the sample as well; the optimum lies at infinity "
+                      "and the coefficients are arbitrary", RuntimeWarning)
     return SigmoidFit(*map(float, result.x))
 
 

@@ -6,7 +6,7 @@ oriented toward a viewpoint (default: a camera far above the scene on
 +Z). The Darboux frame at a point pairs that normal with the two principal
 directions of the neighborhood restricted to the tangent plane.
 Candidate generation takes the frames of all its seed points as arrays
-from one KD-tree query; only darboux_frame builds a DarbouxFrame.
+from one KD-tree query.
 
 Candidate grasps are seeded at random surface points: the approach axis
 points along -normal into the surface, the closing axis starts along the
@@ -29,10 +29,8 @@ _NORMALS_BLOCK = 4096  # rows per PCA call in estimate_normals; bounds its (rows
 
 __all__ = [
     "EmptyRegionError",
-    "DarbouxFrame",
     "SamplerConfig",
     "estimate_normals",
-    "darboux_frame",
     "sample_candidates",
     "ball_query",
     "resize_indices",
@@ -41,16 +39,6 @@ __all__ = [
 
 class EmptyRegionError(ValueError):
     """A spatial query found no points where at least one was required."""
-
-
-@dataclass(frozen=True, eq=False)
-class DarbouxFrame:
-    """Surface frame at a point: normal plus principal curvature directions."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    major: np.ndarray
-    minor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,28 +134,6 @@ def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.
     minor = minor - np.vecdot(minor, normals)[:, None] * normals - np.vecdot(minor, major)[:, None] * major
     minor /= np.sqrt(np.vecdot(minor, minor))[:, None]
     return cloud.points[index], normals, major, minor
-
-
-def darboux_frame(
-    cloud: PointCloud,
-    index: int,
-    k: int,
-    viewpoint: np.ndarray = DEFAULT_VIEWPOINT,
-) -> DarbouxFrame:
-    """Darboux frame at cloud point `index` from its k-NN covariance.
-
-    major/minor are the tangent-plane principal directions ordered by
-    eigenvalue (major = larger spread), Gram-Schmidt orthonormalized
-    against the normal.
-    """
-    if k < 4:
-        raise ValueError("k must be >= 4")
-    n = len(cloud)
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} out of range for {n} points")
-    if n < k:
-        raise ValueError(f"cloud has {n} points, need at least k={k}")
-    return DarbouxFrame(*(a[0] for a in _darboux_frames(cloud, np.array([index]), k, viewpoint)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +499,72 @@ class TestFitWarning:
         assert proc.stderr == "warning: fit_sigmoid did not converge; returning best fit found\n"
         assert ".py" not in proc.stderr
         assert list(grasplab.dataio.read_config(tmp_path / "c.txt")) == ["a", "b"]
+
+
+class TestWarningChannel:
+    """Every warning leaves through `main`: one `warning: <message>` line per distinct message, before any error."""
+
+    PARALLEL_TO_Z = "warning: grasp orientation is parallel to world Z; using X' = (1, 0, 0)"
+
+    @staticmethod
+    def inputs(tmp_path, rows=("1,1,1,0,0,1,0,0",)):
+        """A five-point cloud with normals, and grasps whose closing axis is parallel to world Z."""
+        points = [(0, 0, 0), (0.01, 0, 0), (0, 0.01, 0), (0.01, 0.01, 0), (0, 0, 0.01)]
+        (tmp_path / "c.xyz").write_text("".join(f"{x} {y} {z} 0 0 1\n" for x, y, z in points))
+        (tmp_path / "g.csv").write_text("cx,cy,cz,rx,ry,rz,theta,sq\n" + "".join(f"{row}\n" for row in rows))
+        return str(tmp_path / "c.xyz"), str(tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("command", ["collide", "score", "eval"])
+    def test_a_grasp_parallel_to_z_prints_one_line_and_no_source(self, tmp_path, command):
+        cloud, grasps = self.inputs(tmp_path)
+        args = [grasps, cloud, grasps] if command == "eval" else [cloud, grasps, "-o", str(tmp_path / "o.csv")]
+        src = str(Path(grasplab.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "grasplab.cli", command, *args, "--gripper", GRIPPER],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        warned = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
+        assert warned == [self.PARALLEL_TO_Z]
+        assert ".py" not in proc.stderr
+
+    def test_a_repeated_message_prints_once_with_its_count(self, tmp_path, capsys):
+        cloud, grasps = self.inputs(tmp_path, ["1,1,1,0,0,1,0,0", "1,1,1,0,0,-1,0.5,0"])
+        assert main(["score", cloud, grasps, "--gripper", GRIPPER, "-o", str(tmp_path / "o.csv")]) == 0
+        assert capsys.readouterr().err == f"{self.PARALLEL_TO_Z} (2 times)\n"
+
+    def test_warnings_come_before_the_error(self, tmp_path, capsys):
+        cloud, grasps = self.inputs(tmp_path, [])
+        out = tmp_path / "missing" / "c.txt"
+        assert main(["confidence", cloud, grasps, "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"warning: {grasps} contains no grasps; every confidence value is 0"
+        assert len(err) == 2 and err[1].startswith("grasplab: error:") and str(out) in err[1]
+
+    def test_a_deprecation_inside_main_still_fails_under_pytest(self, tmp_path, monkeypatch):
+        """main counts only RuntimeWarnings: pytest's `error::DeprecationWarning` filter still raises."""
+        def deprecated(grasps):
+            warnings.warn("heuristic_select is deprecated", DeprecationWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "heuristic_select", deprecated)
+        _, grasps = self.inputs(tmp_path)
+        with pytest.raises(DeprecationWarning, match="heuristic_select is deprecated"):
+            main(["select", grasps, "--policy", "heuristic"])
+
+
+class TestSeedOnlyWhereItSeeds:
+    """Only normals, sample, labels and losscheck draw random numbers (the option table in test_lexical.py)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["collide", "c.ply", "g.csv", "--gripper", GRIPPER, "-o", "o.csv"],
+        ["score", "c.ply", "g.csv", "--gripper", GRIPPER, "-o", "o.csv"],
+        ["confidence", "c.ply", "g.csv", "-o", "c.txt"],
+        ["select", "g.csv"],
+        ["fit", "d.csv", "--mode", "linear", "-o", "o.txt"],
+        ["eval", "g.csv", "c.ply", "gt.csv", "--gripper", GRIPPER],
+    ], ids=lambda argv: argv[0])
+    def test_seed_elsewhere_is_a_usage_error_naming_it(self, capsys, argv):
+        assert main(argv + ["--seed", "7"]) == 1
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 class TestSettingTypes:

@@ -16,6 +16,8 @@ from grasplab.dataio import (
     _fmt,
     _row_template,
     _rows_text,
+    format_config,
+    format_grasp,
     format_report,
     read_config,
     read_confidence,
@@ -23,9 +25,14 @@ from grasplab.dataio import (
     read_point_cloud,
     read_xy,
     report_csv,
+    write_anchor_labels,
+    write_config,
     write_confidence,
     write_grasps,
     write_point_cloud,
+    write_refine_labels,
+    write_regions,
+    write_report,
 )
 from conftest import oracle_float_rows, oracle_grasp
 
@@ -626,6 +633,38 @@ class TestBlockedWriters:
         want.write_text(f"{GRASP_HEADER}\n" + _rows_text(np.array(rows, float).reshape(n, 8), ","))
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_label_tables_equal_the_per_row_text(self, tmp_path, n):
+        """Each label table row, written field by field: integers as such, reals in the 9-digit format."""
+        rng = np.random.default_rng(n)
+        m, keep = 1 + n % 5, 1 + n % 7
+        index, gt, y = rng.integers(0, 10**6, n), rng.integers(0, 50, n), rng.integers(-1, 2, n)
+        points, residuals = rng.normal(size=(n, 3)), rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-9, 9, (n, 8))
+        classes, positive = rng.integers(-1, 2, (n, m)).astype(np.int8), rng.integers(-1, m, n)
+        padded, regions = rng.integers(0, 2, n).astype(bool), rng.integers(0, 10**6, (n, keep))
+
+        def rows(*fields):
+            return "".join(",".join(field[i] for field in fields) + "\n" for i in range(n))
+
+        def ints(a):
+            return [",".join(str(int(v)) for v in np.atleast_1d(row)) for row in a]
+
+        def reals(a):
+            return [",".join(f"{v:.9g}" for v in np.atleast_1d(row)) for row in a]
+
+        res = "res_cx,res_cy,res_cz,res_rx,res_ry,res_rz"
+        write_anchor_labels(tmp_path / "a.csv", index, points, gt, classes, positive, residuals)
+        assert (tmp_path / "a.csv").read_text() == (
+            "point_index,px,py,pz,gt_index," + "".join(f"o{j}," for j in range(m)) + f"pos_anchor,{res},theta,sq\n"
+            + rows(ints(index), reals(points), ints(gt), ints(classes), ints(positive), reals(residuals)))
+        write_refine_labels(tmp_path / "r.csv", index, y, residuals)
+        assert (tmp_path / "r.csv").read_text() == (
+            f"point_index,y,{res},res_theta,res_sq\n" + rows(ints(index), ints(y), reals(residuals)))
+        write_regions(tmp_path / "g.csv", index, padded, regions)
+        assert (tmp_path / "g.csv").read_text() == (
+            "point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"
+            + rows(ints(index), ints(padded), ints(regions)))
+
     def test_cloud_writer_peak_memory_does_not_grow_with_the_cloud(self, tmp_path):
         cloud = _cloud(50_000, normals=True, colors=False)
         tracemalloc.start()
@@ -668,7 +707,26 @@ class TestConfigIO:
             read_config(path)
 
 
+class TestKeyValueText:
+    def test_ints_and_reals(self, tmp_path):
+        values = {"a": 10.0, "b": np.float64(1 / 3), "c": -0.0, "n": 3}
+        assert format_config(values) == "a = 10\nb = 0.333333333\nc = -0\nn = 3\n"
+        write_config(tmp_path / "c.txt", values)
+        assert (tmp_path / "c.txt").read_text() == format_config(values)
+        assert read_config(tmp_path / "c.txt") == {"a": "10", "b": "0.333333333", "c": "-0", "n": "3"}
+
+    def test_a_grasp_row_is_its_grasp_list_row(self, tmp_path):
+        grasp = Grasp((0.1, -2e-9, 3.0), (0.0, 0.6, 0.8), 0.25, 1 / 3)
+        write_grasps(tmp_path / "g.csv", [grasp])
+        assert format_grasp(grasp) == (tmp_path / "g.csv").read_text().split("\n", 1)[1]
+
+
 class TestReportFormats:
+    def test_write_report_writes_the_csv(self, tmp_path):
+        report = EvalReport(cfr=0.75, as_mean=1 / 3, as_with_collision=0.25, tcr=0.5, n_selected=3)
+        write_report(tmp_path / "r.csv", report)
+        assert (tmp_path / "r.csv").read_text() == report_csv(report)
+
     def test_key_value_and_csv(self):
         report = EvalReport(cfr=0.75, as_mean=0.5, as_with_collision=0.25, tcr=0.5, n_selected=3)
         text = format_report(report)

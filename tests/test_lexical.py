@@ -204,17 +204,17 @@ HUGE = st.one_of(st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1)).map
 GRIPPERS = st.sampled_from([GRIPPER] * 4 + ["0.06,0.1,0.02", "0.06,0.1,nan,0.005", "\u0660.06,0.1,0.02,0.005",
                                            "0.06,0.1,0.02,0.005\x0b", "0.06,0.1,0.02,-0.005"])
 VALUE = st.one_of(st.sampled_from(TOKENS), st.integers(-3, 50).map(str), HUGE)
-COMMON = ["--seed", "--set", "--config"]
+COMMON = ["--set", "--config"]
 COMMANDS = {  # the subcommand's arguments ('@' a slot), and its other options
-    "normals": (["@cloud", "-o", "@out"], ["--subsample", "-k"]),
+    "normals": (["@cloud", "-o", "@out"], ["--seed", "--subsample", "-k"]),
     "sample": (["@cloud", "--gripper", "@gripper", "-o", "@out"],
-               ["--centers", "--orientations", "--angles", "--angle-range", "--knn"]),
+               ["--seed", "--centers", "--orientations", "--angles", "--angle-range", "--knn"]),
     "collide": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], []),
     "score": (["@cloud", "@grasps", "--gripper", "@gripper", "-o", "@out"], []),
     "confidence": (["@cloud", "@grasps", "-o", "@out"], ["--dth"]),
     "labels": (["@grasps", "--cloud", "@cloud", "--confidence", "@conf", "-o", "@out"],
-               ["--k1", "--anchors", "--regions"]),
-    "losscheck": (["--trials", "@trials"], ["--h", "--trials"]),
+               ["--seed", "--k1", "--anchors", "--regions"]),
+    "losscheck": (["--trials", "@trials"], ["--seed", "--h", "--trials"]),
     "select": (["@grasps"], ["--policy", "--coeffs"]),
     "fit": (["@xy", "--mode", "@mode", "-o", "@out"], ["--init-a", "--init-b"]),
     "eval": (["@grasps", "@cloud", "@grasps", "--gripper", "@gripper"], ["--pool", "--top", "-o"]),

@@ -19,7 +19,7 @@ from grasplab import (
     vertical_score,
 )
 from grasplab.cli import main
-from grasplab.policy import policy_from_mapping
+from grasplab.policy import _limit_rss, policy_from_mapping
 
 
 def _sg(s_q, theta):
@@ -186,7 +186,9 @@ class TestFitIsTheLeastSquaresOptimum:
         rng = np.random.default_rng(18)
         for case in range(60):
             x, y = self._noisy_sample(rng, bernoulli=case % 2 == 0)
-            fit = fit_sigmoid(x, y)
+            with warnings.catch_warnings():  # a finite optimum lies below the family's limits: no warning
+                warnings.simplefilter("error")
+                fit = fit_sigmoid(x, y)
             s = fit(x)
             ds = s * (1.0 - s)
             jac = np.column_stack([-ds * (x - fit.b), ds * fit.a])  # d (y - s) / d (a, b)
@@ -203,25 +205,50 @@ class TestFitIsTheLeastSquaresOptimum:
         x = np.linspace(0.0, 1.0, n)
         data = tmp_path / "reach.csv"
         data.write_text("x,y\n" + "".join(f"{u:.9g},{v:.9g}\n" for u, v in zip(x, SigmoidFit(a, b)(x))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", str(data), "--mode", "sigmoid", "-o", str(tmp_path / "c.txt"), *init]) == 0
-        assert (tmp_path / "c.txt").read_text() == capsys.readouterr().out == text
+        # main records every RuntimeWarning itself and prints it as a `warning:` line: none is printed
+        assert main(["fit", str(data), "--mode", "sigmoid", "-o", str(tmp_path / "c.txt"), *init]) == 0
+        out, err = capsys.readouterr()
+        assert (tmp_path / "c.txt").read_text() == out == text
+        assert err == ""
 
 
 class TestFitSigmoidDegenerateSamples:
     X = np.linspace(0.0, 1.0, 20)
+    STOPPED = "fit_sigmoid did not converge; returning best fit found"
+    AT_A_LIMIT = ("fit_sigmoid: a constant or a step fits the sample as well; the optimum lies at infinity and the "
+                  "coefficients are arbitrary")
 
     def test_constant_sample_warns(self):
         with pytest.warns(RuntimeWarning, match="did not converge"):
             fit = fit_sigmoid(self.X, np.full(20, 0.3))
         assert math.isfinite(fit.a) and math.isfinite(fit.b)
 
-    @pytest.mark.parametrize("y", [np.zeros(20), (X > 0.5).astype(float)], ids=["all-zero", "step"])
-    @pytest.mark.filterwarnings("ignore:fit_sigmoid did not converge:RuntimeWarning")
-    def test_fit_is_finite(self, y):
-        fit = fit_sigmoid(self.X, y)
+    @pytest.mark.parametrize("y,message", [
+        (np.zeros(20), STOPPED),  # the run stops short, so the limits are not compared: one warning per fit
+        ((X > 0.5).astype(float), AT_A_LIMIT),
+        (np.ones(20), AT_A_LIMIT),  # MINPACK converges on a residual of 0, which the constant 1 also reaches
+        ((X < 0.5).astype(float), AT_A_LIMIT),
+    ], ids=["all-zero", "step", "all-one", "falling-step"])
+    def test_fit_is_finite(self, y, message):
+        """An optimum at infinity still gives finite coefficients, and exactly one warning says why."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_sigmoid(self.X, y)
         assert math.isfinite(fit.a) and math.isfinite(fit.b)
+        assert [str(w.message) for w in caught] == [message]
+
+    def test_the_limits_are_the_best_constant_and_step(self):
+        """`_limit_rss` against a scan of every constant-or-step on a grid, samples on repeated x included."""
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            x = rng.integers(0, 5, int(rng.integers(3, 12))).astype(float)
+            y = rng.choice([0.0, 0.25, 0.5, 1.0], x.size)
+            best = np.sum((y - np.clip(y.mean(), 0.0, 1.0)) ** 2)
+            for u in np.unique(x):  # the threshold's samples take their mean, the best common value
+                v = y[x == u].mean()
+                for below, above in ((0.0, 1.0), (1.0, 0.0)):
+                    best = min(best, np.sum((y - np.where(x < u, below, np.where(x > u, above, v))) ** 2))
+            assert _limit_rss(x, y) == pytest.approx(best, abs=1e-12), (x, y)
 
 
 class TestPearson:

@@ -11,7 +11,6 @@ from grasplab import (
     PointCloud,
     SamplerConfig,
     ball_query,
-    darboux_frame,
     estimate_normals,
     grasp_frame,
     sample_candidates,
@@ -93,11 +92,16 @@ class TestBlockedNormals:
         assert peak < 12e6
 
 
+def darboux_frames(cloud, index, k):
+    """(points, normals, majors, minors) at the cloud points `index`, seen from the default viewpoint."""
+    return sampling._darboux_frames(cloud, np.atleast_1d(index), k, sampling.DEFAULT_VIEWPOINT)
+
+
 class TestDarbouxFrame:
     def test_plane_frame(self):
-        frame = darboux_frame(plane_cloud(), index=0, k=8)
-        np.testing.assert_allclose(frame.normal, [0, 0, 1], atol=1e-9)
-        assert abs(frame.major[2]) < 1e-9 and abs(frame.minor[2]) < 1e-9
+        _, normal, major, minor = (a[0] for a in darboux_frames(plane_cloud(), 0, k=8))
+        np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-9)
+        assert abs(major[2]) < 1e-9 and abs(minor[2]) < 1e-9
 
     def test_cylinder_major_follows_axis(self):
         # cylinder wall along Z: circumferential offsets foreshorten onto the
@@ -110,19 +114,18 @@ class TestDarbouxFrame:
             [[radius * math.cos(a), radius * math.sin(a), z] for z in zs for a in angles]
         )
         cloud = PointCloud(pts)
-        for index in (len(cloud) // 2, len(cloud) // 3):
-            frame = darboux_frame(cloud, index=index, k=300)
-            assert abs(frame.major @ np.array([0, 0, 1.0])) > math.cos(math.radians(10))
+        _, _, majors, _ = darboux_frames(cloud, [len(cloud) // 2, len(cloud) // 3], k=300)
+        assert np.all(np.abs(majors[:, 2]) > math.cos(math.radians(10)))
 
     def test_orthonormal_triplet(self):
-        frame = darboux_frame(random_sphere_cloud(1.0, 500, seed=7), index=3, k=12)
-        M = np.stack([frame.normal, frame.major, frame.minor])
-        np.testing.assert_allclose(M @ M.T, np.eye(3), atol=1e-6)
+        _, normals, majors, minors = darboux_frames(random_sphere_cloud(1.0, 500, seed=7), np.arange(0, 500, 9), 12)
+        M = np.stack([normals, majors, minors], axis=1)
+        np.testing.assert_allclose(M @ M.transpose(0, 2, 1), np.broadcast_to(np.eye(3), M.shape), atol=1e-6)
 
     def test_degenerate_neighborhood_raises(self):
         cloud = PointCloud(np.column_stack([np.arange(6.0), np.zeros(6), np.zeros(6)]))
-        with pytest.raises(ValueError):
-            darboux_frame(cloud, index=0, k=4)
+        with pytest.raises(ValueError, match=r"^degenerate neighborhood at point 0 \(rank < 2\)$"):
+            darboux_frames(cloud, 0, k=4)
 
 
 class TestDarbouxAgainstPerPointOracle:
@@ -146,10 +149,9 @@ class TestDarbouxAgainstPerPointOracle:
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_darboux_frame_is_bitwise_the_oracle(self, name):
         cloud = self.CLOUDS[name]()
-        for index in range(0, len(cloud), 7):
-            f = darboux_frame(cloud, index, k=12)
-            got = self._bytes([(f.point, f.normal, f.major, f.minor)])
-            assert got == self._bytes([oracle_darboux(cloud, index, 12)]), index
+        index = np.arange(0, len(cloud), 7)
+        got = self._bytes(zip(*darboux_frames(cloud, index, k=12)))
+        assert got == self._bytes(oracle_darboux(cloud, i, 12) for i in index.tolist())
 
     @pytest.mark.parametrize("name", sorted(CLOUDS))
     def test_sample_candidates_is_bitwise_the_per_point_loop(self, name, monkeypatch):
@@ -188,7 +190,7 @@ class TestDarbouxAgainstPerPointOracle:
         assert str(got.value) == str(want.value)
         assert "degenerate neighborhood at point" in str(got.value)
         with pytest.raises(ValueError, match=r"^degenerate neighborhood at point 45 \(rank < 2\)$"):
-            darboux_frame(cloud, 45, k=8)
+            darboux_frames(cloud, 45, k=8)
 
 
 class TestSampleCandidates:
