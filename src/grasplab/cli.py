@@ -351,10 +351,6 @@ def _cmd_losscheck(args, settings) -> int:
 
 
 def _cmd_select(args, settings) -> int:
-    if args.policy == "heuristic" and args.coeffs:
-        print("grasplab select: error: argument --coeffs: applies only to --policy analytic, "
-              "not to --policy heuristic", file=sys.stderr)
-        return 1
     scored = dataio.read_grasps(args.grasps)
     if not scored:
         raise ValueError(f"{args.grasps} contains no grasps")
@@ -487,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grasps")
     p.add_argument("--policy", choices=("heuristic", "analytic"), default="analytic")
     p.add_argument("--coeffs", help="key = value file of analytic coefficients (--policy analytic only)")
-    p.set_defaults(func=_cmd_select)
+    p.set_defaults(func=_cmd_select, subparser=p)
 
     p = sub.add_parser("fit", parents=[common], help="fit policy coefficients from x,y samples")
     p.add_argument("data", help="CSV with header x,y")
@@ -513,6 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "policy", None) == "heuristic" and args.coeffs:  # a pairing argparse cannot declare
+            args.subparser.error("argument --coeffs: applies only to --policy analytic, not to --policy heuristic")
     except SystemExit as exc:
         return int(exc.code or 0)
     error = None

@@ -7,19 +7,21 @@ direction is +X. A grasp collides when any scene point lies strictly
 inside a finger or the back plate; points in the closing region are the
 ones being grasped, not collisions.
 
-Every box query runs through one kernel: the cloud's KD-tree keeps only
-the points inside a few spheres covering the box, then the exact box test
-decides, so culling never changes a result.
-
-The collision filter settles most colliding grasps before that kernel. A
-grid of "core" balls sits inside each obstacle box, every ball at least
-BOUNDARY_TOL + _BALL_SLACK from each face. A scene point within a ball's
-radius of its center is strictly inside the box under the exact test,
-whatever the rounding of the frame transform, so one ball proves a
-collision and a grasp proved colliding skips the box's later rounds of
-balls. The balls need not cover the box: the grasps no ball proves go
-through the exact test, which decides alone whether a grasp is free. The
-survivors are the exact test's.
+Every box is cut into one grid of cells (_cells). A cell's inscribed ball
+(radius r_in) stays BOUNDARY_TOL + _BALL_SLACK inside the box, so a scene
+point within r_in of its center is strictly inside the box under the exact
+test, whatever the rounding of the frame transform. Its circumscribed ball
+(radius r_out) is taken from the real spacing of the centers, so every point
+within BOUNDARY_TOL of the box lies within r_out of some center. One
+nearest-point query bounded by r_out therefore settles a cell and a frame:
+a point closer than r_in proves a collision, and none closer than r_out
+clears the cell. Each box's cells go in rounds in farthest-point order, the
+fingers and the back plate taking turns, and a grasp proved colliding skips
+every later round. The exact box test decides the rest, reading only the
+points within r_out of the cells in between; it alone decides whether a
+grasp is free, so the survivors are the exact test's. The closing region
+reads its candidates the same way, from one sparse distance query against
+its cells.
 
 A batch of grasp frames is two arrays, rotations (G, 3, 3) and origins
 (G, 3), the grasps' centers; _to_world places grasp-frame points by every
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import (
     Grasp,
@@ -51,12 +54,11 @@ from .core import (
 from .sampling import EmptyRegionError, resize_indices
 
 BOUNDARY_TOL = 1e-12  # points this close to a box face count as outside
-_CULL_SLACK = 1e-9    # culling-sphere margin; must exceed BOUNDARY_TOL
-_QUERY_BATCH = 16     # grasps per KD-tree query; bounds the index lists held at once
-_BALL_SLACK = 1e-9    # core-ball margin beyond BOUNDARY_TOL, for rounding in the frame transform
-_MAX_BALLS = 128      # core balls per box; any subset of them proves no less
-_BALL_BLOCK = 1024    # grasps per core-ball query; bounds the ball centers held at once
-_BALL_ROUND = 8       # core balls per query round; a grasp proved colliding skips the later rounds
+_BALL_SLACK = 1e-9    # cell-ball margin beyond BOUNDARY_TOL, for rounding in the frame transform
+_MAX_BALLS = 128      # cells per box; fewer, wider cells prove less and read more, never decide otherwise
+_BALL_BLOCK = 1024    # grasps per cell query; bounds the cell centers held at once
+_BALL_ROUND = 8       # cells per query round; a grasp proved colliding skips the later rounds
+_READ_BLOCK = 16      # grasps per exact-test query; bounds the point indices held at once
 _KEY_BYTES = 12 * 8   # a verdict-table key: a frame's 9 rotation and 3 origin float64s
 
 # cloud -> gripper -> grasp-frame bytes -> free; weak keys, so a cloud's verdicts are freed with it
@@ -133,30 +135,11 @@ def gripper_volume(s: GripperParams) -> GripperVolume:
     )
 
 
-def _cull_spheres(box: Box3) -> tuple[np.ndarray, float]:
-    """Centers (grasp frame) and common radius of spheres covering `box`.
-
-    The box is cut along its longest axis into cells no longer than its
-    middle extent, and each cell gets the sphere through its corners. The
-    slack keeps every point within BOUNDARY_TOL of the box, plus rounding in
-    the frame transform, inside some sphere.
-    """
-    ext = box.hi - box.lo
-    axis = int(np.argmax(ext))
-    n = math.ceil(float(ext[axis] / np.sort(ext)[1]))
-    cell = ext.copy()
-    cell[axis] /= n
-    centers = np.tile(box.lo + cell / 2.0, (n, 1))
-    centers[:, axis] += np.arange(n) * cell[axis]
-    return centers, float(np.linalg.norm(cell)) / 2.0 + _CULL_SLACK
-
-
 class _Kernel(NamedTuple):
-    """One gripper box with the spheres that cull its queries and the core balls that prove its hits."""
-
     box: Box3
-    spheres: tuple[np.ndarray, float]  # _cull_spheres(box)
-    balls: tuple[np.ndarray, float]    # _core_balls(box)
+    centers: np.ndarray  # (cells, 3), grasp frame, farthest-point order
+    r_in: float          # a point this close to a center is strictly inside the box; 0 proves nothing
+    r_out: float         # every point within BOUNDARY_TOL of the box is this close to some center
 
 
 def _to_world(points: np.ndarray, rotations: np.ndarray, origins: np.ndarray) -> np.ndarray:
@@ -164,41 +147,12 @@ def _to_world(points: np.ndarray, rotations: np.ndarray, origins: np.ndarray) ->
     return points @ rotations.transpose(0, 2, 1) + origins[:, None, :]
 
 
-def _box_points(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, kernel: _Kernel, strict: bool):
-    """Cloud points inside one gripper box, for each grasp frame (rotation, origin) in turn.
-
-    Strict excludes points within BOUNDARY_TOL of a face, inclusive admits
-    them. Yields (ascending cloud indices of the points in the culling spheres,
-    their grasp-frame coordinates (p - o) @ R, the exact box test's mask) per
-    frame. One KD-tree query covers the culling spheres of _QUERY_BATCH frames.
-    """
-    box, (centers, radius) = kernel.box, kernel.spheres
-    for start in range(0, len(rotations), _QUERY_BATCH):
-        batch = slice(start, start + _QUERY_BATCH)
-        world = _to_world(centers, rotations[batch], origins[batch])
-        hits = cloud.tree.query_ball_point(world.reshape(-1, 3), radius, return_sorted=False)
-        for rotation, origin, frame_hits in zip(rotations[batch], origins[batch], hits.reshape(len(world), -1)):
-            idx = np.sort(np.fromiter(itertools.chain.from_iterable(frame_hits), dtype=np.intp))
-            # neighbouring spheres overlap; dropping sorted repeats is cheaper than np.unique
-            idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
-            q = (cloud.points[idx] - origin) @ rotation
-            yield idx, q, box.contains(q, strict)
-
-
-def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
-    """Centers (grasp frame) and common radius of balls strictly inside `box`.
-
-    The balls are inscribed in cubes whose side is the box's smallest
-    extent, spread evenly along each axis, at most _MAX_BALLS of them. The
-    radius stops BOUNDARY_TOL + _BALL_SLACK short of the cube's faces, so
-    a point within it of a center is strictly inside the box. A box too
-    thin for that margin gets no balls.
-    """
+def _cells(box: Box3) -> _Kernel:
+    """`box` cut into cubes whose side is its smallest extent, spread evenly along each axis, at most
+    _MAX_BALLS of them. r_in keeps BOUNDARY_TOL + _BALL_SLACK inside a cube's faces; r_out is the farthest
+    a point of the box lies from its nearest center (an axis's ends, or half its widest gap) plus that margin."""
     ext = box.hi - box.lo
     side = float(ext.min())
-    radius = side / 2.0 - BOUNDARY_TOL - _BALL_SLACK
-    if radius <= 0.0:
-        return np.empty((0, 3)), 0.0
     n = np.ceil(ext / side)
     for _ in range(3):  # the thinnest axis holds one cube, so at most two axes shrink
         over = n.prod() / _MAX_BALLS
@@ -206,64 +160,85 @@ def _core_balls(box: Box3) -> tuple[np.ndarray, float]:
             break
         big = n > 1
         n[big] = np.maximum(1.0, np.floor(n[big] / over ** (1.0 / big.sum())))
-    axes = [box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a])) for a in range(3)]
+    # np.unique drops a center that rounding puts on its neighbour, when a ratio rounds up past a whole number
+    axes = [np.unique(box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a]))) for a in range(3)]
+    reach = [max(u[0] - lo, hi - u[-1], np.diff(u).max(initial=0.0) / 2.0)
+             for u, lo, hi in zip(axes, box.lo, box.hi)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    # farthest-point order, so each round of _BALL_ROUND balls spreads over the box
+    # farthest-point order, so each round of _BALL_ROUND cells spreads over the box
     order, gap = [0], np.linalg.norm(centers - centers[0], axis=1)
     while len(order) < len(centers):
         order.append(int(np.argmax(gap)))
         gap = np.minimum(gap, np.linalg.norm(centers - centers[order[-1]], axis=1))
-    return centers[order], radius
+    margin = BOUNDARY_TOL + _BALL_SLACK
+    return _Kernel(box, centers[order], max(0.0, side / 2.0 - margin), math.hypot(*reach) + margin)
 
 
 @functools.lru_cache(maxsize=16)
 def _kernels(s: GripperParams) -> tuple[_Kernel, tuple[_Kernel, _Kernel, _Kernel]]:
-    """(closing box, obstacle boxes) of gripper s, each with its culling spheres and core balls.
-
-    Kept per gripper because check_collision, find_contacts and
-    closing_region_points test one grasp a call, and building the boxes,
-    spheres and balls anew would cost more than the query itself.
-    """
+    """(closing box, obstacle boxes) of gripper s with their cells, built once per gripper: check_collision,
+    find_contacts and closing_region_points test one grasp a call, and the cells cost more than a query."""
     v = gripper_volume(s)
-    kernel = lambda box: _Kernel(box, _cull_spheres(box), _core_balls(box))
-    return kernel(v.closing), tuple(kernel(box) for box in v.obstacles)
+    return _cells(v.closing), tuple(_cells(box) for box in v.obstacles)
 
 
-def _ball_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, centers: np.ndarray,
-               radius: float) -> np.ndarray:
-    """(G,) bool: some cloud point lies in a core ball (grasp-frame centers), so the grasp collides.
-    The balls go _BALL_ROUND a query, in _core_balls' order; a grasp one round hits skips the rest."""
+def _cell_round(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, kernel: _Kernel,
+                cells: slice, free: np.ndarray, near: np.ndarray) -> None:
+    """One round: a bounded nearest-point query per cell in `cells` and `free` frame. Marks in `near`
+    (G, cells) the cells with a cloud point within r_out of their center, and clears `free` for the
+    frames a point within r_in proves colliding."""
+    todo, centers = np.flatnonzero(free), kernel.centers[cells]
+    if todo.size and len(centers):
+        world = _to_world(centers, rotations[todo], origins[todo])
+        d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=kernel.r_out)
+        d = d.reshape(len(todo), -1)
+        near[todo, cells] = d < np.inf
+        free[todo[(d < kernel.r_in).any(axis=1)]] = False
+
+
+def _exact_hits(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, kernel: _Kernel,
+                near: np.ndarray) -> np.ndarray:
+    """(G,) bool: a cloud point lies strictly inside the box in each frame, by the exact box test, reading
+    only the points within r_out of each frame's `near` cells (G, cells). One query covers every frame; a
+    point near two cells is tested twice, which the verdict, an `any`, allows."""
+    found = cloud.tree.query_ball_point(_to_world(kernel.centers, rotations, origins)[near], kernel.r_out,
+                                        return_sorted=False)
+    counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+    idx = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=int(counts.sum()))
+    frames = np.repeat(np.nonzero(near)[0], counts)  # the frame of each point read, ascending
     hit = np.zeros(len(rotations), dtype=bool)
-    for start in range(0, len(rotations), _BALL_BLOCK):
-        todo = np.arange(start, min(start + _BALL_BLOCK, len(rotations)))
-        for first in range(0, len(centers), _BALL_ROUND):
-            world = _to_world(centers[first:first + _BALL_ROUND], rotations[todo], origins[todo])
-            d, _ = cloud.tree.query(world.reshape(-1, 3), k=1, distance_upper_bound=radius)
-            found = np.isfinite(d).reshape(len(todo), -1).any(axis=1)
-            hit[todo[found]] = True
-            todo = todo[~found]
-            if not todo.size:
-                break
+    if frames.size:
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(frames)) + 1, [len(frames)])).tolist()
+        # (p - o) @ R with each frame's own C-contiguous R: a row's bits do not depend on the other rows
+        q = [(cloud.points[idx[a:b]] - origins[frames[a]]) @ rotations[frames[a]] for a, b in zip(cuts, cuts[1:])]
+        hit[frames[kernel.box.contains(np.concatenate(q), strict=True)]] = True
     return hit
 
 
 def _decide(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s: GripperParams) -> np.ndarray:
     """(G,) bool: no cloud point strictly inside a finger or the back plate of each grasp frame.
 
-    Each obstacle box's core balls first settle the grasps they prove
-    colliding (see the module docstring); the exact box test decides the
-    rest, fingers first and the back plate last. Every pass covers only the
-    grasps no earlier pass hit.
+    _BALL_BLOCK frames at a time, the obstacle boxes' cells first settle the
+    frames they prove colliding and mark the cells with a point near them
+    (see the module docstring), _BALL_ROUND cells of each box in turn. The
+    exact box test then decides the frames with a marked cell, _READ_BLOCK a
+    query, fingers first and the back plate last, and skips the frames an
+    earlier pass hit.
     """
     _, obstacles = _kernels(s)
     free = np.ones(len(rotations), dtype=bool)
-    for kernel in obstacles:
-        todo = np.flatnonzero(free)
-        free[todo] = ~_ball_hits(cloud, rotations[todo], origins[todo], *kernel.balls)
-    for kernel in obstacles:
-        todo = np.flatnonzero(free)
-        found = _box_points(cloud, rotations[todo], origins[todo], kernel, strict=True)
-        free[todo] = [not inside.any() for _, _, inside in found]
+    for start in range(0, len(rotations), _BALL_BLOCK):
+        block = slice(start, start + _BALL_BLOCK)
+        r, o, left = rotations[block], origins[block], free[block]  # `left` is a view of `free`
+        marked = [np.zeros((len(r), len(kernel.centers)), dtype=bool) for kernel in obstacles]
+        for first in range(0, max(len(kernel.centers) for kernel in obstacles), _BALL_ROUND):
+            for kernel, near in zip(obstacles, marked):
+                _cell_round(cloud, r, o, kernel, slice(first, first + _BALL_ROUND), left, near)
+        for kernel, near in zip(obstacles, marked):
+            todo = np.flatnonzero(left & near.any(axis=1))
+            for first in range(0, todo.size, _READ_BLOCK):
+                part = todo[first:first + _READ_BLOCK]
+                left[part] = ~_exact_hits(cloud, r[part], o[part], kernel, near[part])
     return free
 
 
@@ -287,9 +262,18 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
 
 
 def _closing_region(cloud: PointCloud, rotation: np.ndarray, g: Grasp, s: GripperParams):
-    """(ascending candidate cloud indices, grasp-frame coordinates, mask of those in g's closing region,
-    faces included), as _box_points yields them; `rotation` is grasp_frame(g)."""
-    return next(_box_points(cloud, rotation[None], g.center[None], _kernels(s)[0], strict=False))
+    """(candidate cloud indices, their grasp-frame coordinates, mask of those in g's closing region, faces
+    included); `rotation` is grasp_frame(g).
+
+    The candidates are the points within r_out of a closing cell, from one
+    sparse distance query against the cells: in no set order, and a point near
+    two cells comes twice, with the same coordinates.
+    """
+    kernel = _kernels(s)[0]
+    cells = cKDTree(_to_world(kernel.centers, rotation[None], g.center[None])[0])
+    idx = cloud.tree.sparse_distance_matrix(cells, kernel.r_out, output_type="ndarray")["i"]
+    q = (cloud.points[idx] - g.center) @ rotation
+    return idx, q, kernel.box.contains(q)
 
 
 def filter_collision_free(
@@ -331,8 +315,12 @@ def closing_region_points(
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    _, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
+    rotation = grasp_frame(g)
+    idx, _, inside = _closing_region(cloud, rotation, g, s)
     if not inside.any():
         raise EmptyRegionError("no points inside the gripper closing region")
-    idx, padded = resize_indices(int(inside.sum()), keep, seed)
-    return q[inside][idx], padded
+    # ascending and unique, as resize_indices needs; dropping sorted repeats is cheaper than np.unique
+    idx = np.sort(idx[inside])
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    rows, padded = resize_indices(len(idx), keep, seed)
+    return ((cloud.points[idx] - g.center) @ rotation)[rows], padded

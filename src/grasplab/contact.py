@@ -3,7 +3,8 @@
 Contacts mimic rigid jaws closing symmetrically along the grasp frame Y
 axis: within the closing region, the +Y jaw first touches the in-region
 point with the largest Y coordinate and the -Y jaw the point with the
-smallest. The antipodal score is the product of unsigned cosines between
+smallest; among points that share that Y, the one with the lowest cloud
+index. The antipodal score is the product of unsigned cosines between
 the closing axis and the two contact normals; 1 means perfectly opposed
 surface normals (force closure in the frictionless sense), 0 means the
 jaws land on faces parallel to the closing axis.
@@ -47,9 +48,10 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     neg = inside & (y < 0.0)
     if not (pos.any() and neg.any()):
         return None
-    # the masked candidates cannot win; argmax and argmin take the first extreme, the lowest cloud index
-    a = np.argmax(np.where(pos, y, -np.inf))
-    b = np.argmin(np.where(neg, y, np.inf))
+    # each jaw touches its side's extreme y; among the points that share it, the lowest cloud index
+    top = np.flatnonzero(pos & (y == y[pos].max()))
+    bottom = np.flatnonzero(neg & (y == y[neg].min()))
+    a, b = top[np.argmin(idx[top])], bottom[np.argmin(idx[bottom])]
     i, j = idx[a], idx[b]
     return ContactPair(
         ci=cloud.points[i].copy(),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from .anchors import IGNORE, POSITIVE, AnchorLabel, RefineLabel
-from .core import Grasp, clamp_theta
+from .core import clamp_theta, grasps_from_arrays
 
 EPS = 1e-7  # probability clamp for log stability
 
@@ -262,10 +262,11 @@ def _losscheck_cases(rng: np.random.Generator, trials: int):
         yield f"rn[{t}]", *_random_rn_case(rng)
 
 
-def _random_grasp(rng: np.random.Generator) -> Grasp:
+def _random_pose(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(center, closing axis, theta) of a random grasp, drawn in the stream's order."""
     r = rng.normal(size=3)
     r /= np.linalg.norm(r)
-    return Grasp(rng.uniform(-0.1, 0.1, size=3), r, float(rng.uniform(-1.5, 1.5)))
+    return rng.uniform(-0.1, 0.1, size=3), r, float(rng.uniform(-1.5, 1.5))
 
 
 def _random_residuals(rng: np.random.Generator, labels) -> np.ndarray:
@@ -284,12 +285,11 @@ def _random_grn_case(rng: np.random.Generator):
     m = 4
     n = int(rng.integers(1, 4))
     anchor_dirs = anchors_mod.anchor_set(m)
-    labels = []
-    for _ in range(n):
-        gt = _random_grasp(rng)
-        rng.uniform(0, 1)  # kept for the stream: complete_label always reset this quality target to 0
-        label = anchors_mod.assign_anchor_labels(gt, anchor_dirs)
-        labels.append(anchors_mod.complete_label(label, gt, anchor_dirs, rng.uniform(-0.1, 0.1, size=3)))
+    # the middle draw is kept for the stream: complete_label always reset that quality target to 0
+    draws = [(_random_pose(rng), rng.uniform(0, 1), rng.uniform(-0.1, 0.1, size=3)) for _ in range(n)]
+    poses, _, offsets = zip(*draws)
+    labels = [anchors_mod.complete_label(anchors_mod.assign_anchor_labels(gt, anchor_dirs), gt, anchor_dirs, off)
+              for gt, off in zip(grasps_from_arrays(*zip(*poses)), offsets)]
     probs = rng.uniform(0.05, 0.95, size=(n, m))
     res = _random_residuals(rng, labels)
 
@@ -301,15 +301,16 @@ def _random_grn_case(rng: np.random.Generator):
 
 def _random_rn_case(rng: np.random.Generator):
     n = int(rng.integers(1, 5))
-    labels = []
-    for _ in range(n):
-        gt = _random_grasp(rng)
-        jitter = rng.normal(scale=0.02, size=3)
-        prop_r = gt.orientation + rng.normal(scale=0.05, size=3)
-        prop_r /= np.linalg.norm(prop_r)
-        proposal = Grasp(gt.center + jitter, prop_r, clamp_theta(gt.theta + float(rng.normal(scale=0.1))))
-        gt_q, prop_q = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        labels.append(anchors_mod.assign_refine_labels(gt.with_score(gt_q), proposal.with_score(prop_q)))
+    # every draw first, in the stream's order; then the ground truths and the proposals, each as one table
+    draws = [(_random_pose(rng), rng.normal(scale=0.02, size=3), rng.normal(scale=0.05, size=3),
+              float(rng.normal(scale=0.1)), float(rng.uniform(0, 1)), float(rng.uniform(0, 1))) for _ in range(n)]
+    poses, jitters, tilts, turns, gt_q, prop_q = zip(*draws)
+    gts = grasps_from_arrays(*zip(*poses), gt_q)
+    axes = (g.orientation + tilt for g, tilt in zip(gts, tilts))
+    proposals = grasps_from_arrays([g.center + jitter for g, jitter in zip(gts, jitters)],
+                                   [r / np.linalg.norm(r) for r in axes],
+                                   clamp_theta(np.array([g.theta for g in gts]) + turns), prop_q)
+    labels = [anchors_mod.assign_refine_labels(gt, proposal) for gt, proposal in zip(gts, proposals)]
     if all(lb.y == IGNORE for lb in labels):
         labels[0] = RefineLabel(anchors_mod.NEGATIVE, None)
     probs = rng.uniform(0.05, 0.95, size=n)

@@ -363,6 +363,18 @@ class TestSelectCoeffs:
         assert captured.out == ""
         assert "--coeffs" in captured.err and "--policy heuristic" in captured.err
 
+    def test_coeffs_usage_error_is_laid_out_like_a_parser_error(self, tmp_path, capsys):
+        # the usage line first, then `grasplab select: error: ...`, as for a bad --policy value
+        assert main(["select", self._grasps(tmp_path), "--policy", "bogus"]) == 1
+        bogus = capsys.readouterr().err.splitlines()
+        assert main(["select", self._grasps(tmp_path), "--policy", "heuristic", "--coeffs", "c.txt"]) == 1
+        paired = capsys.readouterr().err.splitlines()
+        assert bogus[0].startswith("usage: grasplab select ") and len(paired) == len(bogus)
+        assert paired[:-1] == bogus[:-1]
+        assert paired[-1] == ("grasplab select: error: argument --coeffs: applies only to --policy analytic, "
+                              "not to --policy heuristic")
+        assert bogus[-1].startswith("grasplab select: error: argument --policy: invalid choice: 'bogus'")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

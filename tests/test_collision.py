@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -30,7 +30,7 @@ from grasplab import (
     sample_candidates,
 )
 from grasplab import collision
-from grasplab.collision import _BALL_ROUND, _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _core_balls, _cull_spheres
+from grasplab.collision import _BALL_ROUND, _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _cells
 from grasplab.sampling import _theta_for_approach
 from conftest import grasp_to_world, oracle_collision, oracle_frame, tabletop_cloud, world_to_grasp
 
@@ -224,8 +224,8 @@ def _planted(rng, g, boxes, strictly_inside):
     """World points near the faces and corners of a grasp's boxes.
 
     With `strictly_inside`, some points lie strictly inside a box, some
-    exactly on the radii of the spheres that cull it and some just inside or
-    just outside the surface of a core ball; without, every point
+    exactly on the circumscribed balls of its cells and some just inside or
+    just outside the surface of an inscribed ball; without, every point
     lies outside the boxes or within BOUNDARY_TOL of them, and points that
     land strictly inside a neighbouring obstacle box are dropped.
     """
@@ -245,10 +245,10 @@ def _planted(rng, g, boxes, strictly_inside):
             near.append(corner - outward * rng.choice(FACE_OFFSETS[2:], size=3))
     world = [grasp_to_world(g, np.array(near))]
     for box in boxes if strictly_inside else ():
-        centers, radius = _cull_spheres(box)
-        u = rng.normal(size=(len(centers), 3))
+        cells = _cells(box)
+        u = rng.normal(size=(len(cells.centers), 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        world.append(grasp_to_world(g, centers) + radius * u)
+        world.append(grasp_to_world(g, cells.centers) + cells.r_out * u)
         world.append(_near_ball_surfaces(rng, g, box, 2))
     pts = np.vstack(world)
     if not strictly_inside:
@@ -260,8 +260,8 @@ BALL_SCALES = np.array([1 - 1e-9, 1 - 1e-12, 1 + 1e-12, 1 + 1e-9])  # on both si
 
 
 def _near_ball_surfaces(rng, g, box, n):
-    """World points just inside or just outside the surfaces of n core balls of grasp g's box."""
-    centers, radius = _core_balls(box)
+    """World points just inside or just outside the inscribed-ball surfaces of n cells of grasp g's box."""
+    _, centers, radius, _ = _cells(box)
     pick = rng.choice(len(centers), size=min(n, len(centers)), replace=False)
     u = rng.normal(size=(len(pick), 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -350,7 +350,7 @@ class TestCulledKernel:
             s = GripperParams(*rng.uniform([0.02, 0.02, 0.01, 0.002], [0.1, 0.15, 0.08, 0.03]))
             v = gripper_volume(s)
             for box in (v.closing, *v.obstacles):
-                centers, radius = _cull_spheres(box)
+                _, centers, _, radius = _cells(box)
                 corners = np.array([[(box.lo, box.hi)[(k >> a) & 1][a] for a in range(3)] for k in range(8)])
                 outward = np.sign(corners - (box.lo + box.hi) / 2.0)
                 pts = np.vstack([rng.uniform(box.lo, box.hi, size=(200, 3)),
@@ -401,17 +401,19 @@ class TestCulledKernel:
                 closing_region_points(cloud, AXIS_Y, GRIPPER)
 
 
+GRIPPER_DIMS = st.tuples(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(1e-9, 0.05))
+
+
 class TestCoreBallPrePass:
-    """The core balls only prove collisions, so the filter's verdicts stay the exact test's."""
+    """The cells' inscribed balls only prove collisions, so the filter's verdicts stay the exact test's."""
 
     @settings(max_examples=40, deadline=None)
-    @given(dims=st.tuples(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(0.005, 0.2),
-                          st.floats(1e-9, 0.05)))
+    @given(dims=GRIPPER_DIMS)
     def test_every_ball_is_inside_its_box_by_the_margin(self, dims):
         for box in gripper_volume(GripperParams(*dims)).obstacles:
-            centers, radius = _core_balls(box)
-            assert len(centers) <= _MAX_BALLS
-            if not len(centers):
+            _, centers, radius, _ = _cells(box)
+            assert 0 < len(centers) <= _MAX_BALLS
+            if radius == 0.0:  # too thin to prove anything
                 assert min(box.hi - box.lo) <= 2 * (BOUNDARY_TOL + _BALL_SLACK)
                 continue
             assert radius > 0.0
@@ -425,7 +427,7 @@ class TestCoreBallPrePass:
 
     def test_thin_gripper_stays_within_the_cap(self):
         for box in gripper_volume(GripperParams(0.1, 0.15, 0.08, 0.002)).obstacles:
-            centers, radius = _core_balls(box)
+            _, centers, radius, _ = _cells(box)
             assert 0 < len(centers) <= _MAX_BALLS and radius > 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -461,7 +463,7 @@ class TestCoreBallPrePass:
                 plants.append(_near_ball_surfaces(rng, g, box, 3))
             elif i % 3 == 1:
                 # where a ball comes closest to a face: across the box's thinnest axis, either side of the face
-                centers, _ = _core_balls(box)
+                centers = _cells(box).centers
                 q = centers[rng.integers(len(centers))].copy()
                 axis = int(np.argmin(box.hi - box.lo))
                 q[axis] = (box.lo, box.hi)[rng.integers(2)][axis] + rng.choice([-1.0, 1.0]) * rng.choice(FACE_OFFSETS)
@@ -474,31 +476,32 @@ class TestCoreBallPrePass:
         assert any(verdicts)
 
     def test_deep_collision_is_settled_without_the_exact_test(self, monkeypatch):
-        balls, _ = _core_balls(gripper_volume(GRIPPER).finger_pos)
+        # the far grasp has no point within r_out of any cell, so it is cleared without the exact test too
+        centers = _cells(gripper_volume(GRIPPER).finger_pos).centers
         deep = Grasp((0.0, 0.0, 0.0), (0, 1, 0), 0.0)
         clear = Grasp((1.0, 0.0, 0.0), (0, 1, 0), 0.0)
-        cloud = PointCloud(grasp_to_world(deep, balls[:1]))
+        cloud = PointCloud(grasp_to_world(deep, centers[:1]))
         tested = []
-        real = collision._box_points
+        real = collision._exact_hits
 
-        def counting(cloud, rotations, origins, kernel, strict):
-            tested.extend(map(tuple, origins))
-            return real(cloud, rotations, origins, kernel, strict)
+        def counting(cloud, rotations, origins, kernel, near):
+            tested.append(origins)
+            return real(cloud, rotations, origins, kernel, near)
 
-        monkeypatch.setattr(collision, "_box_points", counting)
+        monkeypatch.setattr(collision, "_exact_hits", counting)
         assert filter_collision_free([deep, clear], cloud, GRIPPER) == [clear]
-        assert tuple(clear.center) in tested and tuple(deep.center) not in tested
+        assert tested == []
 
     def test_fingers_too_thin_for_balls_leave_the_exact_test(self):
         thin = GripperParams(0.06, 0.08, 0.04, 1e-9)
-        assert all(len(_core_balls(box)[0]) == 0 for box in gripper_volume(thin).obstacles)
+        assert all(_cells(box).r_in == 0.0 for box in gripper_volume(thin).obstacles)
         inside = PointCloud(np.array([[0.0, 0.04 + 5e-10, 0.0]]))
         assert filter_collision_free([AXIS_Y], inside, thin) == []
         assert filter_collision_free([AXIS_Y], PointCloud(np.array([[0.0, 0.04 + 2e-9, 0.0]])), thin) == [AXIS_Y]
 
 
-# obstacle boxes with 24/24/40, 65/65/115, 15/15/24 and 4/4/10 core balls: full rounds, partial last rounds
-# and boxes with fewer balls than one round
+# obstacle boxes with 24/24/40, 65/65/115, 15/15/24 and 4/4/10 cells: full rounds, partial last rounds
+# and boxes with fewer cells than one round
 ROUND_GRIPPERS = [GRIPPER, GripperParams(0.06, 0.1, 0.02, 0.005), GripperParams(0.05, 0.07, 0.03, 0.012),
                   GripperParams(0.04, 0.06, 0.03, 0.02)]
 
@@ -526,10 +529,10 @@ def _assert_oracle_verdicts(grasps, points, s):
 
 
 class TestBallRounds:
-    """A grasp proved colliding by one round of core balls skips the later rounds: verdicts stay the oracle's."""
+    """A grasp proved colliding by one round of cells skips the later rounds: verdicts stay the oracle's."""
 
     def test_grippers_cover_partial_rounds(self):
-        counts = [len(kernel.balls[0]) for s in ROUND_GRIPPERS for kernel in collision._kernels(s)[1]]
+        counts = [len(kernel.centers) for s in ROUND_GRIPPERS for kernel in collision._kernels(s)[1]]
         assert any(c % _BALL_ROUND for c in counts) and any(c < _BALL_ROUND for c in counts)
         assert any(c > _BALL_ROUND and c % _BALL_ROUND == 0 for c in counts)
 
@@ -537,8 +540,9 @@ class TestBallRounds:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), colliding=st.booleans(),
            s=st.sampled_from(ROUND_GRIPPERS), block=st.sampled_from([1, 3, 7, collision._BALL_BLOCK]))
     def test_verdicts_match_the_oracle(self, seed, n, colliding, s, block):
-        # a small _BALL_BLOCK splits even a short batch into blocks, each with its own rounds
-        with mock.patch.object(collision, "_BALL_BLOCK", block):
+        # a small _BALL_BLOCK splits even a short batch into blocks, each with its own rounds, and a small
+        # _READ_BLOCK splits a block's exact test into several queries
+        with mock.patch.object(collision, "_BALL_BLOCK", block), mock.patch.object(collision, "_READ_BLOCK", block):
             _assert_oracle_verdicts(*_round_scene(np.random.default_rng(seed), n, colliding), s)
 
     @pytest.mark.parametrize("colliding", [False, True], ids=["mostly-free", "mostly-colliding"])
@@ -547,6 +551,67 @@ class TestBallRounds:
         grasps, points = _round_scene(np.random.default_rng(7), n, colliding)
         hits = _assert_oracle_verdicts(grasps, points, GRIPPER)
         assert (hits > n / 2) == colliding and 0 < hits < n
+
+
+class TestCells:
+    """One grid of cells per box: the inscribed balls prove hits, the circumscribed balls bound what is read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=GRIPPER_DIMS)
+    @example(dims=(0.1, 0.15, 0.08, 0.002))   # 2,000 cubes a finger, capped to 120
+    @example(dims=(0.06, 0.08, 0.04, 0.015))  # ratios 4 and 2.67: the cubes overlap unevenly
+    def test_circumscribed_balls_cover_the_worst_points(self, dims):
+        v = gripper_volume(GripperParams(*dims))
+        for box in (v.closing, *v.obstacles):
+            _, centers, _, r_out = _cells(box)
+            axes = [np.unique(centers[:, a]) for a in range(3)]
+            assert len(centers) == math.prod(map(len, axes))  # a grid, so the worst points are a grid too
+            # along each axis: the faces pushed out by 2 BOUNDARY_TOL and the midpoints between neighbours
+            push = 2 * BOUNDARY_TOL
+            worst = [np.concatenate(([box.lo[a] - push, box.hi[a] + push], (u[1:] + u[:-1]) / 2))
+                     for a, u in enumerate(axes)]
+            pts = np.stack(np.meshgrid(*worst, indexing="ij"), axis=-1).reshape(-1, 3)
+            nearest = centers[np.argmin(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)]
+            bound = Fraction(r_out) ** 2
+            for p, c in zip(pts.tolist(), nearest.tolist()):
+                assert sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(p, c)) < bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from(ROUND_GRIPPERS + [GripperParams(0.1, 0.15, 0.08, 0.002)]))
+    def test_points_on_the_cell_balls_get_the_oracle_verdicts(self, seed, s):
+        rng = np.random.default_rng(seed)
+        grasps = [_random_grasp(rng, span=0.2) for _ in range(12)]
+        plants = []
+        for g in grasps:
+            _, centers, r_in, r_out = collision._kernels(s)[1][rng.integers(3)]
+            u = rng.normal(size=(3, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            radius = rng.choice([r_in * (1 - 1e-9), r_in * (1 + 1e-9), r_out * (1 - 1e-9), r_out * (1 + 1e-9)],
+                                size=(3, 1))
+            plants.append(grasp_to_world(g, centers[rng.integers(len(centers), size=3)] + radius * u))
+        _assert_oracle_verdicts(grasps, np.vstack(plants), s)
+
+    @pytest.mark.parametrize("thickness", [1e-12, 1.5e-12])
+    def test_a_cell_too_thin_proves_nothing(self, thickness):
+        # the axis-aligned frame places the centers exactly, so each point is at distance 0 from a center, yet
+        # within BOUNDARY_TOL of two faces of its box and so outside it
+        thin = GripperParams(GRIPPER.depth, GRIPPER.width, GRIPPER.height, thickness)
+        obstacles = collision._kernels(thin)[1]
+        assert all(kernel.r_in == 0.0 for kernel in obstacles)
+        points = np.vstack([kernel.centers for kernel in obstacles])
+        assert not oracle_collision(points.tolist(), AXIS_Y.center, AXIS_Y.orientation, AXIS_Y.theta,
+                                    GRIPPER.depth, GRIPPER.width, GRIPPER.height, thickness)
+        assert filter_collision_free([AXIS_Y], PointCloud(points), thin) == [AXIS_Y]
+        assert not check_collision(PointCloud(points), AXIS_Y, thin)
+
+    def test_a_cloud_far_from_every_grasp_needs_no_exact_test(self, rng, monkeypatch):
+        def no_exact_test(*args):
+            raise AssertionError("the exact test was called")
+
+        monkeypatch.setattr(collision, "_exact_hits", no_exact_test)
+        grasps = [_random_grasp(rng, span=0.2) for _ in range(200)]
+        cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(50, 3)) + 5.0)
+        assert filter_collision_free(grasps, cloud, GRIPPER) == grasps
 
 
 class TestVerdictTable:
@@ -558,11 +623,10 @@ class TestVerdictTable:
         free = {id(g) for g in filter_collision_free(grasps, cloud, GRIPPER)}
         assert 0 < len(free) < len(grasps)
 
-        def no_query(*args):
+        def no_query(cloud):
             raise AssertionError("a decided grasp was queried again")
 
-        monkeypatch.setattr(collision, "_ball_hits", no_query)
-        monkeypatch.setattr(collision, "_box_points", no_query)
+        monkeypatch.setattr(PointCloud, "tree", property(no_query))  # every KD-tree query starts here
         for g in grasps:
             assert check_collision(cloud, g, GRIPPER) == (id(g) not in free)
 
