@@ -24,7 +24,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from contextlib import suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,12 +39,13 @@ from .losses import _losscheck_cases, gradient_check
 from .metrics import evaluate
 from .policy import (
     DEFAULT_POLICY,
+    AnalyticPolicy,
+    LinearFit,
     SigmoidFit,
     analytic_select,
     fit_linear,
     fit_sigmoid,
     heuristic_select,
-    policy_from_mapping,
 )
 from .sampling import SamplerConfig, ball_query, estimate_normals, sample_candidates
 
@@ -116,6 +116,9 @@ SETTINGS = {
     "losscheck.tol": Setting(1e-5),
 }
 DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
+# the analytic policy's coefficients, keyed by the fields `fit -o` writes; a --coeffs file sets any of them
+COEFFICIENTS = {key: Setting(value) for fit in (DEFAULT_POLICY.sigmoid, DEFAULT_POLICY.linear)
+                for key, value in vars(fit).items()}
 # per subcommand, settings whose values must keep an order: (lower key, upper key, whether they may be equal)
 _ORDERED = {
     "labels": [("anchors.angle_pos", "anchors.angle_neg", True)]
@@ -161,26 +164,37 @@ def _parse_gripper(text: str) -> GripperParams:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _file_items(path) -> list[tuple[str, str, str]]:
+    """The (key, value text, "path:line: ") items of a key = value file."""
+    return [(key, value, f"{path}:{value.line}: ") for key, value in dataio.read_config(path).items()]
+
+
+def _parse_items(items, table: dict, what: str) -> dict:
+    """(key, text, where) items as values of their Settings in table (SETTINGS or COEFFICIENTS), later
+    items winning. A key not in table, or a value its Setting refuses, is an error naming where, what and key."""
+    out = {}
+    for key, text, where in items:
+        if key not in table:
+            raise ValueError(f"{where}unknown {what} {key!r}")
+        try:
+            out[key] = table[key].parse(text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{where}{what} {key} {exc}") from None
+    return out
+
+
 def _settings(args) -> dict:
     """DEFAULTS, then the --config file, then each --set, then the flags.
 
     A bad key or value names the key, and from the --config file also its file:line.
     """
-    merged = dict(DEFAULTS)
-    config = dataio.read_config(args.config).items() if args.config else ()
-    items = [(key, value, f"{args.config}:{value.line}: ") for key, value in config]
+    items = _file_items(args.config) if args.config else []
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         items.append((key.strip(dataio._BLANKS), value, ""))
-    for key, value, where in items:
-        if key not in merged:
-            raise ValueError(f"{where}unknown setting {key!r}")
-        try:
-            merged[key] = SETTINGS[key].parse(value)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{where}setting {key} {exc}") from None
+    merged = {**DEFAULTS, **_parse_items(items, SETTINGS, "setting")}
     merged.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
     return merged
 
@@ -357,17 +371,10 @@ def _cmd_select(args, settings) -> int:
     if args.policy == "heuristic":
         idx = heuristic_select(scored)
     else:
-        policy = DEFAULT_POLICY
-        if args.coeffs:
-            coeffs = dataio.read_config(args.coeffs)
-            for key, text in coeffs.items():  # text that is no finite real stays text, for the policy to refuse
-                with suppress(ValueError):
-                    coeffs[key] = dataio.parse_number(text)
-            try:
-                policy = policy_from_mapping(coeffs)
-            except ValueError as exc:
-                raise ValueError(f"{args.coeffs}: {exc}") from None
-        idx = analytic_select(scored, policy)
+        c = {key: coefficient.default for key, coefficient in COEFFICIENTS.items()}
+        if args.coeffs:  # a key the file leaves out keeps its default
+            c.update(_parse_items(_file_items(args.coeffs), COEFFICIENTS, "coefficient"))
+        idx = analytic_select(scored, AnalyticPolicy(SigmoidFit(c["a"], c["b"]), LinearFit(c["slope"], c["intercept"])))
     print(dataio.format_grasp(scored[idx]), end="")
     return 0
 

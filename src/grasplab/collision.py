@@ -153,15 +153,14 @@ def _cells(box: Box3) -> _Kernel:
     a point of the box lies from its nearest center (an axis's ends, or half its widest gap) plus that margin."""
     ext = box.hi - box.lo
     side = float(ext.min())
-    n = np.ceil(ext / side)
+    n = np.ceil(ext / side - 1e-9)  # a ratio a rounding error above a whole number needs no extra cube
     for _ in range(3):  # the thinnest axis holds one cube, so at most two axes shrink
         over = n.prod() / _MAX_BALLS
         if over <= 1.0:
             break
         big = n > 1
         n[big] = np.maximum(1.0, np.floor(n[big] / over ** (1.0 / big.sum())))
-    # np.unique drops a center that rounding puts on its neighbour, when a ratio rounds up past a whole number
-    axes = [np.unique(box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a]))) for a in range(3)]
+    axes = [box.lo[a] + side / 2.0 + np.linspace(0.0, ext[a] - side, int(n[a])) for a in range(3)]
     reach = [max(u[0] - lo, hi - u[-1], np.diff(u).max(initial=0.0) / 2.0)
              for u, lo, hi in zip(axes, box.lo, box.hi)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)

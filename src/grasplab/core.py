@@ -258,6 +258,33 @@ def grasp_frames(orientations: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.stack([x_axis, r, _cross(x_axis, r)], axis=2)
 
 
+def _approach_angles(r: np.ndarray, approach: np.ndarray) -> np.ndarray:
+    """theta per row that rotates the ground reference of closing axis r onto `approach`, in (-pi, pi]."""
+    x_ref = ground_reference(r)
+    num, den = np.vecdot(_cross(x_ref, approach), r), np.vecdot(x_ref, approach)
+    return np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
+
+
+def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of grasp_frames: closing axes (possibly flipped) and thetas so each frame's X axis equals
+    its `approach`.
+
+    Takes (G, 3) rows, each approach perpendicular to its orientation. The closing axis is sign-symmetric
+    for a parallel jaw, so it is flipped whenever that brings theta into [-pi/2, pi/2]. A closing axis
+    parallel to world Z has the ground reference (1, 0, 0) for both signs, so an approach with negative x
+    has no angle in range: GraspRowError names the first such row.
+    """
+    r = np.array(orientation, dtype=float)
+    theta = _approach_angles(r, approach)
+    flip = np.abs(theta) > THETA_MAX + 1e-12
+    if flip.any():
+        r[flip] = -r[flip]
+        theta[flip] = _approach_angles(r[flip], approach[flip])
+    _raise_first([(np.abs(theta) <= THETA_MAX + 1e-12, lambda i: "closing axis parallel to world Z and approach "
+                   f"({', '.join(f'{v:.3f}' for v in approach[i].tolist())}) have no angle in [-pi/2, pi/2]")])
+    return r, clamp_theta(theta)
+
+
 def grasp_frame(g: Grasp) -> np.ndarray:
     """The (3, 3) rotation with columns (X_G, Y_G, Z_G) of one grasp: the one-row case of grasp_frames.
 

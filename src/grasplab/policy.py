@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "fit_linear",
     "fit_sigmoid",
     "pearson",
-    "policy_from_mapping",
 ]
 
 
@@ -163,20 +162,3 @@ def pearson(xs, ys) -> float:
         raise ValueError("pearson is undefined for zero variance")
     return float(dx @ dy) / math.sqrt(sx * sy)
 
-
-# ---------------------------------------------------------------------------
-# Policy coefficients from a key=value map
-# ---------------------------------------------------------------------------
-
-def policy_from_mapping(values: dict) -> AnalyticPolicy:
-    """A policy from a map of `SigmoidFit` and `LinearFit` field names to finite reals; missing keys keep
-    the defaults. Another key, or a value that is not a finite real (text included), names the key."""
-    fits = (DEFAULT_POLICY.sigmoid, DEFAULT_POLICY.linear)
-    keys = [key for fit in fits for key in vars(fit)]
-    for key, value in values.items():
-        if key not in keys:
-            raise ValueError(f"unknown coefficient {key!r}; expected one of {', '.join(keys)}")
-        if isinstance(value, str) or not math.isfinite(value):
-            raise ValueError(f"coefficient {key} must be a finite real, got {value!r}")
-    return AnalyticPolicy(*(replace(fit, **{key: values[key] for key in vars(fit) if key in values})
-                            for fit in fits))

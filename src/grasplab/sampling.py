@@ -3,15 +3,16 @@
 Normal estimation is PCA over k nearest neighbors, run over fixed blocks
 of rows so that its temporaries do not grow with the cloud; normals are
 oriented toward a viewpoint (default: a camera far above the scene on
-+Z). The Darboux frame at a point pairs that normal with the two principal
-directions of the neighborhood restricted to the tangent plane.
++Z). The Darboux frame at a point pairs that normal with the major
+principal direction of the neighborhood restricted to the tangent plane.
 Candidate generation takes the frames of all its seed points as arrays
 from one KD-tree query.
 
 Candidate grasps are seeded at random surface points: the approach axis
 points along -normal into the surface, the closing axis starts along the
 major principal direction, and a deterministic grid of spin / approach
-perturbations is emitted around that base pose.
+perturbations is emitted around that base pose. A pose the grasp frame
+cannot express (see core._theta_for_approach) names its seed point.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Grasp, GripperParams, PointCloud, _cross, clamp_theta, grasps_from_arrays, ground_reference,
-                   rotate_about_axis)
+from .core import (Grasp, GraspRowError, GripperParams, PointCloud, _theta_for_approach, clamp_theta,
+                   grasps_from_arrays, rotate_about_axis)
 
 DEFAULT_VIEWPOINT = np.array([0.0, 0.0, 10.0])
 _NORMALS_BLOCK = 4096  # rows per PCA call in estimate_normals; bounds its (rows, k, 3) neighbourhoods
@@ -120,50 +121,23 @@ def estimate_normals(
 
 
 def _darboux_frames(cloud: PointCloud, index: np.ndarray, k: int, viewpoint: np.ndarray):
-    """Darboux frames at the cloud points `index` as (points, normals, majors, minors), each (n, 3).
+    """Darboux frames at the cloud points `index` as (normals, majors), each (n, 3).
 
     A rank-deficient neighbourhood is an error.
     """
     normals, eigvecs, valid = _pca(cloud, index, k, viewpoint)
     if not valid.all():
         raise ValueError(f"degenerate neighborhood at point {int(index[np.argmin(valid)])} (rank < 2)")
-    # tangent directions: remaining eigenvectors, larger eigenvalue first, Gram-Schmidt against the normal
-    major, minor = eigvecs[:, :, 2], eigvecs[:, :, 1]
+    # the major tangent direction: the largest-eigenvalue eigenvector, Gram-Schmidt against the normal
+    major = eigvecs[:, :, 2]
     major = major - np.vecdot(major, normals)[:, None] * normals
     major /= np.sqrt(np.vecdot(major, major))[:, None]
-    minor = minor - np.vecdot(minor, normals)[:, None] * normals - np.vecdot(minor, major)[:, None] * major
-    minor /= np.sqrt(np.vecdot(minor, minor))[:, None]
-    return cloud.points[index], normals, major, minor
+    return normals, major
 
 
 # ---------------------------------------------------------------------------
 # Candidate generation
 # ---------------------------------------------------------------------------
-
-def _approach_angles(r: np.ndarray, approach: np.ndarray) -> np.ndarray:
-    """theta per row that rotates the ground reference of closing axis r onto `approach`, in (-pi, pi]."""
-    x_ref = ground_reference(r)
-    num, den = np.vecdot(_cross(x_ref, approach), r), np.vecdot(x_ref, approach)
-    return np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
-
-
-def _theta_for_approach(orientation: np.ndarray, approach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closing axes (possibly flipped) and thetas so each frame's X axis equals its `approach`.
-
-    Takes (G, 3) rows, each approach perpendicular to its orientation. The
-    closing axis is sign-symmetric for a parallel jaw, so it is flipped
-    whenever that brings theta into [-pi/2, pi/2].
-    """
-    r = np.array(orientation, dtype=float)
-    theta = _approach_angles(r, approach)
-    flip = np.abs(theta) > math.pi / 2 + 1e-12
-    if flip.any():
-        r[flip] = -r[flip]
-        theta[flip] = _approach_angles(r[flip], approach[flip])
-    if np.any(np.abs(theta) > math.pi / 2 + 1e-12):
-        raise RuntimeError("no valid approach angle found")  # unreachable for approach perpendicular to r
-    return r, clamp_theta(theta)
-
 
 def sample_candidates(
     object_cloud: PointCloud,
@@ -199,14 +173,17 @@ def sample_candidates(
     else:
         offsets = np.linspace(-cfg.angle_range, cfg.angle_range, cfg.n_angle_perturbations)
 
-    points, normals, majors, _ = _darboux_frames(object_cloud, centers, k, viewpoint)
+    normals, majors = _darboux_frames(object_cloud, centers, k, viewpoint)
     approach = -normals
-    grasp_centers = points + (gripper.depth / 2.0) * approach
+    grasp_centers = object_cloud.points[centers] + (gripper.depth / 2.0) * approach
     # one row per (seed, spin), seed-major
     approach = np.repeat(approach, n_spin, axis=0)
-    r = rotate_about_axis(np.repeat(majors, n_spin, axis=0), approach, np.tile(spins, len(points)))
+    r = rotate_about_axis(np.repeat(majors, n_spin, axis=0), approach, np.tile(spins, len(centers)))
     r /= np.sqrt(np.vecdot(r, r))[:, None]
-    r, theta0 = _theta_for_approach(r, approach)
+    try:
+        r, theta0 = _theta_for_approach(r, approach)
+    except GraspRowError as exc:
+        raise ValueError(f"seed point {int(centers[exc.row // n_spin])}: {exc}") from None
     return grasps_from_arrays(np.repeat(grasp_centers, n_spin * len(offsets), axis=0),
                               np.repeat(r, len(offsets), axis=0), clamp_theta((theta0[:, None] + offsets).ravel()))
 

@@ -145,7 +145,7 @@ def oracle_point_confidence(cloud: PointCloud, centers, d_th: float) -> Confiden
 def oracle_darboux(cloud: PointCloud, index: int, k: int, viewpoint=(0.0, 0.0, 10.0)):
     """The per-point Darboux frame: its own kNN query, a one-matrix `eigh` and the n.(vp - p) flip.
 
-    Returns (point, normal, major, minor); a rank-deficient neighbourhood raises ValueError naming the point.
+    Returns (normal, major); a rank-deficient neighbourhood raises ValueError naming the point.
     """
     p = cloud.points[index]
     _, idx = cKDTree(cloud.points).query(p, k=k)
@@ -158,12 +158,10 @@ def oracle_darboux(cloud: PointCloud, index: int, k: int, viewpoint=(0.0, 0.0, 1
     normal = eigvecs[:, 0]
     if float(normal @ (np.asarray(viewpoint, dtype=float) - p)) < 0.0:
         normal = -normal
-    major, minor = eigvecs[:, 2], eigvecs[:, 1]
+    major = eigvecs[:, 2]
     major = major - (major @ normal) * normal
     major /= np.linalg.norm(major)
-    minor = minor - (minor @ normal) * normal - (minor @ major) * major
-    minor /= np.linalg.norm(minor)
-    return p.copy(), normal, major, minor
+    return normal, major
 
 
 def oracle_float_rows(path, lines, first_lineno, ncols, sep):

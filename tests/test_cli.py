@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -340,21 +341,37 @@ class TestSelectCoeffs:
         assert capsys.readouterr().out == self.ROWS[1] + "\n"
 
     @pytest.mark.parametrize("text,message", [
-        ("a = nan\n", "coefficient a must be a finite real, got 'nan'"),
-        ("b = inf\n", "coefficient b must be a finite real, got 'inf'"),
-        ("slope = -1e400\n", "coefficient slope must be a finite real, got '-1e400'"),
-        ("a = abc\n", "coefficient a must be a finite real, got 'abc'"),
+        ("a = nan\n", "coefficient a must be finite, got nan"),
+        ("b = inf\n", "coefficient b must be finite, got inf"),
+        ("slope = -1e400\n", "coefficient slope must be finite, got -1e400"),
+        ("a = abc\n", "coefficient a expects a real, got 'abc'"),
         ("a = 1\nbogus = 3\n", "unknown coefficient 'bogus'"),
         ("bogus = abc\n", "unknown coefficient 'bogus'"),
         ("policy.a = 3\n", "unknown coefficient 'policy.a'"),
     ])
     def test_bad_coefficient_is_data_error_naming_file_and_key(self, tmp_path, capsys, text, message):
+        # the settings' parser and wording, at the file:line of the bad item: each text's last line
         coeffs = tmp_path / "c.txt"
         coeffs.write_text(text)
         assert main(["select", self._grasps(tmp_path), "--coeffs", str(coeffs)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"grasplab: error: {coeffs}: {message}" in captured.err
+        assert captured.err == f"grasplab: error: {coeffs}:{text.count(chr(10))}: {message}\n"
+
+    def test_a_key_left_out_keeps_its_default(self, tmp_path, capsys, monkeypatch):
+        coeffs = tmp_path / "c.txt"
+        coeffs.write_text("a = 5\n")
+        policies = []
+
+        def spy(grasps, policy):
+            policies.append(policy)
+            return grasplab.analytic_select(grasps, policy)
+
+        monkeypatch.setattr(cli, "analytic_select", spy)
+        assert main(["select", self._grasps(tmp_path), "--coeffs", str(coeffs)]) == 0
+        default = grasplab.DEFAULT_POLICY
+        assert policies == [grasplab.AnalyticPolicy(grasplab.SigmoidFit(5.0, default.sigmoid.b), default.linear)]
+        assert capsys.readouterr().out == self.ROWS[0] + "\n"
 
     def test_coeffs_with_the_heuristic_policy_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"  # never read: reading it would be a data error (exit 2)
@@ -922,6 +939,23 @@ class TestDataErrorsNameTheirFiles:
         kept = " kept by --subsample" if extra else ""
         err = capsys.readouterr().err
         assert err == f"grasplab: error: {cloud} has 3 points{kept}, need at least {need}\n"
+        assert not out.exists()
+
+    def test_sample_on_a_wall_whose_closing_axis_turns_parallel_to_z(self, tmp_path):
+        # a wall in the y-z plane faces +x, so every approach is -x; the spin by pi/2 turns the closing axis
+        # parallel to world Z, whose ground reference (1, 0, 0) leaves that approach no angle in range
+        wall, ply, out = tmp_path / "w.xyz", tmp_path / "w.ply", tmp_path / "c.csv"
+        wall.write_text("".join(f"-0.050000 {y * 0.002:.6f} {z:.6f}\n" for y in range(-20, 21)
+                                for z in (-0.004, 0.0, 0.004)))
+        assert main(["normals", str(wall), "-k", "9", "-o", str(ply)]) == 0
+        src = str(Path(grasplab.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "grasplab.cli", "sample", str(ply), "--gripper", GRIPPER,
+                               "--centers", "5", "-o", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(r"grasplab: error: seed point \d+: closing axis parallel to world Z and approach "
+                            r"\(-1\.000, -?0\.000, -?0\.000\) have no angle in \[-pi/2, pi/2\]\n", proc.stderr)
+        assert ".py" not in proc.stderr
         assert not out.exists()
 
     def test_confidence_of_an_empty_grasp_list(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ from grasplab import (
 )
 from grasplab import collision
 from grasplab.collision import _BALL_ROUND, _BALL_SLACK, _MAX_BALLS, BOUNDARY_TOL, _cells
-from grasplab.sampling import _theta_for_approach
+from grasplab.core import _theta_for_approach
 from conftest import grasp_to_world, oracle_collision, oracle_frame, tabletop_cloud, world_to_grasp
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
@@ -500,7 +500,7 @@ class TestCoreBallPrePass:
         assert filter_collision_free([AXIS_Y], PointCloud(np.array([[0.0, 0.04 + 2e-9, 0.0]])), thin) == [AXIS_Y]
 
 
-# obstacle boxes with 24/24/40, 65/65/115, 15/15/24 and 4/4/10 cells: full rounds, partial last rounds
+# obstacle boxes with 24/24/40, 48/48/88, 15/15/24 and 4/4/10 cells: full rounds, partial last rounds
 # and boxes with fewer cells than one round
 ROUND_GRIPPERS = [GRIPPER, GripperParams(0.06, 0.1, 0.02, 0.005), GripperParams(0.05, 0.07, 0.03, 0.012),
                   GripperParams(0.04, 0.06, 0.03, 0.02)]
@@ -560,6 +560,7 @@ class TestCells:
     @given(dims=GRIPPER_DIMS)
     @example(dims=(0.1, 0.15, 0.08, 0.002))   # 2,000 cubes a finger, capped to 120
     @example(dims=(0.06, 0.08, 0.04, 0.015))  # ratios 4 and 2.67: the cubes overlap unevenly
+    @example(dims=(0.06, 0.1, 0.02, 0.005))   # ratios a rounding error above 12, 22 and 4
     def test_circumscribed_balls_cover_the_worst_points(self, dims):
         v = gripper_volume(GripperParams(*dims))
         for box in (v.closing, *v.obstacles):
@@ -576,8 +577,15 @@ class TestCells:
             for p, c in zip(pts.tolist(), nearest.tolist()):
                 assert sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(p, c)) < bound
 
+    def test_a_whole_ratio_gets_no_extra_cube(self):
+        # the finger boxes are 0.06 by 0.005 by 0.02 and the palm 0.005 by 0.11 by 0.02; each ratio to the
+        # 0.005 side is a rounding error above 12, 22 or 4, which np.ceil alone rounds up to 13, 23 and 5
+        obstacles = collision._kernels(GripperParams(0.06, 0.1, 0.02, 0.005))[1]
+        assert [len(kernel.centers) for kernel in obstacles] == [48, 48, 88]
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from(ROUND_GRIPPERS + [GripperParams(0.1, 0.15, 0.08, 0.002)]))
+    @example(seed=0, s=GripperParams(0.06, 0.1, 0.02, 0.005))
     def test_points_on_the_cell_balls_get_the_oracle_verdicts(self, seed, s):
         rng = np.random.default_rng(seed)
         grasps = [_random_grasp(rng, span=0.2) for _ in range(12)]

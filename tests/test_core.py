@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasplab.core import THETA_MAX, UNIT_TOL, GraspRowError, clamp_theta
+from grasplab.core import THETA_MAX, UNIT_TOL, GraspRowError, _theta_for_approach, clamp_theta
 from grasplab import (
     Grasp,
     GripperParams,
@@ -135,6 +135,22 @@ class TestGraspFrame:
             g2 = Grasp(g.center, r2, g.theta)
             diff = np.abs(grasp_frame(g) - grasp_frame(g2)).max()
             assert diff <= 1e3 * np.linalg.norm(delta)
+
+
+class TestFrameInverse:
+    """_theta_for_approach flips a closing axis to bring theta into range, and names the first row no flip can."""
+
+    def test_an_axis_parallel_to_z_flips_nothing_into_range(self):
+        # (1, 0, 0) is the ground reference of both signs of a closing axis along Z: an approach with
+        # negative x is more than pi/2 from it either way
+        r = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        approach = np.array([[-1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-0.6, 0.8, 0.0], [-0.6, -0.8, 0.0]])
+        r2, theta = _theta_for_approach(r[:2], approach[:2])
+        np.testing.assert_allclose(r2, [[0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        message = r"^closing axis parallel to world Z and approach \(-0\.600, 0\.800, 0\.000\) have no angle in "
+        with pytest.raises(GraspRowError, match=message + r"\[-pi/2, pi/2\]$") as info:
+            _theta_for_approach(r, approach)
+        assert info.value.row == 2
 
 
 class TestFrameCache:

@@ -89,7 +89,7 @@ ENTRY_POINTS = {
     "flag, integer": (int, "argument --k1: ", lambda d, t: resolve_error(BASE_ARGV["labels"] + [f"--k1={t}"])),
     "--gripper field": (float, "argument --gripper: ", lambda d, t: resolve_error(
         ["sample", "c.ply", f"--gripper={t},0.1,0.02,0.005", "-o", "o.csv"])),
-    "coefficient value": (float, "a.txt: coefficient a ", coefficient_error),
+    "coefficient value": (float, "a.txt:1: coefficient a ", coefficient_error),
 }
 
 
@@ -176,7 +176,7 @@ class TestReproducers:
         (["sample", "five.xyz", "--gripper", "\u0660.06,0.1,0.02,0.005", "-o", "s.csv"], 1,
          "argument --gripper: expects D,W,H,T reals"),
         (["select", "g.csv", "--coeffs", "coeffs.txt"], 2,
-         "coeffs.txt: coefficient a must be a finite real, got '1_0'"),
+         "coeffs.txt:1: coefficient a expects a real, got '1_0'"),
         (["normals", "five.xyz", "--config", "k.cfg", "-o", "o.ply"], 2,
          "k.cfg:1: setting normals.k expects an integer, got '\u0663'"),
         (["sample", "five.xyz", "--gripper", "0.06,0.1,0.02,0.005", "--centers", "99999999999999999999999",

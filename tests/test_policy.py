@@ -19,7 +19,7 @@ from grasplab import (
     vertical_score,
 )
 from grasplab.cli import main
-from grasplab.policy import _limit_rss, policy_from_mapping
+from grasplab.policy import _limit_rss
 
 
 def _sg(s_q, theta):
@@ -275,12 +275,6 @@ class TestPearson:
 
 
 class TestPolicySerialization:
-    def test_missing_keys_fall_back_to_defaults(self):
-        policy = policy_from_mapping({"a": 5.0})
-        assert policy.sigmoid.a == 5.0
-        assert policy.sigmoid.b == DEFAULT_POLICY.sigmoid.b
-        assert policy.linear.slope == DEFAULT_POLICY.linear.slope
-
     def test_default_policy_constants(self):
         assert DEFAULT_POLICY.sigmoid == SigmoidFit(10.1244, 0.6103)
         assert DEFAULT_POLICY.linear == LinearFit(0.8783, -0.0587)

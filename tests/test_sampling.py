@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,15 +94,15 @@ class TestBlockedNormals:
 
 
 def darboux_frames(cloud, index, k):
-    """(points, normals, majors, minors) at the cloud points `index`, seen from the default viewpoint."""
+    """(normals, majors) at the cloud points `index`, seen from the default viewpoint."""
     return sampling._darboux_frames(cloud, np.atleast_1d(index), k, sampling.DEFAULT_VIEWPOINT)
 
 
 class TestDarbouxFrame:
     def test_plane_frame(self):
-        _, normal, major, minor = (a[0] for a in darboux_frames(plane_cloud(), 0, k=8))
+        normal, major = (a[0] for a in darboux_frames(plane_cloud(), 0, k=8))
         np.testing.assert_allclose(normal, [0, 0, 1], atol=1e-9)
-        assert abs(major[2]) < 1e-9 and abs(minor[2]) < 1e-9
+        assert abs(major[2]) < 1e-9
 
     def test_cylinder_major_follows_axis(self):
         # cylinder wall along Z: circumferential offsets foreshorten onto the
@@ -114,12 +115,13 @@ class TestDarbouxFrame:
             [[radius * math.cos(a), radius * math.sin(a), z] for z in zs for a in angles]
         )
         cloud = PointCloud(pts)
-        _, _, majors, _ = darboux_frames(cloud, [len(cloud) // 2, len(cloud) // 3], k=300)
+        _, majors = darboux_frames(cloud, [len(cloud) // 2, len(cloud) // 3], k=300)
         assert np.all(np.abs(majors[:, 2]) > math.cos(math.radians(10)))
 
     def test_orthonormal_triplet(self):
-        _, normals, majors, minors = darboux_frames(random_sphere_cloud(1.0, 500, seed=7), np.arange(0, 500, 9), 12)
-        M = np.stack([normals, majors, minors], axis=1)
+        # the minor axis that completes the frame is normal x major
+        normals, majors = darboux_frames(random_sphere_cloud(1.0, 500, seed=7), np.arange(0, 500, 9), 12)
+        M = np.stack([normals, majors, np.cross(normals, majors)], axis=1)
         np.testing.assert_allclose(M @ M.transpose(0, 2, 1), np.broadcast_to(np.eye(3), M.shape), atol=1e-6)
 
     def test_degenerate_neighborhood_raises(self):
@@ -194,6 +196,18 @@ class TestDarbouxAgainstPerPointOracle:
 
 
 class TestSampleCandidates:
+    def test_a_seed_with_no_angle_in_range_is_named(self):
+        # a wall facing +x: the approach is -x, and a spin by pi/2 of a tangent axis along y turns the
+        # closing axis parallel to world Z, whose only ground reference is (1, 0, 0)
+        wall = PointCloud([(-0.05, y * 0.002, z) for y in range(-20, 21) for z in (-0.004, 0.0, 0.004)])
+        cfg = SamplerConfig(n_centers=5, n_orientation_perturbations=4, rng_seed=0, k_neighbors=9)
+        message = (r"^seed point \d+: closing axis parallel to world Z and approach \(-1\.000, -?0\.000, -?0\.000\) "
+                   r"have no angle in \[-pi/2, pi/2\]$")
+        with pytest.raises(ValueError, match=message) as info:
+            sample_candidates(wall, GRIPPER, cfg)
+        seeds = np.random.default_rng(0).choice(len(wall), size=5, replace=False)
+        assert int(re.match(r"seed point (\d+)", str(info.value))[1]) in seeds.tolist()
+
     def test_single_unperturbed_candidate_approaches_into_plane(self):
         cloud = plane_cloud(400, seed=1)
         cfg = SamplerConfig(n_centers=1, n_orientation_perturbations=1, n_angle_perturbations=1, rng_seed=0)
