@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Grasp, clamp_theta
+from .core import Grasp, GraspRowError, clamp_theta, grasps_from_arrays
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
 
@@ -75,14 +75,15 @@ class AnchorSet:
 
 
 def _block(res_c: np.ndarray, res_r: np.ndarray, theta: float, s_q: float) -> np.ndarray:
-    """A residual block: the read-only (8,) regression targets res_c(3), res_r(3), theta, s_q.
+    """A residual block: the read-only (8,) regression targets res_c(3), res_r(3), theta, s_q; (n, 8) for (n, 3) res_c.
 
     For anchor labels: res_c = (center - p_p)/c_b, res_r = r - r_anchor,
     and theta / s_q are the ground truth's own values. For refine labels
     the same slots hold the four residuals gt - proposal (center residual
     still divided by c_b).
     """
-    block = np.concatenate([res_c, res_r, [theta, s_q]])
+    block = np.empty(np.shape(res_c)[:-1] + (8,))
+    block[..., :3], block[..., 3:6], block[..., 6], block[..., 7] = res_c, res_r, theta, s_q
     block.flags.writeable = False
     return block
 
@@ -93,7 +94,7 @@ class AnchorLabel:
 
     classes: np.ndarray                 # (M,) in {POSITIVE, NEGATIVE, IGNORE}
     positive_index: int | None          # nearest, when it is close enough to be positive
-    residuals: np.ndarray | None        # (8,) residual block
+    residuals: np.ndarray | None        # (8,) residual block, (n, 8) for n positive points
     nearest: int                        # the minimum-angle anchor, lowest index on ties
 
 
@@ -163,13 +164,12 @@ def encode_residuals(
     anchor_dir: np.ndarray,
     c_b: float = CENTER_BALANCE,
 ) -> np.ndarray:
-    """Residual block of a ground-truth grasp against (positive point, anchor); s_q is gt.s_q."""
+    """Residual block of gt against (positive point, anchor), s_q = gt.s_q; (n, 3) points give (n, 8) blocks."""
     if c_b <= 0.0:
         raise ValueError("c_b must be positive")
-    p = np.asarray(positive_point, dtype=float).reshape(3)
     a = np.asarray(anchor_dir, dtype=float).reshape(3)
     a = a / np.linalg.norm(a)
-    return _block((gt.center - p) / c_b, gt.orientation - a, gt.theta, gt.s_q)
+    return _block((gt.center - np.asarray(positive_point, dtype=float)) / c_b, gt.orientation - a, gt.theta, gt.s_q)
 
 
 def complete_label(
@@ -179,7 +179,7 @@ def complete_label(
     positive_point: np.ndarray,
     c_b: float = CENTER_BALANCE,
 ) -> AnchorLabel:
-    """Fill res_c of a positive label once the positive point is known."""
+    """Fill res_c of a positive label once the positive point is known; (n, 3) points give (n, 8) residuals."""
     if label.positive_index is None:
         return label
     block = encode_residuals(gt, positive_point, anchors.directions[label.positive_index], c_b)
@@ -191,17 +191,16 @@ def decode_proposal(
     positive_point: np.ndarray,
     anchor_dir: np.ndarray,
     c_b: float = CENTER_BALANCE,
-) -> Grasp:
-    """Invert encode_residuals: center = res_c * c_b + p_p,
-    orientation = normalize(res_r + anchor), theta clamped to its range; s_q is not read."""
-    block = np.asarray(block, dtype=float).reshape(8)
-    p = np.asarray(positive_point, dtype=float).reshape(3)
-    a = np.asarray(anchor_dir, dtype=float).reshape(3)
-    r = block[3:6] + a / np.linalg.norm(a)
-    norm = float(np.linalg.norm(r))
-    if norm < 1e-9:
-        raise ValueError("res_r + anchor_dir is degenerate (near zero vector)")
-    return Grasp(block[:3] * c_b + p, r / norm, clamp_theta(block[6]))
+) -> Grasp | list[Grasp]:
+    """Invert encode_residuals: center = res_c * c_b + p_p, orientation = normalize(res_r + anchor), theta
+    clamped to its range; s_q is not read. (n, 8) blocks at (n, 3) points give n grasps in one table."""
+    rows, p, a = (np.asarray(x, float).reshape(-1, w) for x, w in ((block, 8), (positive_point, 3), (anchor_dir, 3)))
+    r = rows[:, 3:6] + a / np.sqrt(np.vecdot(a, a))[:, None]  # the bits of np.linalg.norm of one vector
+    norm = np.sqrt(np.vecdot(r, r))[:, None]
+    if (norm < 1e-9).any():  # raised as GraspRowError, which names the row
+        raise GraspRowError(int(np.argmax(norm < 1e-9)), "res_r + anchor_dir is degenerate (near zero vector)")
+    grasps = grasps_from_arrays(rows[:, :3] * c_b + p, r / norm, clamp_theta(rows[:, 6]))
+    return grasps if np.ndim(block) == 2 else grasps[0]
 
 
 def assign_refine_labels(

@@ -326,16 +326,16 @@ def _cmd_labels(args, settings) -> int:
     classes, nearest_anchor, positive_anchor, anchor_res = (np.empty((n, m), int), np.empty(n, int),
                                                             np.full(n, -1), np.zeros((n, 8)))
     regions, padded = np.empty((n, keep if args.regions else 0), int), np.empty(n, int)
-    for row, (pi, gi) in enumerate(zip(positives.tolist(), nearest.tolist())):
-        p = cloud.points[pi]
+    order = np.argsort(nearest, kind="stable")
+    truths, firsts = np.unique(nearest[order], return_index=True)
+    for gi, rows in zip(truths.tolist(), np.split(order, firsts[1:])):  # one label per truth, at all its points
         label = anchors_mod.assign_anchor_labels(scored[gi], anchor_dirs, angle_pos, angle_neg)
-        label = anchors_mod.complete_label(label, scored[gi], anchor_dirs, p, c_b)
-        classes[row], nearest_anchor[row] = label.classes, label.nearest
+        label = anchors_mod.complete_label(label, scored[gi], anchor_dirs, cloud.points[positives[rows]], c_b)
+        classes[rows], nearest_anchor[rows] = label.classes, label.nearest
         if label.positive_index is not None:
-            positive_anchor[row], anchor_res[row] = label.positive_index, label.residuals
-        if args.regions:
-            regions[row], padded[row] = ball_query(cloud, p, radius=settings["region.radius"], keep=keep,
-                                                   seed=args.seed)
+            positive_anchor[rows], anchor_res[rows] = label.positive_index, label.residuals
+    for row, p in enumerate(cloud.points[positives] if args.regions else ()):
+        regions[row], padded[row] = ball_query(cloud, p, radius=settings["region.radius"], keep=keep, seed=args.seed)
     # refine labels grade the anchor-reference poses (p, nearest anchor, 0), built as one table
     proposals = grasps_from_arrays(cloud.points[positives], anchor_dirs.directions[nearest_anchor], np.zeros(n))
     y, refine_res = np.empty(n, int), np.zeros((n, 8))

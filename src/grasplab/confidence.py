@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +19,7 @@ from .core import Grasp, PointCloud
 __all__ = ["ConfidenceField", "point_confidence", "select_positive_points"]
 
 _BLOCK_PAIRS = 1 << 16  # point-center pairs per block; bounds the temporaries of a dense scene
+_BLOCK_CENTERS = 16  # centers per pair query; bounds its 24-byte pair records
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +62,13 @@ def point_confidence(
     if n == 0 or not grasps:
         return ConfidenceField(np.zeros(n), d_th)
     centers = np.stack([g.center for g in grasps])
-    neighbors = cKDTree(centers).query_ball_point(cloud.points, d_th)
-    counts = np.fromiter(map(len, neighbors), np.intp, n)
-    flat = np.fromiter(chain.from_iterable(neighbors), np.intp, counts.sum())
+    # sorted keys point * c + center (int32 where they fit) list each point's centers within d_th in ascending order
+    c, keys, key = len(centers), [], np.int32 if n * len(centers) < 2**31 else np.int64
+    for lo in range(0, c, _BLOCK_CENTERS):
+        pairs = cloud.tree.sparse_distance_matrix(cKDTree(centers[lo:lo + _BLOCK_CENTERS]), d_th, output_type="ndarray")
+        keys.append(pairs["i"].astype(key) * key(c) + (pairs["j"] + lo).astype(key))
+    point, flat = np.divmod(np.sort(np.concatenate(keys)), c)
+    counts = np.bincount(point, minlength=n)
     starts = np.cumsum(counts) - counts
     sums = np.zeros(n)
     # points with k neighbours form (rows, k) blocks summed along their contiguous last axis, which

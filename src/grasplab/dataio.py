@@ -119,7 +119,7 @@ def _read_lines(path) -> list[str]:
 
 # the characters on which np.loadtxt and the Python walk accept and reject the same fields; outside
 # them (e.g. '_', '\x1f', 'inf', non-ASCII digits) the walk decides, and rejects the row
-_NUMERIC_TEXT = re.compile(r"[-+.0-9eE \t,]*")
+_NUMERIC_CHARS = b"-+.0123456789eE \t,"
 # numbers: ASCII text with only spaces and tabs around it (float and int also read '1_0', '\u0663', '\xa03')
 _NUMBER = re.compile(r"[ \t]*[-+.0-9eE]+[ \t]*")
 _INTEGER = re.compile(r"[ \t]*-?[0-9]+[ \t]*")
@@ -160,27 +160,29 @@ def _parse_floats(path, lineno: int, fields: list[str]) -> list[float]:
 def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str | None):
     """The non-blank lines as an (n, ncols) array of reals, and each row's line number.
 
-    Fields are split on `sep` (runs of blanks when None). numpy's C reader parses well-formed rows in
-    one pass when every character is one it reads as the walk does. Otherwise a Python walk parses
-    them or reports the first bad row: its first field that is not a real, else its column count.
+    Fields are split on `sep` (runs of blanks when None). numpy's C reader parses well-formed rows in one
+    pass when one check of the joined bytes finds only characters it reads as the walk does. Otherwise a
+    Python walk parses them or reports the first bad row: its first field that is not a real, else its width.
     """
-    linenos = [i for i, raw in enumerate(lines, first_lineno) if raw.strip(_BLANKS)]
-    rows = [lines[i - first_lineno] for i in linenos]
     # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
-    # agrees only for one column, where a row with an inner blank fails the shape check. An empty
-    # body is left to the walk below, which returns a (0, ncols) array
-    if rows and (sep in (None, ",") or ncols == 1 and sep == "\n") and _NUMERIC_TEXT.fullmatch("".join(rows)):
+    # agrees only for one column, where a row with an inner blank fails the shape check. A body with no
+    # field, on which loadtxt warns, is left to the walk below: it returns a (0, ncols) array
+    data, text = None, (sep in (None, ",") or ncols == 1 and sep == "\n") and "".join(lines).encode()
+    if text and not text.isspace() and not text.translate(None, _NUMERIC_CHARS):
         with suppress(ValueError):
-            data = np.loadtxt(rows, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
-            if data.shape == (len(rows), ncols) and np.isfinite(data).all():
-                return data, linenos
+            data = np.loadtxt(lines, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
+    # loadtxt skips blank lines; only then must each row's line be looked up
+    linenos = (range(first_lineno, first_lineno + len(lines)) if data is not None and len(data) == len(lines)
+               else [i for i, raw in enumerate(lines, first_lineno) if raw.strip(_BLANKS)])
+    if data is not None and data.shape == (len(linenos), ncols) and np.isfinite(data).all():
+        return data, linenos
     out = []
-    for i, raw in zip(linenos, rows):
-        fields = _fields(raw, sep)
+    for i in linenos:
+        fields = _fields(lines[i - first_lineno], sep)
         out += _parse_floats(path, i, fields)
         if len(fields) != ncols:
             raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
-    return np.array(out, float).reshape(len(rows), ncols), linenos
+    return np.array(out, float).reshape(len(linenos), ncols), linenos
 
 
 def _parse_count(path, lineno: int, token: str) -> int:
@@ -243,8 +245,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         data, linenos = _float_rows(path, body, body_start + 1, len(props), None)
     except ParseError as exc:
         # a row past the declared count is reported as such before its own defects
-        _, linenos = _float_rows(path, body[:exc.line - body_start - 1], body_start + 1, len(props), None)
-        linenos.append(exc.line)
+        linenos = [*_float_rows(path, body[:exc.line - body_start - 1], body_start + 1, len(props), None)[1], exc.line]
         if len(linenos) <= n_vertices:
             raise
     if len(linenos) > n_vertices:
@@ -259,7 +260,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
 
 
 def _read_xyz(path, lines: list[str]) -> PointCloud:
-    body = [raw.split("#", 1)[0] for raw in lines]
+    body = [raw.split("#", 1)[0] for raw in lines] if "#" in "".join(lines) else lines
     width = next((len(fields) for fields in (_fields(raw, None) for raw in body) if fields), 3)
     try:
         # a first row neither 3 nor 6 wide fails the 3-column parse and is reported below

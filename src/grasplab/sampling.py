@@ -73,6 +73,15 @@ class SamplerConfig:
 # Normals and Darboux frames
 # ---------------------------------------------------------------------------
 
+def _covariance(nbrs: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) covariances of (n, k, 3) neighbourhoods; each entry sums in row order, as einsum "nki,nkj->nij"."""
+    c = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.empty((len(c), 3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", c[:, :, i], c[:, :, j])
+    return cov / nbrs.shape[1]
+
+
 def _pca(cloud: PointCloud, index, k: int, viewpoint: np.ndarray):
     """PCA of the k-nearest-neighbour covariance at the cloud points `index`, in one tree query.
 
@@ -81,10 +90,7 @@ def _pca(cloud: PointCloud, index, k: int, viewpoint: np.ndarray):
     neighbourhood is rank-deficient (< 2, e.g. collinear)).
     """
     p = cloud.points[index]
-    _, idx = cloud.tree.query(p, k=k)
-    nbrs = cloud.points[idx]                         # (n, k, 3)
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    eigvals, eigvecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
+    eigvals, eigvecs = np.linalg.eigh(_covariance(cloud.points[cloud.tree.query(p, k=k)[1]]))
     normals = eigvecs[:, :, 0]
     # rank < 2 <=> middle eigenvalue vanishes relative to the spread
     valid = eigvals[:, 1] > 1e-10 * np.maximum(eigvals[:, 2], 1e-300)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from grasplab import ConfidenceField, PointCloud, grasp_frame
+from grasplab import ConfidenceField, Grasp, PointCloud, anchors, grasp_frame, select_positive_points
 from grasplab.core import THETA_MAX, UNIT_TOL
 from grasplab.dataio import ParseError
 
@@ -140,6 +140,51 @@ def oracle_point_confidence(cloud: PointCloud, centers, d_th: float) -> Confiden
             d = np.linalg.norm(centers[idx] - cloud.points[i], axis=1)
             sums[i] = np.sum(1.0 - d / d_th)
     return ConfidenceField(np.tanh(sums), d_th)
+
+
+def oracle_covariance(nbrs):
+    """The covariance of each (k, 3) neighbourhood of nbrs (n, k, 3) as a per-point loop sums it: the mean,
+    then every product of two centred columns, each a sequential sum over the k rows in order. The loop
+    runs over all points at once; each element's arithmetic is that of the scalar loop."""
+    k = nbrs.shape[1]
+    total = nbrs[:, 0]
+    for t in range(1, k):
+        total = total + nbrs[:, t]
+    c = nbrs - (total / k)[:, None]
+    cov = np.zeros((len(nbrs), 3, 3))
+    for t in range(k):
+        cov = cov + c[:, t, :, None] * c[:, t, None, :]
+    return cov / k
+
+
+def oracle_label_tables(cloud: PointCloud, field: ConfidenceField, scored, k1: int, m: int = 4,
+                        angle_pos: float = anchors.ANGLE_POS, angle_neg: float = anchors.ANGLE_NEG,
+                        c_b: float = anchors.CENTER_BALANCE, **refine):
+    """The labels command one positive point at a time: the arguments of write_anchor_labels and of
+    write_refine_labels. Each point finds its nearest ground-truth center (lowest index on ties) and
+    gets its own anchor label, residual block and refine label of the pose (p, nearest anchor, 0)."""
+    anchor_dirs = anchors.anchor_set(m)
+    positives = select_positive_points(field, k1)
+    centers = np.stack([g.center for g in scored])
+    n = len(positives)
+    nearest, classes, nearest_anchor = np.empty(n, int), np.empty((n, m), int), np.empty(n, int)
+    positive_anchor, anchor_res = np.full(n, -1), np.zeros((n, 8))
+    y, refine_res = np.empty(n, int), np.zeros((n, 8))
+    for row, pi in enumerate(positives.tolist()):
+        p = cloud.points[pi]
+        gi = nearest[row] = int(np.argmin(np.linalg.norm(centers - p, axis=1)))
+        label = anchors.assign_anchor_labels(scored[gi], anchor_dirs, angle_pos, angle_neg)
+        label = anchors.complete_label(label, scored[gi], anchor_dirs, p, c_b)
+        classes[row], nearest_anchor[row] = label.classes, label.nearest
+        if label.positive_index is not None:
+            positive_anchor[row], anchor_res[row] = label.positive_index, label.residuals
+        proposal = Grasp(p, anchor_dirs.directions[label.nearest], 0.0)
+        refine_label = anchors.assign_refine_labels(scored[gi], proposal, c_b=c_b, **refine)
+        y[row] = refine_label.y
+        if refine_label.residuals is not None:
+            refine_res[row] = refine_label.residuals
+    return ((positives, cloud.points[positives], nearest, classes, positive_anchor, anchor_res),
+            (positives, y, refine_res))
 
 
 def oracle_darboux(cloud: PointCloud, index: int, k: int, viewpoint=(0.0, 0.0, 10.0)):

@@ -14,6 +14,7 @@ from grasplab import (
     encode_residuals,
 )
 from grasplab.anchors import ANGLE_NEG, ANGLE_POS, IGNORE, NEGATIVE, POSITIVE, AnchorSet, complete_label
+from grasplab.core import GraspRowError
 from conftest import oracle_anchor_coincidence
 
 
@@ -179,8 +180,36 @@ class TestEncodeDecode:
         assert worst_r < 1e-9
 
     def test_degenerate_decode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^res_r \+ anchor_dir is degenerate \(near zero vector\)$"):
             decode_proposal([0, 0, 0, 0, 0, -1.0, 0, 0], np.zeros(3), (0, 0, 1.0))
+
+    def test_point_tables_code_as_their_rows_one_at_a_time(self, rng):
+        anchors = anchor_set(4)
+        gt = Grasp(rng.uniform(-1, 1, 3), _unit(rng.normal(size=3)), 0.4, 0.6)
+        points = rng.uniform(-1, 1, size=(50, 3))
+        a = anchors.directions[2]
+        blocks = encode_residuals(gt, points, a)
+        assert blocks.shape == (50, 8) and not blocks.flags.writeable
+        assert blocks.tobytes() == np.stack([encode_residuals(gt, p, a) for p in points]).tobytes()
+        label = assign_anchor_labels(gt, anchors)
+        rows = [complete_label(label, gt, anchors, p).residuals for p in points]
+        assert complete_label(label, gt, anchors, points).residuals.tobytes() == np.stack(rows).tobytes()
+        back = decode_proposal(blocks, points, a)
+        # each row as the one-row decode built it: np.linalg.norm of one vector, then one Grasp
+        r = blocks[:, 3:6] + a / np.linalg.norm(a)
+        one = [Grasp(block[:3] * 0.1 + p, v / np.linalg.norm(v), block[6]) for block, p, v in zip(blocks, points, r)]
+        for g, h in zip(back, one, strict=True):
+            assert (g.center.tobytes(), g.orientation.tobytes(), g.theta) == \
+                (h.center.tobytes(), h.orientation.tobytes(), h.theta)
+            np.testing.assert_allclose(g.center, gt.center, atol=1e-12)
+            np.testing.assert_allclose(g.orientation, gt.orientation, atol=1e-9)
+
+    def test_a_degenerate_row_of_a_table_is_named(self):
+        blocks = np.zeros((4, 8))
+        blocks[2, 3:6] = (0, 0, -1.0)
+        with pytest.raises(GraspRowError, match=r"^res_r \+ anchor_dir is degenerate") as info:
+            decode_proposal(blocks, np.zeros((4, 3)), (0, 0, 1.0))
+        assert info.value.row == 2
 
     def test_decode_clamps_theta(self):
         g = decode_proposal([0, 0, 0, 0, 0, 0, 9.0, 0], np.zeros(3), (0, 0, 1))

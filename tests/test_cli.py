@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 import grasplab
 from grasplab import cli
 from grasplab.cli import main
-from conftest import random_sphere_cloud
+from conftest import oracle_label_tables, random_sphere_cloud
 
 GRIPPER = "0.06,0.10,0.02,0.005"
 
@@ -229,6 +229,66 @@ class TestLabelFileInvariance:
             assert moved_rows[0] == rows[0]
             assert [(int(i), rest) for i, rest in moved_rows[1:]] == [(new_index[int(i)], rest)
                                                                        for i, rest in rows[1:]]
+
+
+@st.composite
+def _grid_label_inputs(draw):
+    """A tiny labels input on a grid of U steps, where many points tie for their nearest center and many
+    confidences tie; closing axes are small integer directions, some along an anchor."""
+    n, g = draw(st.integers(3, 30)), draw(st.integers(1, 6))
+    step = st.integers(-3, 3)
+    points = np.array(draw(st.lists(st.tuples(step, step, step), min_size=n, max_size=n)), float)
+    centers = np.array(draw(st.lists(st.tuples(step, step, step), min_size=g, max_size=g)), float)
+    axes = np.array(draw(st.lists(st.tuples(step, step, step).filter(any), min_size=g, max_size=g)), float)
+    thetas = draw(st.lists(st.integers(-32, 32), min_size=g, max_size=g))
+    s_q = draw(st.lists(st.integers(0, 16), min_size=g, max_size=g))
+    gts = [(c, r / np.linalg.norm(r), t * math.pi / 64, q / 16) for c, r, t, q in zip(centers, axes, thetas, s_q)]
+    conf = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) / 8
+    # the default positive threshold, one that few axes pass, and one that none passes
+    angle_pos = draw(st.sampled_from([grasplab.anchors.ANGLE_POS, 0.3, 0.0]))
+    return points, gts, conf, draw(st.integers(1, n)), angle_pos
+
+
+class TestLabelTablesAgainstPerRowOracle:
+    """Both label tables, coded once per ground truth, are byte for byte those of the per-row loop."""
+
+    @staticmethod
+    def tables(root, points, gts, conf, k1, angle_pos):
+        """The labels command's two tables, and those the per-row oracle writes from the same files."""
+        dataio = grasplab.dataio
+        dataio.write_point_cloud(root / "c.xyz", grasplab.PointCloud(points * U))
+        dataio.write_confidence(root / "c.txt", grasplab.ConfidenceField(conf, 0.01))
+        dataio.write_grasps(root / "g.csv", [grasplab.Grasp(c * U, r, t, q) for c, r, t, q in gts])
+        argv = ["labels", str(root / "g.csv"), "--cloud", str(root / "c.xyz"), "--confidence", str(root / "c.txt"),
+                "--k1", str(k1), "--set", f"anchors.angle_pos={angle_pos!r}", "-o", str(root / "out")]
+        assert main(argv) == 0
+        read = (dataio.read_point_cloud(root / "c.xyz"), dataio.read_confidence(root / "c.txt"),
+                dataio.read_grasps(root / "g.csv"))
+        anchor, refine = oracle_label_tables(*read, k1, angle_pos=angle_pos)
+        dataio.write_anchor_labels(root / "anchor_want.csv", *anchor)
+        dataio.write_refine_labels(root / "refine_want.csv", *refine)
+        return [tuple((root / name).read_text() for name in (f"out/{kind}_labels.csv", f"{kind}_want.csv"))
+                for kind in ("anchor", "refine")]
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_grid_label_inputs())
+    def test_both_tables_are_the_per_row_loop(self, tmp_path, case):
+        for got, want in self.tables(tmp_path, *case):
+            assert got == want
+
+    def test_a_truth_without_a_positive_anchor_keeps_minus_one_and_zero_residuals(self, tmp_path):
+        # two truths 4 U either side of the points, so every point ties and takes truth 0; at angle_pos 0.05
+        # its axis (0, 1, 0), about 55 degrees from every tetrahedron anchor, has no positive anchor
+        points = np.array([[0, y, z] for y in range(-1, 2) for z in range(-1, 2)], float)
+        gts = [(np.array([4.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.25, 0.5),
+               (np.array([-4.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]) / math.sqrt(3), 0.0, 1.0)]
+        (anchor, want), (refine, refine_want) = self.tables(tmp_path, points, gts, np.linspace(0.1, 0.9, 9), 9, 0.05)
+        assert (anchor, refine) == (want, refine_want)
+        rows = [line.split(",") for line in anchor.splitlines()[1:]]
+        assert len(rows) == 9
+        for row in rows:
+            assert (row[4], row[9]) == ("0", "-1")  # nearest truth 0 on the tie; no positive anchor
+            assert [float(v) for v in row[10:]] == [0.0] * 8
 
 
 class TestEvalWorksheet:

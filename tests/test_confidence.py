@@ -8,6 +8,7 @@ from grasplab import (
     ConfidenceField,
     Grasp,
     PointCloud,
+    grasps_from_arrays,
     point_confidence,
     select_positive_points,
 )
@@ -116,6 +117,59 @@ class TestGroupedSums:
         whole = point_confidence(cloud, grasps, d_th=0.01).values
         monkeypatch.setattr(confidence, "_BLOCK_PAIRS", 5)  # one row a block from 3 neighbours on
         assert point_confidence(cloud, grasps, d_th=0.01).values.tobytes() == whole.tobytes()
+
+
+class TestPairQuery:
+    """The pairs of the blocked center query feed the grouped sums as a per-point ball query would."""
+
+    @staticmethod
+    def _scene(rng):
+        """Points within 0.3 mm of three anchors; 12, 25 and 40 centers on shells of radius 9.5 mm about
+        them, so at d_th = 1 cm each point sees all of its anchor's centers, each adding about 0.05."""
+        points, centers = [], []
+        for i, size in enumerate((12, 25, 40)):
+            anchor = np.array([0.1 * i, 0.0, 0.0])
+            shell = rng.normal(size=(size, 3))
+            centers.append(anchor + 0.0095 * shell / np.linalg.norm(shell, axis=1, keepdims=True))
+            points.append(anchor + rng.uniform(-3e-4, 3e-4, size=(200, 3)))
+        return PointCloud(np.vstack(points)), np.vstack(centers)
+
+    @pytest.fixture(autouse=True)
+    def exact_sums(self, monkeypatch):
+        # the sums themselves, scaled into [0, 1) by a power of two, stand in for tanh, which near 1
+        # rounds most of their bits away; the library and the oracle both look tanh up on numpy
+        monkeypatch.setattr(np, "tanh", lambda s: np.ldexp(s, -10))
+
+    def test_counts_reach_the_pairwise_sum_across_center_blocks(self, rng):
+        cloud, centers = self._scene(rng)
+        counts = {len(idx) for idx in cKDTree(centers).query_ball_point(cloud.points, 0.01)}
+        assert counts == {12, 25, 40}  # numpy sums more than 8 terms pairwise
+        assert len(centers) > 4 * confidence._BLOCK_CENTERS  # each point's centers span blocks
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 10**6])
+    def test_bitwise_equal_to_per_point_loop(self, rng, monkeypatch, block):
+        cloud, centers = self._scene(rng)
+        monkeypatch.setattr(confidence, "_BLOCK_CENTERS", block)
+        field = point_confidence(cloud, [_grasp_at(c) for c in centers], d_th=0.01)
+        want = oracle_point_confidence(cloud, centers, 0.01).values
+        assert (want > 0.0).all()
+        assert field.values.tobytes() == want.tobytes()
+
+
+class TestWideKeys:
+    def test_keys_past_int32_keep_their_point_and_center(self):
+        # 65,538 points times 32,768 centers passes 2^31: the keys widen to 64 bits. Only the last point
+        # and the last two centers are near the origin, so its keys are the largest the scene has
+        points = np.vstack([np.linspace([10.0, 0.0, 0.0], [11.0, 0.0, 0.0], 65_537), [[0.0, 0.0, 0.0]]])
+        centers = np.vstack([np.linspace([-11.0, 0.0, 0.0], [-10.0, 0.0, 0.0], 32_766),
+                             [[0.002, 0.0, 0.0], [0.0, 0.005, 0.0]]])
+        cloud = PointCloud(points)
+        assert len(points) * len(centers) > 2**31
+        grasps = grasps_from_arrays(centers, np.tile([0.0, 1.0, 0.0], (len(centers), 1)), np.zeros(len(centers)))
+        field = point_confidence(cloud, grasps, d_th=0.01)
+        assert np.flatnonzero(field.values).tolist() == [len(points) - 1]
+        assert field.values.tobytes() == oracle_point_confidence(cloud, centers, 0.01).values.tobytes()
+        assert field.values[-1] == pytest.approx(math.tanh(0.8 + 0.5), abs=1e-15)
 
 
 class TestConfidenceField:

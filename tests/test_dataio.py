@@ -1,13 +1,14 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, grasps_from_arrays
+from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, dataio, grasps_from_arrays
 from grasplab.dataio import (
     GRASP_HEADER,
     _ROW_BLOCK,
@@ -521,7 +522,7 @@ class TestRowParserDifferential:
             data, linenos = parse("f.txt", lines, first, ncols, sep)
         except ParseError as exc:
             return str(exc), exc.line
-        return data.shape, data.tobytes(), linenos
+        return data.shape, data.tobytes(), list(linenos)
 
     @SETTINGS
     @given(data=st.data(), ncols=st.sampled_from([1, 2, 3, 6, 8]), sep=st.sampled_from([None, ",", "\n"]),
@@ -557,6 +558,51 @@ class TestRowParserDifferential:
     ])
     def test_where_the_c_reader_alone_would_differ(self, lines, sep, ncols):
         assert self._outcome(_float_rows, lines, 1, ncols, sep) == self._outcome(oracle_float_rows, lines, 1, ncols, sep)
+
+
+class TestReaderEdgeCases:
+    """Whole files through each row reader give what the Python walk alone gives: the same arrays or
+    the same file:line error. Neither raises a warning of any class."""
+
+    ROW_READERS = ("ply", "xyz", "grasps", "confidence", "xy")
+    # per case, the body after a reader's header, from its one valid data line
+    BODIES = {
+        "all blank": lambda row: b"\n  \n\t\n",
+        "no line": lambda row: b"",
+        "interior and trailing blank lines": lambda row: row + b" \t\n\n" + row + b"\n\t\n",
+        "crlf": lambda row: (row + row).replace(b"\n", b"\r\n"),
+        "crlf and a blank line": lambda row: (row + b"\n" + row).replace(b"\n", b"\r\n"),
+        "tabs": lambda row: row.replace(b" ", b"\t").replace(b",", b",\t") + b"\t" + row,
+        "comments": lambda row: row.replace(b"\n", b" # a point\n") + b"# only a comment\n" + row,
+        "non-ascii digit": lambda row: row + row.replace(b"0", "\u0663".encode(), 1),
+    }
+
+    @staticmethod
+    def _outcome(read, path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = read(path)
+            except ParseError as exc:
+                result = str(exc)
+        assert [str(w.message) for w in caught] == []
+        if isinstance(result, PointCloud):
+            return [None if a is None else a.tobytes() for a in (result.points, result.normals, result.colors)]
+        if isinstance(result, ConfidenceField):
+            return result.values.tobytes()
+        if isinstance(result, list):  # grasps
+            return [(g.center.tobytes(), g.orientation.tobytes(), g.theta, g.s_q) for g in result]
+        return result if isinstance(result, str) else [a.tobytes() for a in result]
+
+    @pytest.mark.parametrize("case", sorted(BODIES))
+    @pytest.mark.parametrize("kind", ROW_READERS)
+    def test_agrees_with_the_walk_and_stays_silent(self, tmp_path, monkeypatch, kind, case):
+        read, name, header, row = READERS[kind]
+        path = tmp_path / name
+        path.write_bytes(header + self.BODIES[case](row))
+        got = self._outcome(read, path)
+        monkeypatch.setattr(dataio, "_NUMERIC_CHARS", b"")  # no character passes: every body goes to the walk
+        assert got == self._outcome(read, path)
 
 
 class TestRowWriter:

@@ -1,9 +1,12 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasplab import sampling
 from grasplab import (
@@ -16,7 +19,7 @@ from grasplab import (
     grasp_frame,
     sample_candidates,
 )
-from conftest import oracle_darboux, random_sphere_cloud, tabletop_cloud
+from conftest import oracle_covariance, oracle_darboux, random_sphere_cloud, tabletop_cloud
 
 GRIPPER = GripperParams(0.06, 0.08, 0.04, 0.01)
 
@@ -91,6 +94,32 @@ class TestBlockedNormals:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestCovarianceBits:
+    """Every block's covariance is bitwise the per-point sequential sums. A numpy whose einsum sums the
+    column products in another order fails here by name, not only through a benchmark digest."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([-1, 0, 1]).map(lambda d: sampling._NORMALS_BLOCK + d), k=st.integers(3, 40),
+           on_grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_estimate_normals_sums_in_row_order(self, n, k, on_grid, seed):
+        pts = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(n, 3))
+        if on_grid:  # on the 2^-8 grid many products and sums are exact; off it every sum rounds
+            pts = np.round(pts * 2**8) / 2**8
+        cloud, blocks, covariance = PointCloud(pts), [], sampling._covariance
+
+        def record(nbrs):
+            blocks.append((nbrs, covariance(nbrs)))
+            return blocks[-1][1]
+
+        with mock.patch.object(sampling, "_covariance", record):
+            estimate_normals(cloud, k)
+        assert [len(nbrs) for nbrs, _ in blocks] == [min(sampling._NORMALS_BLOCK, n - lo)
+                                                     for lo in range(0, n, sampling._NORMALS_BLOCK)]
+        assert np.concatenate([nbrs for nbrs, _ in blocks]).tobytes() == pts[cloud.tree.query(pts, k)[1]].tobytes()
+        for nbrs, cov in blocks:
+            assert cov.tobytes() == oracle_covariance(nbrs).tobytes()
 
 
 def darboux_frames(cloud, index, k):
