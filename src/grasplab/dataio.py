@@ -253,8 +253,9 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
     if len(linenos) != n_vertices:
         raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(linenos)}")
     colors = data[:, -3:] / 255.0 if "red" in props else None
-    if colors is not None and (np.any(colors < 0.0) or np.any(colors > 1.0)):
-        raise ParseError(path, body_start, "color components must be 0..255")
+    bad = () if colors is None else np.flatnonzero(((colors < 0.0) | (colors > 1.0)).any(axis=1))
+    if len(bad):
+        raise ParseError(path, linenos[bad[0]], "color components must be 0..255")
     normals = _unit_normals(path, data[:, 3:6], linenos) if "nx" in props else None
     return PointCloud(data[:, :3], normals, colors)
 

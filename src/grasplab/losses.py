@@ -78,19 +78,17 @@ def smooth_l1(pred: float, gt: float) -> LossResult:
     return LossResult(float(vals), grads)
 
 
-def _clamp_prob(p: float) -> tuple[float, bool]:
-    if p < EPS:
-        return EPS, True
-    if p > 1.0 - EPS:
-        return 1.0 - EPS, True
-    return p, False
+def _checked_prob(p: float, y: int) -> tuple[float, bool]:
+    """A binary target's probability clamped to [EPS, 1-EPS], and whether the clamp moved it."""
+    if y not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {y}")
+    p = float(p)
+    return min(max(p, EPS), 1.0 - EPS), p < EPS or p > 1.0 - EPS
 
 
 def focal_loss(p: float, y: int, gamma: float = 2.0, alpha: float = 0.25) -> LossResult:
     """Focal loss for a single probability against a binary target."""
-    if y not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {y}")
-    q, clamped = _clamp_prob(float(p))
+    q, clamped = _checked_prob(p, y)
     if y == 1:
         value = -alpha * (1.0 - q) ** gamma * math.log(q)
         grad = alpha * gamma * (1.0 - q) ** (gamma - 1.0) * math.log(q) - alpha * (1.0 - q) ** gamma / q
@@ -105,12 +103,28 @@ def focal_loss(p: float, y: int, gamma: float = 2.0, alpha: float = 0.25) -> Los
 
 def binary_cross_entropy(p: float, y: int) -> LossResult:
     """Cross entropy for a single probability against a binary target."""
-    if y not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {y}")
-    q, clamped = _clamp_prob(float(p))
+    q, clamped = _checked_prob(p, y)
     value = -(y * math.log(q) + (1 - y) * math.log(1.0 - q))
     grad = -y / q + (1 - y) / (1.0 - q)
     return LossResult(value, np.asarray(0.0 if clamped else grad))
+
+
+def _head_loss(probs, targets, term, cls_scale, res, res_targets, reg_scale) -> LossResult:
+    """The two-term detection loss of both heads: cls_scale times the sum of term(p, t) over the targets that
+    are not IGNORE, row-major, plus reg_scale times the smooth-L1 sum over the rows whose entry of res_targets
+    is not None, row by row. Each sum is one Python float, added in that order."""
+    grad_probs, grad_res = np.zeros_like(probs), np.zeros_like(res)
+    cls_total = reg_total = 0.0
+    for idx in zip(*np.nonzero(targets != IGNORE)):
+        loss = term(probs[idx], int(targets[idx]))
+        cls_total += loss.value
+        grad_probs[idx] = loss.gradient
+    for i, target in enumerate(res_targets):
+        if target is not None:
+            vals, grad_res[i] = _smooth_l1_terms(res[i] - target)
+            reg_total += float(np.sum(vals))
+    value = cls_scale * cls_total + reg_scale * reg_total
+    return LossResult(value, np.concatenate([(grad_probs * cls_scale).ravel(), (grad_res * reg_scale).ravel()]))
 
 
 def grn_loss(
@@ -136,6 +150,9 @@ def grn_loss(
     if n == 0:
         raise ValueError("grn_loss needs at least one label")
     m = labels[0].classes.shape[0]
+    for i, label in enumerate(labels):
+        if np.shape(label.classes) != (m,):
+            raise ValueError(f"label {i} has {np.size(label.classes)} anchor classes, label 0 has {m}")
     if probs.shape != (n, m):
         raise ValueError(f"class_probs shape {probs.shape} does not match ({n}, {m})")
     if res.shape != (n, 8):
@@ -143,26 +160,8 @@ def grn_loss(
     k1 = n if k1 is None else int(k1)
     if k1 < 1:
         raise ValueError("k1 must be >= 1")
-
-    grad_probs = np.zeros_like(probs)
-    grad_res = np.zeros_like(res)
-    cls_total = 0.0
-    reg_total = 0.0
-    for i, label in enumerate(labels):
-        for j, cls in enumerate(label.classes):
-            if cls == IGNORE:
-                continue
-            term = focal_loss(probs[i, j], int(cls))
-            cls_total += term.value
-            grad_probs[i, j] = term.gradient
-        if label.residuals is not None:
-            vals, grads = _smooth_l1_terms(res[i] - label.residuals)
-            reg_total += float(np.sum(vals))
-            grad_res[i] = grads
-    value = (lambda_cls / k1) * cls_total + lambda_u * reg_total
-    grad_probs *= lambda_cls / k1
-    grad_res *= lambda_u
-    return LossResult(value, np.concatenate([grad_probs.ravel(), grad_res.ravel()]))
+    return _head_loss(probs, np.stack([lb.classes for lb in labels]), focal_loss, lambda_cls / k1,
+                      res, [lb.residuals for lb in labels], lambda_u)
 
 
 def rn_loss(
@@ -185,31 +184,16 @@ def rn_loss(
         raise ValueError(f"class_probs shape {probs.shape} does not match ({n},)")
     if res.shape != (n, 8):
         raise ValueError(f"residuals shape {res.shape} does not match ({n}, 8)")
-    n_cls = sum(1 for lb in labels if lb.y != IGNORE)
+    y = np.array([lb.y for lb in labels], dtype=int)
+    n_cls, n_reg = int(np.sum(y != IGNORE)), int(np.sum(y == POSITIVE))
     if n_cls == 0:
         raise ValueError("rn_loss has no non-ignored labels to train on")
-    n_reg = sum(1 for lb in labels if lb.y == POSITIVE)
-
-    grad_probs = np.zeros_like(probs)
-    grad_res = np.zeros_like(res)
-    cls_total = 0.0
-    reg_total = 0.0
     for i, label in enumerate(labels):
-        if label.y == IGNORE:
-            continue
-        term = binary_cross_entropy(probs[i], int(label.y))
-        cls_total += term.value
-        grad_probs[i] = term.gradient
-        if label.y == POSITIVE:
-            vals, grads = _smooth_l1_terms(res[i] - label.residuals)
-            reg_total += float(np.sum(vals))
-            grad_res[i] = grads
-    value = (lambda_rcls / n_cls) * cls_total
-    grad_probs *= lambda_rcls / n_cls
-    if n_reg > 0:
-        value += (lambda_ru / n_reg) * reg_total
-        grad_res *= lambda_ru / n_reg
-    return LossResult(value, np.concatenate([grad_probs.ravel(), grad_res.ravel()]))
+        if label.y == POSITIVE and label.residuals is None:
+            raise ValueError(f"label {i} is positive but has no residuals")
+    return _head_loss(probs, y, binary_cross_entropy, lambda_rcls / n_cls,
+                      res, [lb.residuals if lb.y == POSITIVE else None for lb in labels],
+                      lambda_ru / n_reg if n_reg else 0.0)
 
 
 def gradient_check(

@@ -76,6 +76,14 @@ class TestAssignAnchorLabels:
         np.testing.assert_allclose(label.residuals[3:6], np.zeros(3), atol=1e-12)
         assert label.residuals[6] == pytest.approx(0.1)
 
+    def test_an_angle_of_exactly_both_thresholds(self):
+        """At exactly angle_neg an anchor is negative, and at exactly angle_pos it is not positive: an axis
+        orthogonal to the only anchor, with both thresholds at pi/2 (arccos(0) is pi/2 to the bit)."""
+        gt = Grasp((0, 0, 0), (1, 0, 0), 0.0)
+        label = assign_anchor_labels(gt, anchor_set(1), angle_pos=math.pi / 2, angle_neg=math.pi / 2)
+        np.testing.assert_array_equal(label.classes, [NEGATIVE])
+        assert label.positive_index is None and label.residuals is None and label.nearest == 0
+
     def test_orientation_100_degrees_from_only_anchor_gets_no_positive(self):
         anchors = anchor_set(1)  # single anchor at +Z
         r = np.array([math.sin(math.radians(100)), 0.0, math.cos(math.radians(100))])
@@ -259,6 +267,19 @@ class TestRefineLabels:
             gt2 = Grasp(R @ self.GT.center + t, R @ self.GT.orientation, self.GT.theta)
             prop2 = Grasp(R @ prop.center + t, R @ prop.orientation, prop.theta)
             assert assign_refine_labels(gt2, prop2).y == assign_refine_labels(self.GT, prop).y
+
+    # thresholds and offsets that float64 holds exactly, so each comparison meets its bound to the bit
+    EDGES = dict(d1=2.0 ** -6, d2=2.0 ** -5, gamma1=0.25, gamma2=0.5)
+
+    @pytest.mark.parametrize("center, theta, expected", [
+        ((2.0 ** -6, 0, 0), 0.0, IGNORE),  # a center offset of exactly d1 is not positive
+        ((0, 0, 2.0 ** -5), 0.0, IGNORE),  # one of exactly d2 is not negative
+        ((0, 0, 0), 0.5, NEGATIVE),  # |theta difference| of exactly gamma2 is negative
+        ((0, 0, 0), 0.25, IGNORE),  # and of exactly gamma1 is not positive
+    ])
+    def test_offsets_of_exactly_a_threshold(self, center, theta, expected):
+        gt = Grasp((0, 0, 0), (0, 1, 0), 0.0)
+        assert assign_refine_labels(gt, Grasp(center, (0, 1, 0), theta), **self.EDGES).y == expected
 
     def test_bad_threshold_ordering_rejected(self):
         with pytest.raises(ValueError):

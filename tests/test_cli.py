@@ -1047,6 +1047,45 @@ class TestDataErrorsNameTheirFiles:
         assert main(["eval", str(empty), str(ply), str(truth), "--gripper", GRIPPER]) == 2
         assert capsys.readouterr().err == f"grasplab: error: {empty} contains no grasps\n"
 
+    def test_labels_of_an_empty_grasp_file(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        cloud, grasps, empty, field = (tmp_path / name for name in ("scene.xyz", "g.csv", "empty.csv", "c.txt"))
+        grasps.write_text(self.GRASPS)
+        empty.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n")
+        assert main(["confidence", str(cloud), str(grasps), "--dth", "0.01", "-o", str(field)]) == 0
+        assert main(["labels", str(empty), "--cloud", str(cloud), "--confidence", str(field),
+                     "-o", str(tmp_path / "labels")]) == 2
+        assert capsys.readouterr().err == f"grasplab: error: {empty} contains no grasps\n"
+
+    @pytest.mark.parametrize("policy", ["heuristic", "analytic"])
+    def test_select_of_an_empty_grasp_file(self, tmp_path, capsys, policy):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n")
+        assert main(["select", str(empty), "--policy", policy]) == 2
+        assert capsys.readouterr() == ("", f"grasplab: error: {empty} contains no grasps\n")
+
+    def test_eval_of_an_empty_ground_truth_file(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        ply, grasps, empty = tmp_path / "scene.ply", tmp_path / "g.csv", tmp_path / "gt.csv"
+        assert main(["normals", str(tmp_path / "scene.xyz"), "-o", str(ply)]) == 0
+        grasps.write_text(self.GRASPS)
+        empty.write_text("cx,cy,cz,rx,ry,rz,theta,sq\n")
+        assert main(["eval", str(grasps), str(ply), str(empty), "--gripper", GRIPPER]) == 2
+        assert capsys.readouterr().err == f"grasplab: error: {empty} contains no ground-truth grasps\n"
+
+
+class TestDegenerateNormalsWarning:
+    def test_a_collinear_neighbourhood_warns_once_with_its_count(self, tmp_path, capsys):
+        """A 3 x 3 plane grid and, far from it, five points on a line: with k = 4 only the line's points are
+        rank-deficient, so the warning counts 5 and the cloud is still written."""
+        plane = [f"{0.01 * i} {0.01 * j} 0" for i in range(3) for j in range(3)]
+        line = [f"{1 + 0.01 * i} 0 0" for i in range(5)]
+        cloud, out = tmp_path / "c.xyz", tmp_path / "c.ply"
+        cloud.write_text("\n".join(plane + line) + "\n")
+        assert main(["normals", str(cloud), "-k", "4", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: 5 point(s) with degenerate neighborhoods\n"
+        assert len(grasplab.dataio.read_point_cloud(out)) == 14
+
 
 class TestOrderedSettings:
     EVAL = ["eval", "p.csv", "scene.ply", "gt.csv", "--gripper", GRIPPER]

@@ -146,6 +146,16 @@ class TestAntipodalScore:
             b = ContactPair(np.ones(3), np.zeros(3), nj, ni, 0.01, -0.01)
             assert antipodal_score(a, PINCH) == pytest.approx(antipodal_score(b, PINCH), abs=1e-15)
 
+    def test_product_an_ulp_above_one_is_clamped(self):
+        """The clamp is live: for r = (2, 3, 6) / 7 with both normals along r, the product of the two unsigned
+        cosines rounds to 1 plus an ulp, and the score reads exactly 1."""
+        g = Grasp((0, 0, 0), (2 / 7, 3 / 7, 6 / 7), 0.0)
+        r = g.orientation
+        pair = ContactPair(np.zeros(3), np.zeros(3), r.copy(), -r, 0.01, -0.01)
+        unclamped = (abs(float(r @ r)) / float(np.linalg.norm(r))) * (abs(float(r @ -r)) / float(np.linalg.norm(r)))
+        assert unclamped == 1.0000000000000004
+        assert antipodal_score(pair, g) == 1.0
+
     def test_zero_length_normal_rejected(self):
         pair = ContactPair(np.zeros(3), np.zeros(3), np.zeros(3), np.array([0, 1.0, 0]), 0.0, -0.01)
         with pytest.raises(ValueError):
@@ -201,3 +211,9 @@ class TestWidthFit:
             fit1 = width_fit(self._pair(spread), GripperParams(0.06, w1, 0.04, 0.01))
             fit2 = width_fit(self._pair(spread), GripperParams(0.06, w2, 0.04, 0.01))
             assert fit2 or not fit1
+
+    def test_a_spread_of_exactly_the_opening_fits(self):
+        """The opening is inclusive; 0.0625 and its halves are exact in binary."""
+        gripper = GripperParams(0.06, 0.0625, 0.04, 0.01)
+        assert width_fit(self._pair(0.0625), gripper)
+        assert not width_fit(self._pair(np.nextafter(0.0625, 1.0)), gripper)

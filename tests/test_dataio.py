@@ -89,6 +89,37 @@ class TestPointCloudIO:
         cloud = read_point_cloud(path)
         np.testing.assert_allclose(cloud.colors, [[1.0, 0.0, 128 / 255.0]])
 
+    @pytest.mark.parametrize("row", ["2 0 0 300 0 0", "2 0 0 0 -1 0", "2 0 0 0 0 255.5"])
+    def test_ply_color_out_of_range_names_its_row(self, tmp_path, row):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            f"end_header\n0 0 0 255 0 0\n\n{row}\n3 0 0 300 0 0\n"
+        )
+        with pytest.raises(ParseError, match=r"^.*c\.ply:13: color components must be 0\.\.255$"):
+            read_point_cloud(path)
+
+    @pytest.mark.parametrize("rest, message", [
+        ("element vertex 1\nproperty int x\n", ":4: unsupported property: 'property int x'"),
+        ("element vertex 1\nproperty list uchar int vertex_indices\n",
+         ":4: unsupported property: 'property list uchar int vertex_indices'"),
+        ("element vertex 1\nproperty float x\nproperty float y\nproperty float z\n",
+         ":6: header ended before end_header/element vertex"),
+        ("comment no vertex element\nend_header\n0 0 0\n", ":5: header ended before end_header/element vertex"),
+        ("element vertex 1\nproperty float x\nproperty float z\nproperty float y\nend_header\n0 0 0\n",
+         ":7: unsupported property layout: ['x', 'z', 'y']"),
+        ("element vertex 1\nproperty float x\nproperty float y\nproperty float z\nproperty float nx\n"
+         "end_header\n0 0 0 1\n", ":8: unsupported property layout: ['x', 'y', 'z', 'nx']"),
+    ])
+    def test_ply_header_error_names_its_line(self, tmp_path, rest, message):
+        path = tmp_path / "h.ply"
+        path.write_text("ply\nformat ascii 1.0\n" + rest)
+        with pytest.raises(ParseError) as info:
+            read_point_cloud(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_ply_bad_format_line(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text("ply\nformat binary 1.0\nend_header\n")

@@ -16,7 +16,7 @@ from grasplab import (
     rn_loss,
     smooth_l1,
 )
-from grasplab.anchors import NEGATIVE, RefineLabel, complete_label
+from grasplab.anchors import NEGATIVE, POSITIVE, RefineLabel, complete_label
 
 ANCHORS = anchor_set(4)
 
@@ -177,6 +177,14 @@ class TestGrnLoss:
         with pytest.raises(ValueError):
             grn_loss(np.zeros((1, 3)), np.zeros((1, 8)), [label])
 
+    def test_labels_with_different_class_counts_rejected(self, rng):
+        four = _complete_anchor_label(rng)
+        gt = Grasp((0, 0, 0), (1, 0, 0), 0.0, 0.5)
+        for m in (3, 5):
+            other = assign_anchor_labels(gt, anchor_set(m))
+            with pytest.raises(ValueError, match=f"^label 1 has {m} anchor classes, label 0 has 4$"):
+                grn_loss(np.full((2, 4), 0.5), np.zeros((2, 8)), [four, other])
+
 
 class TestRnLoss:
     def _labels(self, rng, n=3):
@@ -204,6 +212,11 @@ class TestRnLoss:
         labels = [RefineLabel(-1, None)]
         with pytest.raises(ValueError):
             rn_loss(np.array([0.5]), np.zeros((1, 8)), labels)
+
+    def test_positive_without_residuals_rejected(self, rng):
+        labels = self._labels(rng, n=1) + [RefineLabel(POSITIVE, None)]
+        with pytest.raises(ValueError, match="^label 1 is positive but has no residuals$"):
+            rn_loss(np.array([0.5, 0.5]), np.zeros((2, 8)), labels)
 
     def test_ignored_entries_zero_gradient(self, rng):
         labels = self._labels(rng, n=2) + [RefineLabel(-1, None)]
@@ -299,3 +312,17 @@ class TestLosscheckStream:
             digest.update(name.encode() + x.tobytes() + grads.tobytes())
         assert len(cases) == 200
         assert digest.hexdigest() == self.STREAM_SHA256
+
+    # sha256 of `grasplab losscheck --seed 0` stdout: the worst relative error of each loss over the default
+    # 25 trials, so a change to any loss value or gradient bit that moves a printed digit shows here
+    STDOUT_SHA256 = "305a2fb18ad44a236129d242f04e11b28c09a4bbddadcd6fc997bc6eecc57684"
+
+    def test_losscheck_seed_0_stdout_is_pinned(self, capsys):
+        import hashlib
+
+        from grasplab.cli import main
+
+        assert main(["losscheck", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].startswith("bce: max relative error ")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256

@@ -193,6 +193,12 @@ class TestCoverageRate:
         with pytest.raises(ValueError):
             coverage_rate([], [])
 
+    def test_a_center_exactly_at_the_radius_covers(self):
+        """The 2 cm radius is inclusive: a prediction 0.02 m away along an axis covers, one a step further does not."""
+        gt = [Grasp((0, 0, 0), (0, 1, 0), 0.0)]
+        assert coverage_rate([Grasp((0.02, 0, 0), (0, 1, 0), 0.0)], gt) == 1.0
+        assert coverage_rate([Grasp((np.nextafter(0.02, 1.0), 0, 0), (0, 1, 0), 0.0)], gt) == 0.0
+
 
 class TestEvaluate:
     def test_identity_pipeline_sanity(self, rng):

@@ -48,6 +48,14 @@ class TestEstimateNormals:
         _, valid = estimate_normals(cloud, k=3)
         assert not valid.any()
 
+    def test_a_thin_but_planar_neighbourhood_stays_valid(self):
+        """Rank < 2 means a middle eigenvalue below 1e-10 of the largest: a 2 x 1e-4 rectangle has the ratio
+        1e-8, so all four points keep a normal, +Z."""
+        cloud = PointCloud(np.array([[x, y, 0.0] for x in (-1.0, 1.0) for y in (-1e-4, 1e-4)]))
+        normals, valid = estimate_normals(cloud, k=4)
+        assert valid.all()
+        np.testing.assert_array_equal(normals, np.tile([0.0, 0.0, 1.0], (4, 1)))
+
     def test_rigid_invariance(self, rng):
         cloud = random_sphere_cloud(0.5, 400, seed=5)
         n0, _ = estimate_normals(cloud, k=12)
@@ -335,6 +343,13 @@ class TestBallQuery:
             fresh = ball_query(PointCloud(cloud.points), center, radius=0.02, keep=32, seed=i)
             np.testing.assert_array_equal(shared[0], fresh[0])
             assert shared[1] == fresh[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 32])
+    def test_exactly_keep_rows_are_all_kept_in_order(self, n):
+        for seed in range(5):
+            idx, padded = sampling.resize_indices(n, n, seed)
+            np.testing.assert_array_equal(idx, np.arange(n))
+            assert padded is False
 
     def test_hits_are_the_ascending_indices(self):
         cloud = tabletop_cloud(0)
