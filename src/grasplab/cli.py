@@ -34,7 +34,7 @@ from . import dataio
 from .collision import filter_collision_free
 from .confidence import point_confidence, select_positive_points
 from .contact import antipodal_score, find_contacts
-from .core import GripperParams, PointCloud, grasps_from_arrays
+from .core import GripperParams, PointCloud, cache_frames, grasps_from_arrays
 from .losses import _losscheck_cases, gradient_check
 from .metrics import evaluate
 from .policy import (
@@ -268,8 +268,9 @@ def _cmd_collide(args, settings) -> int:
 
 def _cmd_score(args, settings) -> int:
     cloud = _load_cloud(args, normals=True)
-    out = [g.with_score(antipodal_score(find_contacts(cloud, g, args.gripper), g))
-           for g in dataio.read_grasps(args.grasps)]
+    grasps = dataio.read_grasps(args.grasps)
+    cache_frames(grasps)  # one batch, not one frame per find_contacts call
+    out = [g.with_score(antipodal_score(find_contacts(cloud, g, args.gripper), g)) for g in grasps]
     dataio.write_grasps(args.output, out)
     return 0
 

@@ -48,8 +48,8 @@ from .core import (
     Grasp,
     GripperParams,
     PointCloud,
+    cache_frames,
     grasp_frame,
-    grasp_frames,
 )
 from .sampling import EmptyRegionError, resize_indices
 
@@ -281,17 +281,12 @@ def filter_collision_free(
     s: GripperParams,
 ) -> list[Grasp]:
     """Order-preserving subsequence of candidates with no cloud point strictly
-    inside a finger or the back plate. All frames are built in one batch, and
-    each grasp returned keeps its row as the frame grasp_frame would build."""
+    inside a finger or the back plate. The frames are built in one batch and
+    kept on the candidates (cache_frames)."""
     if not candidates:
         return []
-    rotations = grasp_frames(np.stack([g.orientation for g in candidates]), [g.theta for g in candidates])
-    rotations.flags.writeable = False
-    free = _free_mask(scene_cloud, rotations, np.stack([g.center for g in candidates]), s)
-    out = list(itertools.compress(candidates, free))
-    for g, rotation in zip(out, itertools.compress(rotations, free)):
-        object.__setattr__(g, "_frame", rotation)  # grasp_frames rows are bitwise the same in any batch
-    return out
+    free = _free_mask(scene_cloud, cache_frames(candidates), np.stack([g.center for g in candidates]), s)
+    return list(itertools.compress(candidates, free))
 
 
 def check_collision(cloud: PointCloud, g: Grasp, s: GripperParams) -> bool:

@@ -43,14 +43,12 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
     if cloud.normals is None:
         raise ValueError("find_contacts requires a cloud with normals")
     idx, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
-    y = q[:, 1]
-    pos = inside & (y >= 0.0)
-    neg = inside & (y < 0.0)
-    if not (pos.any() and neg.any()):
+    idx, y = idx[inside], q[inside, 1]
+    # each jaw touches the in-region extreme y on its side of y = 0 (none there: no pair); among the points
+    # that share it, the lowest cloud index
+    if not (idx.size and y.max() >= 0.0 and y.min() < 0.0):
         return None
-    # each jaw touches its side's extreme y; among the points that share it, the lowest cloud index
-    top = np.flatnonzero(pos & (y == y[pos].max()))
-    bottom = np.flatnonzero(neg & (y == y[neg].min()))
+    top, bottom = np.flatnonzero(y == y.max()), np.flatnonzero(y == y.min())
     a, b = top[np.argmin(idx[top])], bottom[np.argmin(idx[bottom])]
     i, j = idx[a], idx[b]
     return ContactPair(

@@ -32,6 +32,7 @@ __all__ = [
     "GraspRowError",
     "GripperParams",
     "PointCloud",
+    "cache_frames",
     "clamp_theta",
     "ground_reference",
     "grasp_frame",
@@ -232,13 +233,13 @@ def ground_reference(r: np.ndarray, warn: bool = False) -> np.ndarray:
     """In-ground-plane reference X' = normalize((r_y, -r_x, 0)) of closing axes r, (3,) or (G, 3).
 
     When r is (anti)parallel to world Z the reference is degenerate and X'
-    falls back to (1, 0, 0), with a RuntimeWarning if `warn` is set.
+    falls back to (1, 0, 0), with a RuntimeWarning per such row if `warn` is set.
     """
     r = np.asarray(r, dtype=float)
     x_ref = np.stack([r[..., 1], -r[..., 0], np.zeros(r.shape[:-1])], axis=-1)
     flat = (np.abs(r[..., 0]) < 1e-9) & (np.abs(r[..., 1]) < 1e-9)
     if np.any(flat):
-        if warn:
+        for _ in range(np.count_nonzero(flat) if warn else 0):
             warnings.warn("grasp orientation is parallel to world Z; using X' = (1, 0, 0)", RuntimeWarning)
         x_ref[flat] = (1.0, 0.0, 0.0)
     return x_ref / np.sqrt(np.vecdot(x_ref, x_ref))[..., None]
@@ -251,7 +252,7 @@ def grasp_frames(orientations: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     [-pi/2, pi/2], as a Grasp holds them. The ground reference X' (see
     ground_reference) is rotated about Y_G = orientation by theta to give
     the approach axis X_G. A closing axis (anti)parallel to world Z warns
-    and uses X' = (1, 0, 0). Each row is bitwise the same in any batch.
+    (once per row) and uses X' = (1, 0, 0). Each row is bitwise the same in any batch.
     """
     r = np.asarray(orientations, dtype=float).reshape(-1, 3)
     x_axis = rotate_about_axis(ground_reference(r, warn=True), r, np.asarray(thetas, dtype=float).reshape(-1))
@@ -292,8 +293,18 @@ def grasp_frame(g: Grasp) -> np.ndarray:
     frame as (p - center) @ R. It is built on the first call and kept on the grasp, read-only.
     """
     if g._frame is None:
-        object.__setattr__(g, "_frame", _frozen_copy(grasp_frames(g.orientation[None], [g.theta])[0]))
+        cache_frames([g])
     return g._frame
+
+
+def cache_frames(grasps: list[Grasp]) -> np.ndarray:
+    """The read-only (G, 3, 3) frames of G grasps in one grasp_frames batch, each row kept on its grasp for
+    grasp_frame: the one place a frame is cached. A row's bits do not depend on its batch."""
+    rotations = grasp_frames(np.reshape([g.orientation for g in grasps], (-1, 3)), [g.theta for g in grasps])
+    rotations.flags.writeable = False
+    for g, rotation in zip(grasps, rotations):
+        object.__setattr__(g, "_frame", rotation)
+    return rotations
 
 
 def vertical_score(g: Grasp | float) -> float:

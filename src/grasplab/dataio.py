@@ -166,11 +166,13 @@ def _float_rows(path, lines: list[str], first_lineno: int, ncols: int, sep: str 
     """
     # loadtxt splits on blanks or on ','. A row that is one field (sep '\n') it splits on blanks, which
     # agrees only for one column, where a row with an inner blank fails the shape check. A body with no
-    # field, on which loadtxt warns, is left to the walk below: it returns a (0, ncols) array
+    # field, on which loadtxt warns, is left to the walk below: it returns a (0, ncols) array. With ',' a line
+    # of blanks is one empty field to loadtxt, so such lines are dropped first
     data, text = None, (sep in (None, ",") or ncols == 1 and sep == "\n") and "".join(lines).encode()
     if text and not text.isspace() and not text.translate(None, _NUMERIC_CHARS):
+        body = [raw for raw in lines if raw.strip(_BLANKS)] if sep == "," else lines
         with suppress(ValueError):
-            data = np.loadtxt(lines, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
+            data = np.loadtxt(body, float, comments=None, delimiter=sep if sep == "," else None, ndmin=2)
     # loadtxt skips blank lines; only then must each row's line be looked up
     linenos = (range(first_lineno, first_lineno + len(lines)) if data is not None and len(data) == len(lines)
                else [i for i, raw in enumerate(lines, first_lineno) if raw.strip(_BLANKS)])

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import (Grasp, GraspRowError, GripperParams, PointCloud, _theta_for_approach, clamp_theta,
                    grasps_from_arrays, rotate_about_axis)
@@ -73,13 +74,14 @@ class SamplerConfig:
 # Normals and Darboux frames
 # ---------------------------------------------------------------------------
 
-def _covariance(nbrs: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) covariances of (n, k, 3) neighbourhoods; each entry sums in row order, as einsum "nki,nkj->nij"."""
-    c = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.empty((len(c), 3, 3))
-    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", c[:, :, i], c[:, :, j])
-    return cov / nbrs.shape[1]
+def _covariance(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) covariances of n neighbourhoods of k points, given coordinate-major as (k, n) x, y and z and
+    centred in place. The mean and the six entries on and above the diagonal are sums over the k rows in order
+    (Python's sum, one (n,) row at a time); an entry's sum starts from 0, as a per-point loop's would."""
+    k, n = x.shape
+    c = [np.subtract(a, sum(a[1:], a[0]) / k, out=a) for a in (x, y, z)]
+    upper = np.array([sum(c[i] * c[j]) for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))])
+    return (upper / k)[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(n, 3, 3)
 
 
 def _pca(cloud: PointCloud, index, k: int, viewpoint: np.ndarray):
@@ -90,7 +92,8 @@ def _pca(cloud: PointCloud, index, k: int, viewpoint: np.ndarray):
     neighbourhood is rank-deficient (< 2, e.g. collinear)).
     """
     p = cloud.points[index]
-    eigvals, eigvecs = np.linalg.eigh(_covariance(cloud.points[cloud.tree.query(p, k=k)[1]]))
+    nbrs = cloud.tree.query(p, k=k)[1].T
+    eigvals, eigvecs = np.linalg.eigh(_covariance(*(cloud.points[:, a][nbrs] for a in range(3))))
     normals = eigvecs[:, :, 0]
     # rank < 2 <=> middle eigenvalue vanishes relative to the spread
     valid = eigvals[:, 1] > 1e-10 * np.maximum(eigvals[:, 2], 1e-300)
@@ -108,8 +111,8 @@ def estimate_normals(
     The normal at a point is the eigenvector of the smallest eigenvalue of
     its k-nearest-neighbor covariance. Points whose neighborhood is
     rank-deficient (< 2, e.g. collinear) are flagged invalid. The PCA runs
-    over blocks of `_NORMALS_BLOCK` rows, so its temporaries do not grow
-    with N.
+    over blocks of `_NORMALS_BLOCK` nearby rows, in the tree's leaf order, so
+    its temporaries do not grow with N.
 
     Returns (normals (N, 3), valid (N,) bool).
     """
@@ -120,7 +123,7 @@ def estimate_normals(
         raise ValueError(f"cloud has {n} points, need at least k={k}")
     normals, valid = np.empty((n, 3)), np.empty(n, dtype=bool)
     for lo in range(0, n, _NORMALS_BLOCK):
-        rows = slice(lo, lo + _NORMALS_BLOCK)
+        rows = cloud.tree.indices[lo:lo + _NORMALS_BLOCK]
         normals[rows], _, valid[rows] = _pca(cloud, rows, k, viewpoint)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return normals, valid
@@ -209,15 +212,15 @@ def ball_query(
 
     More than `keep` hits are subsampled without replacement; fewer are
     padded by sampling the hits with replacement (padded flag returned).
-    Raises EmptyRegionError when the ball is empty. Queries go through the
-    cloud's cached KD-tree, so repeated calls on one cloud build it once.
+    Raises EmptyRegionError when the ball is empty. The hits come from one
+    pair query of the cloud's cached KD-tree against a one-point tree.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if keep < 1:
         raise ValueError("keep must be >= 1")
     center = np.asarray(center, dtype=float).reshape(3)
-    hits = np.asarray(cloud.tree.query_ball_point(center, radius, return_sorted=True), dtype=int)
+    hits = np.sort(cloud.tree.sparse_distance_matrix(cKDTree(center[None]), radius, output_type="ndarray")["i"])
     if hits.size == 0:
         raise EmptyRegionError(f"no points within {radius} m of {center}")
     idx, padded = resize_indices(hits.size, keep, seed)

@@ -83,8 +83,8 @@ MUTANTS = [
            "tests/test_collision.py::TestCells::test_circumscribed_balls_cover_the_worst_points"),
     Mutant("collision.py", "BOUNDARY_TOL = 1e-12 ", "BOUNDARY_TOL = 1e-9 ",
            "tests/test_collision.py::TestCells::test_circumscribed_balls_cover_the_worst_points"),
-    Mutant("contact.py", "pos = inside & (y >= 0.0)", "pos = inside & (y > 0.0)", _CONTACT_ORACLE),
-    Mutant("contact.py", "neg = inside & (y < 0.0)", "neg = inside & (y <= 0.0)", _CONTACT_ORACLE),
+    Mutant("contact.py", "y.max() >= 0.0", "y.max() > 0.0", _CONTACT_ORACLE),
+    Mutant("contact.py", "y.min() < 0.0", "y.min() <= 0.0", _CONTACT_ORACLE),
     Mutant("contact.py", "top[np.argmin(idx[top])]", "top[np.argmax(idx[top])]", _CONTACT_ORACLE),
     Mutant("contact.py", "bottom[np.argmin(idx[bottom])]", "bottom[np.argmax(idx[bottom])]", _CONTACT_ORACLE),
     Mutant("confidence.py", "np.sum(1.0 - d / d_th, axis=1)", "np.sum(1.0 + d / d_th, axis=1)",

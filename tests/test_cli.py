@@ -620,6 +620,15 @@ class TestWarningChannel:
         assert main(["score", cloud, grasps, "--gripper", GRIPPER, "-o", str(tmp_path / "o.csv")]) == 0
         assert capsys.readouterr().err == f"{self.PARALLEL_TO_Z} (2 times)\n"
 
+    @pytest.mark.parametrize("command", ["collide", "eval"])
+    def test_a_batch_of_frames_counts_each_flat_grasp(self, tmp_path, capsys, command):
+        """collide and eval build their frames in one batch, and still warn once per flat grasp."""
+        cloud, grasps = self.inputs(tmp_path, ["1,1,1,0,0,1,0,0", "1,1,1,0,0,-1,0.5,0", "1,1,1,0,1,0,0,0"])
+        args = [grasps, cloud, grasps] if command == "eval" else [cloud, grasps, "-o", str(tmp_path / "o.csv")]
+        assert main([command, *args, "--gripper", GRIPPER]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warned == [f"{self.PARALLEL_TO_Z} (2 times)"]
+
     def test_warnings_come_before_the_error(self, tmp_path, capsys):
         cloud, grasps = self.inputs(tmp_path, [])
         out = tmp_path / "missing" / "c.txt"

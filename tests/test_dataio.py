@@ -200,6 +200,27 @@ class TestGraspIO:
         assert path.read_text() == GRASP_HEADER + "\n"
         assert read_grasps(path) == []
 
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t  "])
+    def test_a_line_of_blanks_keeps_the_c_reader(self, tmp_path, monkeypatch, blank):
+        """A line of blanks among the rows: the table of the file without it, each row at its own line, and
+        no row parsed by the Python walk."""
+        rows = [f"{i / 64},0,0,0,1,0,0,0.5" for i in range(6)]
+        plain, path = tmp_path / "plain.csv", tmp_path / "g.csv"
+        plain.write_text("".join(f"{line}\n" for line in [GRASP_HEADER, *rows]))
+        lines = [*rows[:3], blank, *rows[3:]]
+        path.write_text("".join(f"{line}\n" for line in [GRASP_HEADER, *lines]))
+        want = [(g.center.tobytes(), g.orientation.tobytes(), g.theta, g.s_q) for g in read_grasps(plain)]
+
+        def walk(path, lineno, fields):
+            raise AssertionError(f"line {lineno} went to the Python walk")
+
+        monkeypatch.setattr(dataio, "_parse_floats", walk)
+        assert [(g.center.tobytes(), g.orientation.tobytes(), g.theta, g.s_q) for g in read_grasps(path)] == want
+        assert list(_float_rows(path, lines, 2, 8, ",")[1]) == [2, 3, 4, 6, 7, 8]
+        path.write_text(path.read_text().replace(rows[4][:-3] + "0.5", rows[4][:-3] + "1.5"))
+        with pytest.raises(ParseError, match=r"g\.csv:7: s_q 1\.5 outside \[0, 1\]$"):
+            read_grasps(path)
+
     def test_round_trip_thousand_random(self, tmp_path, rng):
         grasps = []
         for _ in range(1000):

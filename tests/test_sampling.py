@@ -105,8 +105,8 @@ class TestBlockedNormals:
 
 
 class TestCovarianceBits:
-    """Every block's covariance is bitwise the per-point sequential sums. A numpy whose einsum sums the
-    column products in another order fails here by name, not only through a benchmark digest."""
+    """Every block's covariance is bitwise the per-point sequential sums. A kernel that sums the column
+    products in another order (pairwise, say) fails here by name, not only through a benchmark digest."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.sampled_from([-1, 0, 1]).map(lambda d: sampling._NORMALS_BLOCK + d), k=st.integers(3, 40),
@@ -115,19 +115,35 @@ class TestCovarianceBits:
         pts = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(n, 3))
         if on_grid:  # on the 2^-8 grid many products and sums are exact; off it every sum rounds
             pts = np.round(pts * 2**8) / 2**8
-        cloud, blocks, covariance = PointCloud(pts), [], sampling._covariance
+        cloud, blocks, pca, covariance = PointCloud(pts), [], sampling._pca, sampling._covariance
 
-        def record(nbrs):
-            blocks.append((nbrs, covariance(nbrs)))
-            return blocks[-1][1]
+        def record_rows(cloud, index, *args):
+            blocks.append([np.array(index)])
+            return pca(cloud, index, *args)
 
-        with mock.patch.object(sampling, "_covariance", record):
+        def record(x, y, z):  # the neighbourhoods are stacked (copied) before covariance centres them
+            blocks[-1] += [np.stack([x, y, z], axis=-1).transpose(1, 0, 2), covariance(x, y, z)]
+            return blocks[-1][-1]
+
+        with mock.patch.object(sampling, "_pca", record_rows), mock.patch.object(sampling, "_covariance", record):
             estimate_normals(cloud, k)
-        assert [len(nbrs) for nbrs, _ in blocks] == [min(sampling._NORMALS_BLOCK, n - lo)
-                                                     for lo in range(0, n, sampling._NORMALS_BLOCK)]
-        assert np.concatenate([nbrs for nbrs, _ in blocks]).tobytes() == pts[cloud.tree.query(pts, k)[1]].tobytes()
-        for nbrs, cov in blocks:
+        rows = [index for index, _, _ in blocks]
+        block = sampling._NORMALS_BLOCK
+        assert [len(index) for index in rows] == [min(block, n - lo) for lo in range(0, n, block)]
+        assert np.concatenate(rows).tolist() == cloud.tree.indices.tolist()  # leaf order ...
+        assert np.sort(np.concatenate(rows)).tolist() == list(range(n))     # ... covering each row once
+        for index, nbrs, cov in blocks:  # nbrs (rows, k, 3), as the oracle takes them
+            assert nbrs.tobytes() == pts[cloud.tree.query(pts[index], k)[1]].tobytes()
             assert cov.tobytes() == oracle_covariance(nbrs).tobytes()
+
+    def test_an_entry_of_negative_zero_products_is_positive_zero(self):
+        """x = 0 and y = 0.1 in every row: y's mean rounds above 0.1, so every x-y product is -0.0, and a sum
+        that starts from 0, as the per-point loop's does, is +0.0."""
+        x, y, z = np.zeros((3, 1)), np.full((3, 1), 0.1), np.arange(3.0)[:, None]
+        want = oracle_covariance(np.stack([x, y, z], axis=-1).transpose(1, 0, 2))  # before x, y, z are centred
+        cov = sampling._covariance(x, y, z)
+        assert cov.tobytes() == want.tobytes()
+        assert math.copysign(1.0, cov[0, 0, 1]) == 1.0
 
 
 def darboux_frames(cloud, index, k):
@@ -360,6 +376,28 @@ class TestBallQuery:
             got = ball_query(cloud, center, radius=0.02, keep=32, seed=i)
             np.testing.assert_array_equal(got[0], hits[idx])
             assert got[1] == padded
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), on_grid=st.booleans(), m=st.integers(1, 12))
+    def test_hits_are_the_sorted_ball_point_query(self, seed, n, on_grid, m):
+        """On the 2^-8 grid the radius m * 2^-8 is an exact grid distance, so many points lie exactly on the
+        sphere (3-4-0 and 2-2-1 triples among them) and squared distances and radius are exact."""
+        rng = np.random.default_rng(seed)
+        if on_grid:
+            pts = rng.integers(-6, 7, size=(n, 3)) / 2**8
+            center, radius = rng.integers(-3, 4, size=3) / 2**8, m / 2**8
+        else:
+            pts = rng.uniform(-0.05, 0.05, size=(n, 3))
+            center, radius = rng.uniform(-0.05, 0.05, size=3), m * rng.uniform(0.001, 0.01)
+        cloud = PointCloud(pts)
+        expected = np.asarray(cloud.tree.query_ball_point(center, radius, return_sorted=True), dtype=int)
+        if expected.size == 0:
+            with pytest.raises(EmptyRegionError):
+                ball_query(cloud, center, radius, keep=n + 1)
+            return
+        idx, padded = ball_query(cloud, center, radius, keep=n + 1)  # padded: the hits come first, in order
+        assert padded
+        np.testing.assert_array_equal(idx[:expected.size], expected)
 
     def test_results_within_radius(self, rng):
         cloud = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
