@@ -21,7 +21,6 @@ import argparse
 import functools
 import math
 import sys
-import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -400,11 +399,8 @@ def _cmd_eval(args, settings) -> int:
     if not truth:
         raise ValueError(f"{args.gt} contains no ground-truth grasps")
     pool, top = settings["eval.pool"], settings["eval.top"]
-    t0 = time.perf_counter()
     report = evaluate(scored, scene, truth, args.gripper, pool=pool, top=top)
-    elapsed = time.perf_counter() - t0
     print(dataio.format_report(report), end="")
-    print(f"elapsed_s = {elapsed:.3f}", file=sys.stderr)
     if args.output:
         dataio.write_report(args.output, report)
     return 0

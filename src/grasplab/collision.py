@@ -20,8 +20,9 @@ fingers and the back plate taking turns, and a grasp proved colliding skips
 every later round. The exact box test decides the rest, reading only the
 points within r_out of the cells in between; it alone decides whether a
 grasp is free, so the survivors are the exact test's. The closing region
-reads its candidates the same way, from one sparse distance query against
-its cells.
+has no cells: its candidates are the points of one ball around the grasp
+center that holds the box with that margin, from one PointCloud.pairs query,
+in ascending index order and each point once.
 
 A batch of grasp frames is two arrays, rotations (G, 3, 3) and origins
 (G, 3), the grasps' centers; _to_world places grasp-frame points by every
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
     Grasp,
@@ -175,10 +175,13 @@ def _cells(box: Box3) -> _Kernel:
 
 @functools.lru_cache(maxsize=16)
 def _kernels(s: GripperParams) -> tuple[_Kernel, tuple[_Kernel, _Kernel, _Kernel]]:
-    """(closing box, obstacle boxes) of gripper s with their cells, built once per gripper: check_collision,
-    find_contacts and closing_region_points test one grasp a call, and the cells cost more than a query."""
+    """(closing ball, obstacle boxes' cells) of gripper s, built once per gripper: check_collision, find_contacts
+    and closing_region_points test one grasp a call. The closing box's one ball (r_in 0) around its center holds
+    every point within BOUNDARY_TOL of the box, with the margin _cells adds."""
     v = gripper_volume(s)
-    return _cells(v.closing), tuple(_cells(box) for box in v.obstacles)
+    reach = math.hypot(*(v.closing.hi - v.closing.lo) / 2.0) + BOUNDARY_TOL + _BALL_SLACK
+    closing = _Kernel(v.closing, ((v.closing.lo + v.closing.hi) / 2.0)[None], 0.0, reach)
+    return closing, tuple(_cells(box) for box in v.obstacles)
 
 
 def _cell_round(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, kernel: _Kernel,
@@ -262,15 +265,10 @@ def _free_mask(cloud: PointCloud, rotations: np.ndarray, origins: np.ndarray, s:
 
 def _closing_region(cloud: PointCloud, rotation: np.ndarray, g: Grasp, s: GripperParams):
     """(candidate cloud indices, their grasp-frame coordinates, mask of those in g's closing region, faces
-    included); `rotation` is grasp_frame(g).
-
-    The candidates are the points within r_out of a closing cell, from one
-    sparse distance query against the cells: in no set order, and a point near
-    two cells comes twice, with the same coordinates.
-    """
+    included); `rotation` is grasp_frame(g). The candidates are the points of the closing ball, ascending
+    and each once."""
     kernel = _kernels(s)[0]
-    cells = cKDTree(_to_world(kernel.centers, rotation[None], g.center[None])[0])
-    idx = cloud.tree.sparse_distance_matrix(cells, kernel.r_out, output_type="ndarray")["i"]
+    idx = np.sort(cloud.pairs(_to_world(kernel.centers, rotation[None], g.center[None])[0], kernel.r_out)[0])
     q = (cloud.points[idx] - g.center) @ rotation
     return idx, q, kernel.box.contains(q)
 
@@ -309,12 +307,10 @@ def closing_region_points(
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    rotation = grasp_frame(g)
-    idx, _, inside = _closing_region(cloud, rotation, g, s)
+    _, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
     if not inside.any():
         raise EmptyRegionError("no points inside the gripper closing region")
-    # ascending and unique, as resize_indices needs; dropping sorted repeats is cheaper than np.unique
-    idx = np.sort(idx[inside])
-    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-    rows, padded = resize_indices(len(idx), keep, seed)
-    return ((cloud.points[idx] - g.center) @ rotation)[rows], padded
+    # the in-region rows in ascending cloud order, as resize_indices needs; a row keeps its bits in any subset
+    q = q[inside]
+    rows, padded = resize_indices(len(q), keep, seed)
+    return q[rows], padded

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Grasp, PointCloud
 
@@ -65,8 +64,8 @@ def point_confidence(
     # sorted keys point * c + center (int32 where they fit) list each point's centers within d_th in ascending order
     c, keys, key = len(centers), [], np.int32 if n * len(centers) < 2**31 else np.int64
     for lo in range(0, c, _BLOCK_CENTERS):
-        pairs = cloud.tree.sparse_distance_matrix(cKDTree(centers[lo:lo + _BLOCK_CENTERS]), d_th, output_type="ndarray")
-        keys.append(pairs["i"].astype(key) * key(c) + (pairs["j"] + lo).astype(key))
+        point, center = cloud.pairs(centers[lo:lo + _BLOCK_CENTERS], d_th)
+        keys.append(point.astype(key) * key(c) + (center + lo).astype(key))
     point, flat = np.divmod(np.sort(np.concatenate(keys)), c)
     counts = np.bincount(point, minlength=n)
     starts = np.cumsum(counts) - counts

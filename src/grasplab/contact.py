@@ -44,12 +44,11 @@ def find_contacts(cloud: PointCloud, g: Grasp, s: GripperParams) -> ContactPair 
         raise ValueError("find_contacts requires a cloud with normals")
     idx, q, inside = _closing_region(cloud, grasp_frame(g), g, s)
     idx, y = idx[inside], q[inside, 1]
-    # each jaw touches the in-region extreme y on its side of y = 0 (none there: no pair); among the points
-    # that share it, the lowest cloud index
+    # each jaw touches the in-region extreme y on its side of y = 0 (none there: no pair); the rows come in
+    # ascending cloud order, so the first occurrence of a tied extreme is the lowest cloud index
     if not (idx.size and y.max() >= 0.0 and y.min() < 0.0):
         return None
-    top, bottom = np.flatnonzero(y == y.max()), np.flatnonzero(y == y.min())
-    a, b = top[np.argmin(idx[top])], bottom[np.argmin(idx[bottom])]
+    a, b = np.argmax(y), np.argmin(y)
     i, j = idx[a], idx[b]
     return ContactPair(
         ci=cloud.points[i].copy(),

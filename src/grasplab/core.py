@@ -196,6 +196,12 @@ class PointCloud:
             object.__setattr__(self, "_tree", cKDTree(self.points))
         return self._tree
 
+    def pairs(self, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(point indices, center indices), one entry per cloud point within `radius` of one of `centers` (m, 3),
+        the radius included, in no set order: the cloud's one radius query, `tree` against a tree of the centers."""
+        found = self.tree.sparse_distance_matrix(cKDTree(centers), radius, output_type="ndarray")
+        return found["i"], found["j"]
+
     def with_normals(self, normals: np.ndarray) -> "PointCloud":
         """Same points and colors with new normals; shares this cloud's tree."""
         out = PointCloud(self.points, normals, self.colors)

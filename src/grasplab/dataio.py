@@ -214,8 +214,7 @@ _PLY_FIELDS = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue")
 
 
 def _read_ply(path, lines: list[str]) -> PointCloud:
-    if len(lines) < 2 or lines[1].strip(_BLANKS) != "format ascii 1.0":
-        raise ParseError(path, 2, "expected 'format ascii 1.0'")
+    """The cloud of a PLY file whose format line read_point_cloud has checked."""
     n_vertices = body_start = None
     props: list[str] = []
     for i, raw in enumerate(lines[2:], start=3):
@@ -281,8 +280,12 @@ def _read_xyz(path, lines: list[str]) -> PointCloud:
 
 
 def read_point_cloud(path) -> PointCloud:
-    """Read a cloud from the ASCII PLY subset or bare XYZ text."""
+    """Read a cloud from the ASCII PLY subset or bare XYZ text; a PLY's format line is checked before decoding."""
     path = Path(path)
+    with path.open("rb") as f:
+        magic, form = (f.readline().removesuffix(b"\n").removesuffix(b"\r").strip(b" \t") for _ in range(2))
+    if magic == b"ply" and form != b"format ascii 1.0":
+        raise ParseError(path, 2, f"expected 'format ascii 1.0', got {form.decode(errors='replace')!r}")
     lines = _read_lines(path)
     return (_read_ply if lines and lines[0].strip(_BLANKS) == "ply" else _read_xyz)(path, lines)
 

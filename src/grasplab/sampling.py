@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (Grasp, GraspRowError, GripperParams, PointCloud, _theta_for_approach, clamp_theta,
                    grasps_from_arrays, rotate_about_axis)
@@ -213,14 +212,14 @@ def ball_query(
     More than `keep` hits are subsampled without replacement; fewer are
     padded by sampling the hits with replacement (padded flag returned).
     Raises EmptyRegionError when the ball is empty. The hits come from one
-    pair query of the cloud's cached KD-tree against a one-point tree.
+    `PointCloud.pairs` query, sorted.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if keep < 1:
         raise ValueError("keep must be >= 1")
     center = np.asarray(center, dtype=float).reshape(3)
-    hits = np.sort(cloud.tree.sparse_distance_matrix(cKDTree(center[None]), radius, output_type="ndarray")["i"])
+    hits = np.sort(cloud.pairs(center[None], radius)[0])
     if hits.size == 0:
         raise EmptyRegionError(f"no points within {radius} m of {center}")
     idx, padded = resize_indices(hits.size, keep, seed)

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 
 _CONTACT_ORACLE = "tests/test_contact.py::TestContactOracle::test_find_contacts_matches_the_oracle"
+_CLOSING_CORNERS = ("tests/test_collision.py::TestClosingBall::"
+                    "test_points_at_the_corners_and_the_ball_edge_match_full_scan")
 
 MUTANTS = [
     Mutant("metrics.py", "dists <= radius", "dists < radius",
@@ -85,8 +87,11 @@ MUTANTS = [
            "tests/test_collision.py::TestCells::test_circumscribed_balls_cover_the_worst_points"),
     Mutant("contact.py", "y.max() >= 0.0", "y.max() > 0.0", _CONTACT_ORACLE),
     Mutant("contact.py", "y.min() < 0.0", "y.min() <= 0.0", _CONTACT_ORACLE),
-    Mutant("contact.py", "top[np.argmin(idx[top])]", "top[np.argmax(idx[top])]", _CONTACT_ORACLE),
-    Mutant("contact.py", "bottom[np.argmin(idx[bottom])]", "bottom[np.argmax(idx[bottom])]", _CONTACT_ORACLE),
+    Mutant("contact.py", "np.argmax(y)", "len(y) - 1 - np.argmax(y[::-1])", _CONTACT_ORACLE),
+    Mutant("contact.py", "np.argmin(y)", "len(y) - 1 - np.argmin(y[::-1])", _CONTACT_ORACLE),
+    Mutant("collision.py", "idx = np.sort(cloud.pairs(", "idx = (cloud.pairs(", _CONTACT_ORACLE),
+    Mutant("collision.py", "math.hypot(*(v.closing.hi - v.closing.lo) / 2.0) + BOUNDARY_TOL + _BALL_SLACK",
+           "math.hypot(*(v.closing.hi - v.closing.lo) / 2.0)", _CLOSING_CORNERS),
     Mutant("confidence.py", "np.sum(1.0 - d / d_th, axis=1)", "np.sum(1.0 + d / d_th, axis=1)",
            "tests/test_confidence.py::TestPointConfidence::test_two_grasps_sum_before_tanh"),
     Mutant("confidence.py", 'order = np.argsort(-field.values, kind="stable")',

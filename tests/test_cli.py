@@ -113,6 +113,22 @@ class TestPipeline:
         report = (out / "report.csv").read_text().splitlines()
         assert report[0] == "cfr,as_mean,as_with_collision,tcr,n_selected"
 
+    def test_eval_runs_are_byte_identical_on_both_streams(self, tmp_path, capsys):
+        # no timing or other run-dependent line: two runs on the same inputs print the same bytes
+        write_inputs(tmp_path)
+        out = tmp_path / "a"
+        run_pipeline(tmp_path, out)
+        argv = ["eval", str(out / "scored.csv"), str(out / "scene.ply"), str(out / "scored.csv"),
+                "--gripper", GRIPPER, "--pool", "50", "--top", "10"]
+        capsys.readouterr()
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out.startswith("cfr = ")
+        assert runs[0].err == ""
+        assert runs[0] == runs[1]
+
 
 class TestLabelsNearestCenter:
     def test_blocks_give_the_per_point_argmin_with_lowest_index_ties(self, tmp_path, monkeypatch):

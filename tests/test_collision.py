@@ -401,6 +401,40 @@ class TestCulledKernel:
                 closing_region_points(cloud, AXIS_Y, GRIPPER)
 
 
+class TestClosingBall:
+    """The closing region is read from one ball around the grasp center; every point the inclusive box test
+    admits lies inside it, and the reads stay the full scan's."""
+
+    def test_the_closing_kernel_is_one_ball(self):
+        closing, obstacles = collision._kernels(GRIPPER)
+        np.testing.assert_array_equal(closing.centers, np.zeros((1, 3)))
+        assert closing.r_in == 0.0 and len(obstacles) == 3
+        assert closing.r_out == math.hypot(0.03, 0.04, 0.02) + BOUNDARY_TOL + _BALL_SLACK
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_at_the_corners_and_the_ball_edge_match_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        box, radius = gripper_volume(GRIPPER).closing, collision._kernels(GRIPPER)[0].r_out
+        corners = np.array([[(box.lo, box.hi)[(k >> a) & 1][a] for a in range(3)] for k in range(8)])
+        outward = np.sign(corners)
+        # each corner moved by -2, -1/2, +1/2 or +2 BOUNDARY_TOL along each axis: in or out of the inclusive box
+        steps = np.array([-2.0, -0.5, 0.5, 2.0]) * BOUNDARY_TOL
+        near = corners[:, None, :] + outward[:, None, :] * steps[rng.integers(4, size=(8, 6, 3))]
+        u = np.vstack([outward / np.linalg.norm(outward, axis=1, keepdims=True), rng.normal(size=(8, 3))])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        edge = radius * np.array([1 - 1e-9, 1 + 1e-9])[:, None, None] * u
+        q = np.vstack([near.reshape(-1, 3), edge.reshape(-1, 3)])
+        grasps = [AXIS_Y] + [_random_grasp(rng, span=0.2) for _ in range(3)]
+        for g in grasps:
+            world = grasp_to_world(g, q[rng.permutation(len(q))])
+            cloud = PointCloud(world, np.tile([0.0, 0.0, 1.0], (len(world), 1)))
+            inside, _ = _full_scan_closing(cloud, g)
+            assert 0 < inside.size < len(q)
+            assert _assert_same_contacts(cloud, g)
+            for keep in (4, 40, 400):
+                _assert_same_region(cloud, g, keep)
+
+
 GRIPPER_DIMS = st.tuples(st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(0.005, 0.2), st.floats(1e-9, 0.05))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from grasplab.core import THETA_MAX, UNIT_TOL, GraspRowError, _theta_for_approach, clamp_theta
 from grasplab import (
@@ -67,6 +68,34 @@ class TestTypes:
         tree = cloud.tree
         assert cloud.tree is tree
         assert cloud.with_normals(np.eye(3)).tree is tree
+
+
+class TestPairs:
+    """PointCloud.pairs, the one radius query, lists the pairs a per-point ball query finds, the radius
+    included."""
+
+    GRID = 2.0 ** -8
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("leg", [(0, 0, 1), (3, 4, 0), (5, 12, 0)])  # hypotenuses 1, 5 and 13
+    def test_pairs_match_a_ball_query_per_point(self, seed, leg):
+        # on the 2^-8 grid every coordinate difference is exact, so a point planted `leg` grid steps from a
+        # center is exactly a radius away, and one a step further out is not within it
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(-12, 13, size=(int(rng.integers(1, 20)), 3)) * self.GRID
+        planted = centers[0] + np.array([leg, (0, *leg[:2]), np.add(leg, (1, 0, 0))]) * self.GRID
+        points = np.vstack([rng.integers(-12, 13, size=(int(rng.integers(1, 400)), 3)) * self.GRID, planted])
+        radius = math.hypot(*leg) * self.GRID
+        point, center = PointCloud(points).pairs(centers, radius)
+        got = sorted(zip(point.tolist(), center.tolist()))
+        want = sorted((i, j) for i, js in enumerate(cKDTree(centers).query_ball_point(points, radius)) for j in js)
+        assert got == want
+        n = len(points)
+        assert {(n - 3, 0), (n - 2, 0)} <= set(got) and (n - 1, 0) not in got
+
+    def test_no_center_within_reach_gives_no_pairs(self):
+        point, center = PointCloud(np.eye(3)).pairs(np.array([[5.0, 5.0, 5.0]]), 1.0)
+        assert point.size == center.size == 0
 
 
 class TestScore:

@@ -126,6 +126,18 @@ class TestPointCloudIO:
         with pytest.raises(ParseError, match=r"bad\.ply:2"):
             read_point_cloud(path)
 
+    @pytest.mark.parametrize("size", [480, 100], ids=["whole", "truncated"])  # body bytes; 20 rows are 480
+    def test_a_binary_ply_is_named_by_its_format_line(self, tmp_path, size):
+        # its float64 body is not UTF-8; the format line is checked before the body is decoded
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 20\nproperty double x\n"
+                  "property double y\nproperty double z\nend_header\n").encode()
+        body = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, 3)).astype("<f8").tobytes()
+        path = tmp_path / "b.ply"
+        path.write_bytes(header + body[:size])
+        with pytest.raises(ParseError) as info:
+            read_point_cloud(path)
+        assert str(info.value) == f"{path}:2: expected 'format ascii 1.0', got 'format binary_little_endian 1.0'"
+
     def test_ply_row_count_mismatch(self, tmp_path):
         path = tmp_path / "short.ply"
         path.write_text(
