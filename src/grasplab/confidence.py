@@ -17,8 +17,7 @@ from .core import Grasp, PointCloud
 
 __all__ = ["ConfidenceField", "point_confidence", "select_positive_points"]
 
-_BLOCK_PAIRS = 1 << 16  # point-center pairs per block; bounds the temporaries of a dense scene
-_BLOCK_CENTERS = 16  # centers per pair query; bounds its 24-byte pair records
+_PAIR_BUDGET = 1 << 14  # point-center pairs per point block; bounds the query's records and the sums' temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,25 +59,28 @@ def point_confidence(
     n = len(cloud)
     if n == 0 or not grasps:
         return ConfidenceField(np.zeros(n), d_th)
-    centers = np.stack([g.center for g in grasps])
-    # sorted keys point * c + center (int32 where they fit) list each point's centers within d_th in ascending order
-    c, keys, key = len(centers), [], np.int32 if n * len(centers) < 2**31 else np.int64
-    for lo in range(0, c, _BLOCK_CENTERS):
-        point, center = cloud.pairs(centers[lo:lo + _BLOCK_CENTERS], d_th)
-        keys.append(point.astype(key) * key(c) + (center + lo).astype(key))
-    point, flat = np.divmod(np.sort(np.concatenate(keys)), c)
-    counts = np.bincount(point, minlength=n)
-    starts = np.cumsum(counts) - counts
-    sums = np.zeros(n)
-    # points with k neighbours form (rows, k) blocks summed along their contiguous last axis, which
-    # keeps the per-point sum's pairwise order, so every value is bitwise that of a per-point loop
-    for k in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == k)
-        step = max(1, _BLOCK_PAIRS // k)
-        for sel in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-            idx = flat[starts[sel, None] + np.arange(k)]
-            d = np.linalg.norm(centers[idx] - cloud.points[sel, None], axis=2)
-            sums[sel] = np.sum(1.0 - d / d_th, axis=1)
+    centers = PointCloud(np.stack([g.center for g in grasps]))
+    # each point's count of centers within d_th orders the points that have any by count, then index, and cuts
+    # them into blocks of at most _PAIR_BUDGET pairs; a point with more is a block of its own
+    counts = centers.tree.query_ball_point(cloud.points, d_th, return_length=True)
+    order = (reach := np.flatnonzero(counts))[np.argsort(counts[reach], kind="stable")]
+    ends, sums, lo = np.cumsum(counts[order]), np.zeros(n), 0
+    while lo < len(order):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[order[lo]] + _PAIR_BUDGET, side="right")))
+        sel, points = order[lo:hi], cloud.points[order[lo:hi]]
+        center, point = centers.pairs(points, d_th)
+        # sorted keys point * c + center list each point's centers in ascending order, as a ball query per point
+        # does; the norm adds the three squares of a coordinate-major difference in order, as a per-point loop does
+        point, center = np.divmod(np.sort(point * len(centers) + center), len(centers))
+        values = 1.0 - np.linalg.norm(np.take(centers.points.T, center, axis=1) - np.take(points.T, point, axis=1),
+                                      axis=0) / d_th
+        # points with k centers are consecutive; their values form a (rows, k) block summed along its contiguous
+        # last axis, which keeps the per-point sum's pairwise order, so every value is bitwise that of a per-point loop
+        ks, rows = np.unique(counts[sel], return_counts=True)
+        for k, r, at in zip(ks.tolist(), rows.tolist(), (np.cumsum(rows) - rows).tolist()):
+            sums[sel[at:at + r]] = np.sum(values[:r * k].reshape(r, k), axis=1)
+            values = values[r * k:]
+        lo = hi
     return ConfidenceField(np.tanh(sums), d_th)
 
 

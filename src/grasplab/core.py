@@ -52,9 +52,11 @@ def clamp_theta(theta):
 
 
 def _frozen_copy(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    """`a` as a read-only float64 array: `a` itself when it already is one that owns its data, else a copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.base is None and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
 
 
 class GraspRowError(ValueError):
@@ -154,9 +156,9 @@ class GripperParams:
 class PointCloud:
     """N points (m) with optional unit normals and optional RGB colors in [0,1].
 
-    A cloud is immutable: it keeps read-only copies of its arrays, so the
-    KD-tree over its points (`tree`, built on first use and cached) can be
-    shared by every spatial query on the cloud and never goes stale.
+    A cloud is immutable: it keeps read-only copies of its arrays (an array already read-only, float64
+    and owning its data is kept itself), so the KD-tree over its points (`tree`, built on first use and
+    cached) can be shared by every spatial query on the cloud and never goes stale.
     """
 
     points: np.ndarray
@@ -199,7 +201,7 @@ class PointCloud:
     def pairs(self, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(point indices, center indices), one entry per cloud point within `radius` of one of `centers` (m, 3),
         the radius included, in no set order: the cloud's one radius query, `tree` against a tree of the centers."""
-        found = self.tree.sparse_distance_matrix(cKDTree(centers), radius, output_type="ndarray")
+        found = self.tree.sparse_distance_matrix(cKDTree(centers, balanced_tree=False), radius, output_type="ndarray")
         return found["i"], found["j"]
 
     def with_normals(self, normals: np.ndarray) -> "PointCloud":

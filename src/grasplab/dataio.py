@@ -1,14 +1,13 @@
 """Text file formats: point clouds, grasp lists, confidence fields, configs.
 
-Everything is plain ASCII so fixtures stay auditable and diffable. Reals
-are printed with 9 significant digits (sub-micron at meter scale) and all
-read/write pairs round-trip to 1e-8 absolute or better. Writers format
-and write `_ROW_BLOCK` rows at a time through one open file, so their
-temporaries do not grow with the table. Files are read as UTF-8. Parsers
-reject malformed input instead of repairing it, and every error (an
-undecodable byte included) names the file and line. All text
-input, flags included, ends lines at '\n' (a '\r' before it is dropped),
-splits on spaces and tabs, and reads ASCII numbers (`parse_number`).
+Everything is plain ASCII so fixtures stay auditable and diffable. Reals are printed with 9 significant
+digits (sub-micron at meter scale) and all read/write pairs round-trip to 1e-8 absolute or better. Writers
+format and write `_VALUE_BLOCK` fields at a time through one open file, and `read_point_cloud` parses a
+cloud `_CHUNK` bytes at a time straight into its arrays, so their temporaries do not grow with the table or
+the file. Other files, and a cloud file that is not ASCII or has a defect, are read whole as UTF-8. Parsers
+reject malformed input instead of repairing it, and every error (an undecodable byte included) names the
+file and line, whichever way the file is read. All text input, flags included, ends lines at '\n' (a '\r'
+before it is dropped), splits on spaces and tabs, and reads ASCII numbers (`parse_number`).
 
 Formats:
   * point clouds: an ASCII PLY subset (x y z [nx ny nz] [red green blue])
@@ -27,6 +26,7 @@ import dataclasses
 import math
 import re
 from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,8 @@ class ParseError(ValueError):
 
 
 _REAL = "%.9g"
-_ROW_BLOCK = 4096  # rows formatted per write; bounds a writer's text and float temporaries
+_VALUE_BLOCK = 24576  # fields formatted per write (4,096 rows of a cloud with normals); bounds a writer's temporaries
+_CHUNK = 1 << 18  # bytes read_point_cloud reads at a time; bounds its text and row temporaries
 
 
 def _fmt(v: float) -> str:
@@ -95,13 +96,13 @@ def _rows_text(data: np.ndarray, sep: str = " ", kinds: str | None = None) -> st
 
 def _write_rows(path, header: str, cols: list[np.ndarray], sep: str = " ") -> None:
     """Write `header`, then the rows of the arrays `cols` (a 1-d array is one column) side by side in
-    `_rows_text`'s format, `_ROW_BLOCK` rows at a time: the bytes `Path.write_text` gives for the whole text.
+    `_rows_text`'s format, `_VALUE_BLOCK` fields at a time: the bytes `Path.write_text` gives for the whole text.
     An integer or bool array's fields are integers (a float64 must carry them exactly), any other's reals."""
     kinds = "".join(("d" if c.dtype.kind in "biu" else "g") * (c.shape[1] if c.ndim == 2 else 1) for c in cols)
     with Path(path).open("w") as f:
         f.write(header)
-        for lo in range(0, len(cols[0]), _ROW_BLOCK):
-            f.write(_rows_text(np.column_stack([c[lo:lo + _ROW_BLOCK] for c in cols]), sep, kinds))
+        for lo in range(0, len(cols[0]), step := max(1, _VALUE_BLOCK // len(kinds))):
+            f.write(_rows_text(np.column_stack([c[lo:lo + step] for c in cols]), sep, kinds))
 
 
 def _read_lines(path) -> list[str]:
@@ -195,17 +196,6 @@ def _parse_count(path, lineno: int, token: str) -> int:
     raise ParseError(path, lineno, f"expected a non-negative integer count, got {token!r}")
 
 
-def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
-    """Normalize per-row normals; a zero-length or overflowing one is an error at its own line."""
-    with np.errstate(over="ignore"):  # an overflowing length is reported below, at its line
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    bad = np.flatnonzero((norms < 1e-12) | np.isinf(norms))
-    if bad.size:
-        why = "zero-length normal" if norms[bad[0], 0] < 1e-12 else "normal length overflows"
-        raise ParseError(path, linenos[bad[0]], why)
-    return normals / norms
-
-
 # ---------------------------------------------------------------------------
 # Point clouds
 # ---------------------------------------------------------------------------
@@ -213,8 +203,8 @@ def _unit_normals(path, normals: np.ndarray, linenos: list[int]) -> np.ndarray:
 _PLY_FIELDS = ("x", "y", "z", "nx", "ny", "nz", "red", "green", "blue")
 
 
-def _read_ply(path, lines: list[str]) -> PointCloud:
-    """The cloud of a PLY file whose format line read_point_cloud has checked."""
+def _ply_header(path, lines: list[str]) -> tuple[int, list[str], int]:
+    """The vertex count, property names and end_header line of a PLY file whose format line is checked."""
     n_vertices = body_start = None
     props: list[str] = []
     for i, raw in enumerate(lines[2:], start=3):
@@ -240,7 +230,30 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         raise ParseError(path, len(lines), "header ended before end_header/element vertex")
     if props not in [list(_PLY_FIELDS[:k]) for k in (3, 6, 9)] + [list(_PLY_FIELDS[:3] + _PLY_FIELDS[6:])]:
         raise ParseError(path, body_start, f"unsupported property layout: {props}")
+    return n_vertices, props, body_start
 
+
+def _columns(path, data: np.ndarray, linenos, props: list[str]) -> dict[str, np.ndarray | None]:
+    """The points, unit normals and colors (None where `props` has none) of rows of reals; errors name the row."""
+    colors = data[:, -3:] / 255.0 if "red" in props else None
+    bad = () if colors is None else np.flatnonzero(((colors < 0.0) | (colors > 1.0)).any(axis=1))
+    if len(bad):
+        raise ParseError(path, linenos[bad[0]], "color components must be 0..255")
+    normals = data[:, 3:6] if "nx" in props else None
+    if normals is not None:
+        with np.errstate(over="ignore"):  # an overflowing length is reported below, at its line
+            norms = np.linalg.norm(normals, axis=1, keepdims=True)
+        bad = np.flatnonzero((norms < 1e-12) | np.isinf(norms))
+        if bad.size:
+            why = "zero-length normal" if norms[bad[0], 0] < 1e-12 else "normal length overflows"
+            raise ParseError(path, linenos[bad[0]], why)
+        normals = normals / norms
+    return {"points": data[:, :3], "normals": normals, "colors": colors}
+
+
+def _read_ply(path, lines: list[str]) -> PointCloud:
+    """The cloud of a PLY file whose format line read_point_cloud has checked."""
+    n_vertices, props, body_start = _ply_header(path, lines)
     body = lines[body_start:]
     try:
         data, linenos = _float_rows(path, body, body_start + 1, len(props), None)
@@ -253,12 +266,7 @@ def _read_ply(path, lines: list[str]) -> PointCloud:
         raise ParseError(path, linenos[n_vertices], f"data continues past the declared {n_vertices} vertices")
     if len(linenos) != n_vertices:
         raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(linenos)}")
-    colors = data[:, -3:] / 255.0 if "red" in props else None
-    bad = () if colors is None else np.flatnonzero(((colors < 0.0) | (colors > 1.0)).any(axis=1))
-    if len(bad):
-        raise ParseError(path, linenos[bad[0]], "color components must be 0..255")
-    normals = _unit_normals(path, data[:, 3:6], linenos) if "nx" in props else None
-    return PointCloud(data[:, :3], normals, colors)
+    return PointCloud(**_columns(path, data, linenos, props))
 
 
 def _read_xyz(path, lines: list[str]) -> PointCloud:
@@ -275,17 +283,55 @@ def _read_xyz(path, lines: list[str]) -> PointCloud:
         raise ParseError(path, exc.line, f"expected 3 or 6 columns, got {len(fields)}") from None
     if not linenos:
         raise ParseError(path, len(lines) or 1, "no points found")
-    normals = _unit_normals(path, data[:, 3:6], linenos) if width == 6 else None
-    return PointCloud(data[:, :3], normals)
+    return PointCloud(**_columns(path, data, linenos, _PLY_FIELDS[:width]))
+
+
+def _stream_cloud(path, f, ply: bool) -> PointCloud | None:
+    """Binary file f's cloud, read `_CHUNK` bytes at a time (a partial last line carried into the next chunk) into its
+    arrays; None for a file not ASCII or with a defect (a '\r' outside an XYZ comment is one), which is read whole."""
+    tail, lines, first, props, count, out, filled = b"", [], 1, None, math.inf, {}, 0
+    try:
+        for chunk in chain(iter(lambda: f.read(_CHUNK), b""), [b"\n"]):  # the last line may lack its '\n'
+            cut = chunk.rfind(b"\n") + 1
+            text, tail = ((tail + chunk[:cut]).decode("ascii"), chunk[cut:]) if cut else ("", tail + chunk)
+            lines += (text if ply else re.sub("#.*", "", text)).split("\n")[:-1]  # an XYZ line ends at '#'
+            if props is None:  # a PLY's header ends at end_header; an XYZ's first row sets every row's width
+                if ply and any(_fields(raw, None)[:1] == ["end_header"] for raw in lines):
+                    count, props, end = _ply_header(path, lines)
+                    first, lines = end + 1, lines[end:]
+                elif not ply and (width := next((len(fs) for fs in (_fields(raw, None) for raw in lines) if fs), 0)):
+                    props = _PLY_FIELDS[:width] if width in (3, 6) else ()  # no row fits a width not 3 or 6
+            if props is None:
+                continue
+            data, linenos = _float_rows(path, lines, first, len(props), None)
+            lines, first, filled, at = [], first + len(lines), filled + len(data), filled
+            for key, column in _columns(path, data, linenos, props).items():
+                if column is not None:  # an array doubles, up to a PLY's count, so each row moves O(1) times
+                    array = out.setdefault(key, np.empty((0, 3)))
+                    if len(array) < filled:
+                        array.resize((min(max(filled, 2 * len(array)), count), 3), refcheck=False)
+                    array[at:filled] = column  # rows past a PLY's count fail here or at the count check below
+    except ValueError:  # a ParseError, a byte not ASCII or rows past a PLY's count
+        return None
+    if props is None or ply and filled != count:
+        return None
+    for array in out.values():  # the cloud keeps these arrays, trimmed to its rows and read-only, as its own
+        array.resize((filled, 3), refcheck=False)
+        array.flags.writeable = False
+    return PointCloud(**out)
 
 
 def read_point_cloud(path) -> PointCloud:
-    """Read a cloud from the ASCII PLY subset or bare XYZ text; a PLY's format line is checked before decoding."""
+    """Read a cloud from the ASCII PLY subset or bare XYZ text; a PLY's format line is checked before decoding.
+    A file `_stream_cloud` cannot read is read whole, so every defect is reported at the same file:line."""
     path = Path(path)
     with path.open("rb") as f:
         magic, form = (f.readline().removesuffix(b"\n").removesuffix(b"\r").strip(b" \t") for _ in range(2))
-    if magic == b"ply" and form != b"format ascii 1.0":
-        raise ParseError(path, 2, f"expected 'format ascii 1.0', got {form.decode(errors='replace')!r}")
+        if magic == b"ply" and form != b"format ascii 1.0":
+            raise ParseError(path, 2, f"expected 'format ascii 1.0', got {form.decode(errors='replace')!r}")
+        f.seek(0)
+        if (cloud := _stream_cloud(path, f, magic == b"ply")) is not None:
+            return cloud
     lines = _read_lines(path)
     return (_read_ply if lines and lines[0].strip(_BLANKS) == "ply" else _read_xyz)(path, lines)
 

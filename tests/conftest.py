@@ -5,6 +5,7 @@ plain scalar arithmetic so library bugs cannot hide in both routes.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from scipy.spatial import cKDTree
 
 from grasplab import ConfidenceField, Grasp, PointCloud, anchors, grasp_frame, select_positive_points
 from grasplab.core import THETA_MAX, UNIT_TOL
-from grasplab.dataio import ParseError
+from grasplab.dataio import (
+    _BLANKS, _PLY_FIELDS, ParseError, _fields, _float_rows, _parse_count, _parse_floats, _read_lines,
+)
 
 
 def random_sphere_cloud(radius: float, n: int, seed: int = 0, center=(0.0, 0.0, 0.0)) -> PointCloud:
@@ -235,6 +238,90 @@ def oracle_float_rows(path, lines, first_lineno, ncols, sep):
         if len(fields) != ncols:
             raise ParseError(path, i, f"expected {ncols} columns, got {len(fields)}")
     return np.array(out, dtype=float).reshape(len(linenos), ncols), linenos
+
+
+def _oracle_unit_normals(path, normals, linenos):
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    bad = np.flatnonzero((norms < 1e-12) | np.isinf(norms))
+    if bad.size:
+        why = "zero-length normal" if norms[bad[0], 0] < 1e-12 else "normal length overflows"
+        raise ParseError(path, linenos[bad[0]], why)
+    return normals / norms
+
+
+def _oracle_ply(path, lines):
+    n_vertices = body_start = None
+    props = []
+    for i, raw in enumerate(lines[2:], start=3):
+        tokens = _fields(raw, None)
+        if not tokens or tokens[0] == "comment":
+            continue
+        if tokens[0] == "element":
+            if len(tokens) != 3 or tokens[1] != "vertex":
+                raise ParseError(path, i, f"unsupported element: {raw.strip(_BLANKS)!r}")
+            if n_vertices is not None:
+                raise ParseError(path, i, "a second 'element vertex' declaration")
+            n_vertices = _parse_count(path, i, tokens[2])
+        elif tokens[0] == "property":
+            if len(tokens) != 3 or tokens[1] not in ("float", "double", "uchar"):
+                raise ParseError(path, i, f"unsupported property: {raw.strip(_BLANKS)!r}")
+            props.append(tokens[2])
+        elif tokens[0] == "end_header":
+            body_start = i
+            break
+        else:
+            raise ParseError(path, i, f"unexpected header line: {raw.strip(_BLANKS)!r}")
+    if body_start is None or n_vertices is None:
+        raise ParseError(path, len(lines), "header ended before end_header/element vertex")
+    if props not in [list(_PLY_FIELDS[:k]) for k in (3, 6, 9)] + [list(_PLY_FIELDS[:3] + _PLY_FIELDS[6:])]:
+        raise ParseError(path, body_start, f"unsupported property layout: {props}")
+    body = lines[body_start:]
+    try:
+        data, linenos = _float_rows(path, body, body_start + 1, len(props), None)
+    except ParseError as exc:
+        linenos = [*_float_rows(path, body[:exc.line - body_start - 1], body_start + 1, len(props), None)[1], exc.line]
+        if len(linenos) <= n_vertices:
+            raise
+    if len(linenos) > n_vertices:
+        raise ParseError(path, linenos[n_vertices], f"data continues past the declared {n_vertices} vertices")
+    if len(linenos) != n_vertices:
+        raise ParseError(path, len(lines), f"expected {n_vertices} vertex rows, found {len(linenos)}")
+    colors = data[:, -3:] / 255.0 if "red" in props else None
+    bad = () if colors is None else np.flatnonzero(((colors < 0.0) | (colors > 1.0)).any(axis=1))
+    if len(bad):
+        raise ParseError(path, linenos[bad[0]], "color components must be 0..255")
+    normals = _oracle_unit_normals(path, data[:, 3:6], linenos) if "nx" in props else None
+    return PointCloud(data[:, :3], normals, colors)
+
+
+def _oracle_xyz(path, lines):
+    body = [raw.split("#", 1)[0] for raw in lines] if "#" in "".join(lines) else lines
+    width = next((len(fields) for fields in (_fields(raw, None) for raw in body) if fields), 3)
+    try:
+        data, linenos = _float_rows(path, body, 1, width if width in (3, 6) else 3, None)
+    except ParseError as exc:
+        fields = _fields(body[exc.line - 1], None)
+        if len(fields) in (3, 6):
+            raise
+        _parse_floats(path, exc.line, fields)
+        raise ParseError(path, exc.line, f"expected 3 or 6 columns, got {len(fields)}") from None
+    if not linenos:
+        raise ParseError(path, len(lines) or 1, "no points found")
+    normals = _oracle_unit_normals(path, data[:, 3:6], linenos) if width == 6 else None
+    return PointCloud(data[:, :3], normals)
+
+
+def oracle_read_point_cloud(path) -> PointCloud:
+    """The whole-file cloud reader: the format line checked, then every line of the file decoded and held at
+    once, the rows parsed as one body and each defect reported at its file:line."""
+    path = Path(path)
+    with path.open("rb") as f:
+        magic, form = (f.readline().removesuffix(b"\n").removesuffix(b"\r").strip(b" \t") for _ in range(2))
+    if magic == b"ply" and form != b"format ascii 1.0":
+        raise ParseError(path, 2, f"expected 'format ascii 1.0', got {form.decode(errors='replace')!r}")
+    lines = _read_lines(path)
+    return (_oracle_ply if lines and lines[0].strip(_BLANKS) == "ply" else _oracle_xyz)(path, lines)
 
 
 def oracle_grasp(center, orientation, theta, s_q=0.0):

@@ -92,11 +92,15 @@ MUTANTS = [
     Mutant("collision.py", "idx = np.sort(cloud.pairs(", "idx = (cloud.pairs(", _CONTACT_ORACLE),
     Mutant("collision.py", "math.hypot(*(v.closing.hi - v.closing.lo) / 2.0) + BOUNDARY_TOL + _BALL_SLACK",
            "math.hypot(*(v.closing.hi - v.closing.lo) / 2.0)", _CLOSING_CORNERS),
-    Mutant("confidence.py", "np.sum(1.0 - d / d_th, axis=1)", "np.sum(1.0 + d / d_th, axis=1)",
+    Mutant("confidence.py", "values = 1.0 - np.linalg.norm(", "values = 1.0 + np.linalg.norm(",
            "tests/test_confidence.py::TestPointConfidence::test_two_grasps_sum_before_tanh"),
     Mutant("confidence.py", 'order = np.argsort(-field.values, kind="stable")',
            'order = n - 1 - np.argsort(-field.values[::-1], kind="stable")',
            "tests/test_confidence.py::TestSelectPositivePoints::test_all_equal_ties_break_by_index"),
+    Mutant("dataio.py", "((tail + chunk[:cut]).decode(\"ascii\")", "(chunk[:cut].decode(\"ascii\")",
+           "tests/test_dataio.py::TestChunkedReader::test_bit_equal_to_the_whole_file_reader"),
+    Mutant("confidence.py", "+ _PAIR_BUDGET, side=\"right\")", "+ _PAIR_BUDGET + 1, side=\"right\")",
+           "tests/test_confidence.py::TestPointBlocks::test_blocks_fill_the_budget_and_no_more"),
     Mutant("policy.py", "float(result.fun @ result.fun) >= _limit_rss(x, y)",
            "float(result.fun @ result.fun) > _limit_rss(x, y)",
            "tests/test_policy.py::TestFitSigmoidDegenerateSamples::test_fit_is_finite"),

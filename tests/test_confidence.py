@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ class TestGroupedSums:
         cloud, centers = self._scene(rng)
         counts = [len(idx) for idx in cKDTree(centers).query_ball_point(cloud.points, 0.01)]
         assert {0, 1, 7, 8, 9, 12, 40} <= set(counts)
-        # the 9-neighbour group alone holds more pairs than one block
-        assert 9 * counts.count(9) > confidence._BLOCK_PAIRS
+        # the 9-neighbour group alone holds more pairs than one point block
+        assert 9 * counts.count(9) > confidence._PAIR_BUDGET
 
     @pytest.mark.parametrize("d_th", [0.01, 0.004, 0.03])
     def test_bitwise_equal_to_per_point_loop(self, rng, d_th):
@@ -115,12 +116,12 @@ class TestGroupedSums:
         cloud, centers = self._scene(rng)
         grasps = [_grasp_at(c) for c in centers]
         whole = point_confidence(cloud, grasps, d_th=0.01).values
-        monkeypatch.setattr(confidence, "_BLOCK_PAIRS", 5)  # one row a block from 3 neighbours on
+        monkeypatch.setattr(confidence, "_PAIR_BUDGET", 5)  # one point a block from 3 neighbours on
         assert point_confidence(cloud, grasps, d_th=0.01).values.tobytes() == whole.tobytes()
 
 
 class TestPairQuery:
-    """The pairs of the blocked center query feed the grouped sums as a per-point ball query would."""
+    """The pairs of the point-block query feed the grouped sums as a per-point ball query would."""
 
     @staticmethod
     def _scene(rng):
@@ -144,22 +145,72 @@ class TestPairQuery:
         cloud, centers = self._scene(rng)
         counts = {len(idx) for idx in cKDTree(centers).query_ball_point(cloud.points, 0.01)}
         assert counts == {12, 25, 40}  # numpy sums more than 8 terms pairwise
-        assert len(centers) > 4 * confidence._BLOCK_CENTERS  # each point's centers span blocks
+        # a budget of 5,000 pairs cuts the 15,400 pairs into four point blocks, three of them inside a count group
+        assert sum(len(idx) for idx in cKDTree(centers).query_ball_point(cloud.points, 0.01)) > 3 * 5000
 
-    @pytest.mark.parametrize("block", [1, 5, 16, 10**6])
+    @pytest.mark.parametrize("block", [1, 5, 16, 5000, 10**6])
     def test_bitwise_equal_to_per_point_loop(self, rng, monkeypatch, block):
         cloud, centers = self._scene(rng)
-        monkeypatch.setattr(confidence, "_BLOCK_CENTERS", block)
+        monkeypatch.setattr(confidence, "_PAIR_BUDGET", block)
         field = point_confidence(cloud, [_grasp_at(c) for c in centers], d_th=0.01)
         want = oracle_point_confidence(cloud, centers, 0.01).values
         assert (want > 0.0).all()
         assert field.values.tobytes() == want.tobytes()
 
 
+class TestPointBlocks:
+    """Points with centers in reach are taken by count, then index, in blocks of at most _PAIR_BUDGET pairs."""
+
+    @staticmethod
+    def _block_pairs(monkeypatch, cloud, centers):
+        """The pair count of each point block's query, in order."""
+        sizes, pairs = [], PointCloud.pairs
+
+        def spy(self, *args):
+            found = pairs(self, *args)
+            sizes.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(PointCloud, "pairs", spy)
+        field = point_confidence(cloud, [_grasp_at(c) for c in centers], d_th=0.01)
+        assert field.values.tobytes() == oracle_point_confidence(cloud, centers, 0.01).values.tobytes()
+        return sizes
+
+    def test_blocks_fill_the_budget_and_no_more(self, monkeypatch):
+        # three points reach one center and three reach two; a point far off reaches none
+        centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.001, 0.0]])
+        points = np.array([[0.0, 0.0, 0.002], [5.0, 0.0, 0.0], [1.0, 0.0, 0.001], [0.0, 0.0, -0.001],
+                           [1.0, 0.0, 0.002], [0.001, 0.0, 0.0], [1.0, 0.0, -0.001]])
+        monkeypatch.setattr(confidence, "_PAIR_BUDGET", 4)
+        # counts 1, 1, 1 fit in 4 pairs and a fourth point of 2 would make 5; then 2 + 2, then the last 2
+        assert self._block_pairs(monkeypatch, PointCloud(points), centers) == [3, 4, 2]
+
+    def test_a_point_past_the_budget_is_a_block_of_its_own(self, monkeypatch):
+        centers = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, 0.0], [0.0, 0.001, 0.0]])
+        points = np.array([[0.0, 0.0, 0.001], [0.0, 0.0, 0.002], [1.0, 0.0, 0.0]])
+        monkeypatch.setattr(confidence, "_PAIR_BUDGET", 2)
+        assert self._block_pairs(monkeypatch, PointCloud(points), centers) == [3, 3]
+
+    def test_peak_memory_follows_one_point_block(self):
+        # 3,000 points that each reach all 120 centers: 360,000 pairs, which held at once (keys, sort, point
+        # and center arrays) peak at about 9.4 MB; blocks of 2^14 pairs stay under half of that
+        rng = np.random.default_rng(0)
+        cloud = PointCloud(rng.uniform(-0.01, 0.01, size=(3000, 3)))
+        centers = rng.uniform(-0.01, 0.01, size=(120, 3))
+        grasps = grasps_from_arrays(centers, np.tile([0.0, 1.0, 0.0], (120, 1)), np.zeros(120))
+        tracemalloc.start()
+        try:
+            point_confidence(cloud, grasps, d_th=0.04)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
+
+
 class TestWideKeys:
     def test_keys_past_int32_keep_their_point_and_center(self):
-        # 65,538 points times 32,768 centers passes 2^31: the keys widen to 64 bits. Only the last point
-        # and the last two centers are near the origin, so its keys are the largest the scene has
+        # 65,538 points times 32,768 centers passes 2^31, past any 32-bit key over the whole scene. Only the
+        # last point and the last two centers are near the origin: the largest indices the scene has
         points = np.vstack([np.linspace([10.0, 0.0, 0.0], [11.0, 0.0, 0.0], 65_537), [[0.0, 0.0, 0.0]]])
         centers = np.vstack([np.linspace([-11.0, 0.0, 0.0], [-10.0, 0.0, 0.0], 32_766),
                              [[0.002, 0.0, 0.0], [0.0, 0.005, 0.0]]])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from grasplab import ConfidenceField, EvalReport, Grasp, PointCloud, dataio, grasps_from_arrays
 from grasplab.dataio import (
     GRASP_HEADER,
-    _ROW_BLOCK,
+    _VALUE_BLOCK,
     ParseError,
     _float_rows,
     _fmt,
@@ -35,9 +35,41 @@ from grasplab.dataio import (
     write_regions,
     write_report,
 )
-from conftest import oracle_float_rows, oracle_grasp
+from conftest import oracle_float_rows, oracle_grasp, oracle_read_point_cloud
 
 
+# the chunk sizes read_point_cloud is checked at: one byte, sizes that split most rows, and the default
+CHUNKS = (1, 7, 64, dataio._CHUNK)
+
+
+def cloud_outcome(read, path):
+    """What `read` makes of a cloud file: its arrays' shapes and bytes, or its error's message."""
+    try:
+        cloud = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return [None if a is None else (a.shape, a.tobytes()) for a in (cloud.points, cloud.normals, cloud.colors)]
+
+
+@pytest.fixture
+def every_chunk_size(monkeypatch):
+    """Each read_point_cloud call of the test first checks that the file reads at every chunk size as the
+    whole-file oracle reads it: the same arrays bit for bit, or the same message at the same file:line."""
+    read = dataio.read_point_cloud
+
+    def checked(path):
+        want = cloud_outcome(oracle_read_point_cloud, path)
+        for size in CHUNKS:
+            monkeypatch.setattr(dataio, "_CHUNK", size)
+            assert cloud_outcome(read, path) == want, f"{size}-byte chunks"
+        return read(path)
+
+    monkeypatch.setitem(globals(), "read_point_cloud", checked)
+    for kind in ("ply", "xyz"):
+        monkeypatch.setitem(READERS, kind, (checked, *READERS[kind][1:]))
+
+
+@pytest.mark.usefixtures("every_chunk_size")
 class TestPointCloudIO:
     def test_xyz_three_lines(self, tmp_path):
         path = tmp_path / "tri.xyz"
@@ -385,6 +417,7 @@ def line_bound(data: bytes) -> int:
     return data.count(b"\n") + (not data.endswith(b"\n")) + 1
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestHeaderCountProperty:
     """Any count token in a header either parses or fails with a positioned ParseError."""
 
@@ -443,6 +476,7 @@ FRAGMENTS = [b"0", b"1", b"-1", b"0.5", b"255", b"1e300", b"1e-300", b"nan", b"i
 BYTES = st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join))
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestParserFuzz:
     """Any bytes after a valid header, or alone, either parse or fail with a positioned ParseError."""
 
@@ -473,6 +507,7 @@ class TestParserFuzz:
         self._parses_or_positioned(read, tmp_path / name, data)
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestUndecodableBytes:
     """A byte that is not UTF-8 is a ParseError at the line that holds it."""
 
@@ -499,6 +534,7 @@ class TestUndecodableBytes:
             read_xy(path)
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestFuzzFindings:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is an error, not also a warning
     def test_overflowing_normal_names_its_line(self, tmp_path):
@@ -520,6 +556,7 @@ class TestFuzzFindings:
             read_confidence(path)
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestRowMessages:
     """Messages of the shared row parser match the per-format rules they replace."""
 
@@ -624,6 +661,7 @@ class TestRowParserDifferential:
         assert self._outcome(_float_rows, lines, 1, ncols, sep) == self._outcome(oracle_float_rows, lines, 1, ncols, sep)
 
 
+@pytest.mark.usefixtures("every_chunk_size")
 class TestReaderEdgeCases:
     """Whole files through each row reader give what the Python walk alone gives: the same arrays or
     the same file:line error. Neither raises a warning of any class."""
@@ -639,6 +677,7 @@ class TestReaderEdgeCases:
         "tabs": lambda row: row.replace(b" ", b"\t").replace(b",", b",\t") + b"\t" + row,
         "comments": lambda row: row.replace(b"\n", b" # a point\n") + b"# only a comment\n" + row,
         "non-ascii digit": lambda row: row + row.replace(b"0", "\u0663".encode(), 1),
+        "no final line end": lambda row: row + row.removesuffix(b"\n"),
     }
 
     @staticmethod
@@ -667,6 +706,75 @@ class TestReaderEdgeCases:
         got = self._outcome(read, path)
         monkeypatch.setattr(dataio, "_NUMERIC_CHARS", b"")  # no character passes: every body goes to the walk
         assert got == self._outcome(read, path)
+
+
+@st.composite
+def cloud_files(draw):
+    """A well-formed PLY or XYZ file's bytes, rows on the 2^-8 grid (each number prints and parses exactly), in
+    any of the text forms the readers take: blanks and tabs between and around fields, blank lines, comments,
+    CRLF line ends and a last line with no line end."""
+    ply = draw(st.booleans())
+    layout = draw(st.sampled_from(["xyz", "normals", "colors", "both"] if ply else ["xyz", "normals"]))
+    n = draw(st.integers(0 if ply else 1, 16))
+    grid = st.integers(-512, 512).map(lambda k: k / 256.0)
+    number = st.sampled_from([repr, "{:.8f}".format, "%.9g".__mod__])
+    blank = st.sampled_from([" ", "\t", "  ", " \t "])
+    rows = []
+    for _ in range(n):
+        values = [draw(number)(draw(grid)) for _ in range(3)]
+        if layout in ("normals", "both"):
+            normal = [draw(st.integers(-256, 256)) for _ in range(3)]
+            values += [draw(number)(v / 256.0) for v in (normal if any(normal) else [0, 0, 256])]
+        if layout in ("colors", "both"):
+            values += [str(draw(st.integers(0, 255))) for _ in range(3)]
+        row = draw(st.sampled_from(["", " ", "\t"])) + "".join(v + draw(blank) for v in values[:-1]) + values[-1]
+        rows.append(row + draw(st.sampled_from(["", "", "  # inline"])) * (not ply))
+        rows += draw(st.sampled_from([[], [], [""], [" \t"]] + [["# a comment"]] * (not ply)))
+    if ply:
+        props = {"xyz": "xyz", "normals": "xyz nx ny nz", "colors": "xyz red green blue",
+                 "both": "xyz nx ny nz red green blue"}[layout].replace("xyz", "x y z").split()
+        header = ["ply", "format ascii 1.0", *draw(st.sampled_from([[], ["comment made by hand"]])),
+                  f"element vertex {n}", *(f"property {'uchar' if p in ('red', 'green', 'blue') else 'float'} {p}"
+                                           for p in props), "end_header"]
+        rows = header + rows
+    else:
+        rows = draw(st.sampled_from([[], ["# x y z"]])) + rows
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return ("c.ply" if ply else "c.xyz"), (end.join(rows) + draw(st.sampled_from([end, ""]))).encode()
+
+
+class TestChunkedReader:
+    """Well-formed files read at any chunk size as the whole-file oracle reads them, without the oracle's route."""
+
+    # 200 examples, each read at four chunk sizes and by the oracle: about 4 s on a 2-vCPU Xeon
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=cloud_files())
+    def test_bit_equal_to_the_whole_file_reader(self, tmp_path, monkeypatch, case):
+        name, data = case
+        path = tmp_path / name
+        path.write_bytes(data)
+        want = cloud_outcome(oracle_read_point_cloud, path)
+        assert not isinstance(want, str), want
+        whole = []
+        monkeypatch.setattr(dataio, "_read_lines", lambda p, read=dataio._read_lines: whole.append(p) or read(p))
+        for size in CHUNKS:
+            monkeypatch.setattr(dataio, "_CHUNK", size)
+            assert cloud_outcome(read_point_cloud, path) == want, f"{size}-byte chunks"
+        # a '\r' outside an XYZ comment fails its row or header line, so only those files are read whole
+        assert bool(whole) == (b"\r" in (data if name.endswith(".ply") else re.sub(rb"#.*", b"", data)))
+        monkeypatch.undo()
+
+    def test_peak_memory_follows_one_chunk(self, tmp_path):
+        cloud = _cloud(50_000, normals=True, colors=False)
+        write_point_cloud(tmp_path / "c.ply", cloud)
+        tracemalloc.start()
+        try:
+            back = read_point_cloud(tmp_path / "c.ply")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cloud keeps the arrays the rows were parsed into; a chunk's text and rows come and go
+        assert peak < 2.5 * (back.points.nbytes + back.normals.nbytes)
 
 
 class TestRowWriter:
@@ -707,7 +815,7 @@ def _one_shot_cloud_text(suffix, cloud):
 
 
 class TestBlockedWriters:
-    SIZES = [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1]
+    SIZES = [0, 1, _VALUE_BLOCK // 6, _VALUE_BLOCK // 6 + 1]  # a cloud with normals has 6 fields a row
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("suffix, normals, colors", [
@@ -774,6 +882,18 @@ class TestBlockedWriters:
         assert (tmp_path / "g.csv").read_text() == (
             "point_index,padded" + "".join(f",i{j}" for j in range(keep)) + "\n"
             + rows(ints(index), ints(padded), ints(regions)))
+
+    def test_a_wide_table_is_written_a_value_block_at_a_time(self, tmp_path):
+        # label_gen's region table: 768 rows of 258 integer fields, about 197,000 values
+        rng = np.random.default_rng(0)
+        index, padded, regions = np.arange(768), rng.integers(0, 2, 768).astype(bool), rng.integers(0, 20_000, (768, 256))
+        tracemalloc.start()
+        try:
+            write_regions(tmp_path / "g.csv", index, padded, regions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_cloud_writer_peak_memory_does_not_grow_with_the_cloud(self, tmp_path):
         cloud = _cloud(50_000, normals=True, colors=False)
